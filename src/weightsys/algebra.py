@@ -138,11 +138,6 @@ class DiagramVector:
             parts.setdefault(d.grading_key(), {})[d] = c
         return {k: DiagramVector(_raw=v) for k, v in parts.items()}
 
-    def map_diagrams(self, fn) -> "DiagramVector":
-        """Rebuild the vector applying ``fn`` to every diagram (results are
-        canonicalized again)."""
-        return DiagramVector((fn(d), c) for d, c in self._terms.items())
-
     def key(self):
         """Hashable normal form: leading coefficient scaled to 1."""
         items = self.items()

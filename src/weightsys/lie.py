@@ -8,6 +8,10 @@ b^{ij}; each skeleton point contributes its representation matrix, the
 matrices being multiplied around the circle in skeleton order and traced;
 every free loop contributes a factor dim g.  The bare circle therefore
 evaluates to dim V.  All arithmetic is exact rational.
+
+The network has one node per vertex and per skeleton point.  An edge's
+inverse metric is folded into one of its endpoints, whose axis for that
+edge is raised; the edge then joins the two slots directly.
 """
 
 from __future__ import annotations
@@ -69,9 +73,6 @@ class MetricLieAlgebra:
     metric: tuple               # b[i][j]
     representations: dict = field(default_factory=dict, compare=False)
     name: str = field(default="", compare=False)
-
-    def bracket(self, i, j):
-        return tuple(self.structure_constants[k][i][j] for k in range(self.dim))
 
 
 @dataclass(frozen=True)
@@ -354,86 +355,79 @@ def lie_algebra_to_json(g: MetricLieAlgebra) -> dict:
 # the tensor network of a diagram
 
 
-def _network(d: Diagram, tensors: StructureTensors, rep: Representation | None,
-             dim_g: int):
+def _network(d: Diagram, dim_g: int, dim_V: int):
     """Nodes and wiring for one diagram: f per vertex, rho per skeleton
-    point, inverse metric per edge.  Returns (shapes, edges, make_tensors)
-    so planning can happen without materializing tensors."""
-    dim_V = rep.dim_V if rep is not None else 0
+    point, and one direct edge per pairing (h1, h2).  The edge's inverse
+    metric b^{ij} is folded into the node holding h2, whose axis for h2 is
+    raised.  Returns (shapes, edges, kinds), where kinds[n] is
+    ("f" or "rho", raised axes of node n), so planning can happen without
+    materializing tensors."""
     slot_owner = {}
     shapes = []
-    builders = []
     for t in d.triples:
-        node = len(shapes)
-        shapes.append((dim_g, dim_g, dim_g))
-        builders.append(("f", None))
         for ax, h in enumerate(t):
-            slot_owner[h] = (node, ax)
+            slot_owner[h] = (len(shapes), ax)
+        shapes.append((dim_g, dim_g, dim_g))
     skeleton = d.skeleton or ()
     for h in skeleton:
-        node = len(shapes)
+        slot_owner[h] = (len(shapes), 0)
         shapes.append((dim_g, dim_V, dim_V))
-        builders.append(("rho", None))
-        slot_owner[h] = (node, 0)
+    raised = [[] for _ in shapes]
     edges = []
     for h1, h2 in d.pairing:
-        node = len(shapes)
-        shapes.append((dim_g, dim_g))
-        builders.append(("cup", None))
-        edges.append(((node, 0), slot_owner[h1]))
-        edges.append(((node, 1), slot_owner[h2]))
-    nsk = len(skeleton)
-    nv = len(d.triples)
+        node, ax = slot_owner[h2]
+        raised[node].append(ax)
+        edges.append((slot_owner[h1], (node, ax)))
+    nv, nsk = len(d.triples), len(skeleton)
     for pos in range(nsk):
-        cur = nv + pos
-        nxt = nv + (pos + 1) % nsk
-        edges.append(((cur, 2), (nxt, 1)))
-
-    def make_tensors():
-        f_t = SparseTensor((dim_g,) * 3, tensors.f)
-        cup_t = SparseTensor((dim_g, dim_g),
-                             {(i, j): v for i, row in enumerate(tensors.c_up)
-                              for j, v in enumerate(row) if v})
-        out = []
-        pos = 0
-        for kind, _ in builders:
-            if kind == "f":
-                out.append(f_t)
-            elif kind == "cup":
-                out.append(cup_t)
-            else:
-                data = {}
-                for a in range(dim_g):
-                    mat = rep.matrix(a)
-                    for r in range(dim_V):
-                        for cc in range(dim_V):
-                            if mat[r][cc]:
-                                data[(a, r, cc)] = mat[r][cc]
-                out.append(SparseTensor((dim_g, dim_V, dim_V), data))
-            pos += 1
-        return out
-
-    return shapes, edges, make_tensors
+        edges.append(((nv + pos, 2), (nv + (pos + 1) % nsk, 1)))
+    kinds = [("f" if node < nv else "rho", tuple(sorted(axes)))
+             for node, axes in enumerate(raised)]
+    return shapes, edges, kinds
 
 
-def contraction_plan(d: Diagram, dims, dp_width: int = 8) -> ContractionPlan:
+def _node_tensors(tensors: StructureTensors, rep: Representation | None,
+                  dim_g: int):
+    """The node tensors of one evaluation, each built on first use: f with
+    any subset of its axes raised, and rho with its algebra index lowered
+    or raised.  Returns a function from a kind of ``_network`` to its
+    SparseTensor."""
+    # raising index j of a tensor sums it against b^{ij}
+    up = [[(i, row[j]) for i, row in enumerate(tensors.c_up) if row[j]]
+          for j in range(dim_g)]
+    base = {"f": ((dim_g,) * 3, tensors.f)}
+    if rep is not None:
+        base["rho"] = ((dim_g, rep.dim_V, rep.dim_V),
+                       {(a, r, c): x for a in range(dim_g)
+                        for r, row in enumerate(rep.matrix(a))
+                        for c, x in enumerate(row) if x})
+    built = {}
+
+    def tensor(kind):
+        if kind not in built:
+            name, raised = kind
+            shape, data = base[name]
+            for ax in raised:
+                out = {}
+                for k, v in data.items():
+                    for i, b in up[k[ax]]:
+                        key = k[:ax] + (i,) + k[ax + 1:]
+                        out[key] = out.get(key, _ZERO) + b * v
+                data = out
+            built[kind] = SparseTensor(shape, data)
+        return built[kind]
+
+    return tensor
+
+
+def contraction_plan(d: Diagram, dims) -> ContractionPlan:
     """Plan the contraction of one diagram's network.
 
     ``dims`` is (dim_g,) for closed evaluation or (dim_g, dim_V) when the
     diagram sits on the circle.
     """
-    dim_g = dims[0]
-    dim_V = dims[1] if len(dims) > 1 else 1
-
-    class _Shim:
-        f = {}
-        c_up = tuple(tuple(_ZERO for _ in range(dim_g)) for _ in range(dim_g))
-
-    rep = Representation(dim_V, tuple(
-        tuple(tuple(_ZERO for _ in range(dim_V)) for _ in range(dim_V))
-        for _ in range(dim_g))) if d.skeleton else None
-    shapes, edges, _ = _network(d, _Shim, rep, dim_g)
-    return plan_contraction(shapes, edges, dp_width=dp_width)
+    shapes, edges, _ = _network(d, dims[0], dims[1] if len(dims) > 1 else 1)
+    return plan_contraction(shapes, edges)
 
 
 def naive_cost(d: Diagram, dim_g: int) -> int:
@@ -442,20 +436,20 @@ def naive_cost(d: Diagram, dim_g: int) -> int:
 
 
 def _evaluate_diagram(d: Diagram, g: MetricLieAlgebra,
-                      tensors: StructureTensors, rep: Representation | None,
-                      max_cost: int, dp_width: int) -> Fraction:
+                      rep: Representation | None, nodes, max_cost: int) -> Fraction:
+    """Weight of one legless diagram; ``nodes`` comes from ``_node_tensors``."""
     if d.l:
         raise SpaceMismatchError("weights are defined for legless diagrams")
     loops_factor = Fraction(g.dim) ** d.free_loops
     if not d.triples and not d.pairing:
         base = Fraction(rep.dim_V) if d.space == "A" else _ONE
         return base * loops_factor
-    shapes, edges, make_tensors = _network(d, tensors, rep, g.dim)
-    plan = plan_contraction(shapes, edges, dp_width=dp_width)
+    shapes, edges, kinds = _network(d, g.dim, rep.dim_V if rep else 1)
+    plan = plan_contraction(shapes, edges)
     if max_cost is not None and plan.cost > max_cost:
         raise ResourceLimitError(
             f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")
-    value = contract_network(make_tensors(), edges, plan).item()
+    value = contract_network([nodes(k) for k in kinds], edges, plan).item()
     if d.space == "A" and not d.skeleton:
         value *= rep.dim_V
     return value * loops_factor
@@ -470,8 +464,8 @@ def _as_vector(x) -> DiagramVector:
 
 
 def _evaluate_vector(vec: DiagramVector, space: str, g: MetricLieAlgebra,
-                     tensors: StructureTensors, rep: Representation | None,
-                     max_cost, dp_width) -> Fraction:
+                     rep: Representation | None, max_cost) -> Fraction:
+    nodes = _node_tensors(derive_tensors(g, validate=False), rep, g.dim)
     total = _ZERO
     for d, coeff in vec.items():
         if d.space != space:
@@ -479,26 +473,22 @@ def _evaluate_vector(vec: DiagramVector, space: str, g: MetricLieAlgebra,
             raise SpaceMismatchError(f"this evaluation acts on {what} diagrams")
         if space == "B" and d.l:
             raise SpaceMismatchError("closed evaluation needs all legs closed off")
-        total += coeff * _evaluate_diagram(d, g, tensors, rep, max_cost, dp_width)
+        total += coeff * _evaluate_diagram(d, g, rep, nodes, max_cost)
     return total
 
 
 def evaluate(x, g: MetricLieAlgebra, rep: Representation, *,
-             max_cost: int = DEFAULT_MAX_COST, dp_width: int = 8) -> Fraction:
+             max_cost: int = DEFAULT_MAX_COST) -> Fraction:
     """Weight of a circle-space diagram or vector against (g, rep)."""
     _require_valid(g, rep)
-    tensors = derive_tensors(g, validate=False)
-    return _evaluate_vector(_as_vector(x), "A", g, tensors, rep,
-                            max_cost, dp_width)
+    return _evaluate_vector(_as_vector(x), "A", g, rep, max_cost)
 
 
 def evaluate_closed(x, g: MetricLieAlgebra, *,
-                    max_cost: int = DEFAULT_MAX_COST, dp_width: int = 8) -> Fraction:
+                    max_cost: int = DEFAULT_MAX_COST) -> Fraction:
     """Weight of a closed leg-space diagram or vector against g alone."""
     _require_valid(g)
-    tensors = derive_tensors(g, validate=False)
-    return _evaluate_vector(_as_vector(x), "B", g, tensors, None,
-                            max_cost, dp_width)
+    return _evaluate_vector(_as_vector(x), "B", g, None, max_cost)
 
 
 def evaluate_naive(x, g: MetricLieAlgebra, rep: Representation | None = None, *,

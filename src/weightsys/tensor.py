@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 _ZERO = Fraction(0)
 
@@ -49,10 +49,6 @@ class SparseTensor:
         if self.shape:
             raise ValueError("tensor has free axes; not a scalar")
         return self.data.get((), _ZERO)
-
-    def scaled(self, factor) -> "SparseTensor":
-        f = Fraction(factor)
-        return SparseTensor(self.shape, {k: v * f for k, v in self.data.items()})
 
     def __eq__(self, other):
         return (isinstance(other, SparseTensor)
@@ -131,15 +127,11 @@ class ContractionPlan:
     cost: int
 
 
-def _node_size(axes, boundary):
-    out = 1
-    for ax in axes:
-        if ax in boundary:
-            out *= boundary[ax]
-    return out
+# networks of at most this many nodes are planned exhaustively
+DP_WIDTH = 8
 
 
-def plan_contraction(node_axes, edges, dp_width: int = 8) -> ContractionPlan:
+def plan_contraction(node_axes, edges) -> ContractionPlan:
     """Choose a merge order for a network.
 
     ``node_axes``: per node, the tuple of axis dimensions.
@@ -147,7 +139,7 @@ def plan_contraction(node_axes, edges, dp_width: int = 8) -> ContractionPlan:
     repeat between the same nodes.  Axes not in any edge stay free.
 
     Exhaustive subset dynamic programming when there are at most
-    ``dp_width`` nodes, greedy minimum-result-size otherwise.  Both are
+    ``DP_WIDTH`` nodes, greedy minimum-result-size otherwise.  Both are
     deterministic.
     """
     n = len(node_axes)
@@ -175,13 +167,13 @@ def plan_contraction(node_axes, edges, dp_width: int = 8) -> ContractionPlan:
                         out *= node_axes[i][ax]
         return out
 
-    if n <= dp_width:
+    if n <= DP_WIDTH:
         full = frozenset(range(n))
         best: dict = {}
         for i in range(n):
             best[frozenset((i,))] = (0, None)
         subsets = [frozenset(s) for k in range(2, n + 1)
-                   for s in _subsets(range(n), k)]
+                   for s in combinations(range(n), k)]
         for s in subsets:
             size_s = merged_size(s)
             choice = None
@@ -236,11 +228,6 @@ def plan_contraction(node_axes, edges, dp_width: int = 8) -> ContractionPlan:
     return ContractionPlan(tuple(order), cost)
 
 
-def _subsets(pool, k):
-    from itertools import combinations
-    return combinations(pool, k)
-
-
 def _proper_subsets_with(members, anchor):
     """All proper nonempty subsets of ``members`` containing ``anchor``."""
     rest = [m for m in members if m != anchor]
@@ -284,24 +271,15 @@ def contract_network(tensors, edges, plan: ContractionPlan | None = None) -> Spa
         bpos = {q for _, q in pairs}
         ids = ([d for p, d in enumerate(ids_a) if p not in apos]
                + [d for q, d in enumerate(ids_b) if q not in bpos])
-        # contract any axis pairs that became internal to the merged node
-        internal = []
-        seen = {}
-        for p, d in enumerate(ids):
-            other = edge_of.get(d)
-            if other is not None and other in seen:
-                internal.append((seen[other], p))
-            seen[d] = p
-        if internal:
-            merged = trace_axes(merged, internal)
-            dead = {p for pq in internal for p in pq}
-            ids = [d for p, d in enumerate(ids) if p not in dead]
-        work[i] = merged
-        axis_ids[i] = ids
+        work[i], axis_ids[i] = _trace_internal(merged, ids, edge_of)
         del work[j]
     (last,) = work
-    out = work[last]
-    ids = axis_ids[last]
+    return _trace_internal(work[last], axis_ids[last], edge_of)[0]
+
+
+def _trace_internal(t: SparseTensor, ids, edge_of):
+    """Trace the axis pairs of ``t`` that an edge joins to each other;
+    returns the traced tensor and the original ids of its remaining axes."""
     internal = []
     seen = {}
     for p, d in enumerate(ids):
@@ -309,6 +287,8 @@ def contract_network(tensors, edges, plan: ContractionPlan | None = None) -> Spa
         if other is not None and other in seen:
             internal.append((seen[other], p))
         seen[d] = p
-    if internal:
-        out = trace_axes(out, internal)
-    return out
+    if not internal:
+        return t, ids
+    dead = {p for pq in internal for p in pq}
+    return (trace_axes(t, internal),
+            [d for p, d in enumerate(ids) if p not in dead])

@@ -16,9 +16,8 @@ from .algebra import (DiagramVector, _rref, equal_mod_relations,
                       ihx_generators, quotient_basis, stu_generators)
 from .diagrams import Diagram, empty_diagram, enumerate_diagrams, validate
 from .errors import LieAlgebraError, ResourceLimitError
-from .lie import (MetricLieAlgebra, Representation, _evaluate_diagram,
-                  _evaluate_vector, _require_valid, builtin_algebra,
-                  derive_tensors)
+from .lie import (MetricLieAlgebra, _evaluate_diagram, _node_tensors,
+                  _require_valid, builtin_algebra, derive_tensors)
 from .maps import cap, chi, closure, connect_sum, disjoint_union, omega, strut, wheel
 
 SUITES = ("relations", "chi-iso", "closure-omega", "wheeling")
@@ -84,14 +83,20 @@ def _flip_first_vertex(d: Diagram) -> Diagram:
 
 
 def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
-                     cache_dir=None, max_cost=None, dp_width: int = 8) -> dict:
+                     max_cost=None) -> dict:
     g, rho = _resolve_algebra(algebra, rep)
     _require_valid(g, rho)
-    tensors = derive_tensors(g, validate=False)
+    nodes = _node_tensors(derive_tensors(g, validate=False), rho, g.dim)
     report = _Report("relations")
+    # Weights are linear, so every generator is checked against one table
+    # of diagram weights, each filled on first use inside a check (where a
+    # resource cutoff is reported as that check's failure).
+    table = {}
 
-    def eval_vec(vec):
-        return _evaluate_vector(vec, "A", g, tensors, rho, max_cost, dp_width)
+    def weight(d):
+        if d not in table:
+            table[d] = _evaluate_diagram(d, g, rho, nodes, max_cost)
+        return table[d]
 
     for total in range(2, max_total + 1, 2):
         diagrams = enumerate_diagrams("A", total=total)
@@ -102,17 +107,16 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
                 if not d.triples:
                     continue
                 flipped += 1
-                w = _evaluate_diagram(d, g, tensors, rho, max_cost, dp_width)
-                wf = _evaluate_diagram(_flip_first_vertex(d), g, tensors, rho,
-                                       max_cost, dp_width)
-                if w != -wf:
+                wf = _evaluate_diagram(_flip_first_vertex(d), g, rho, nodes,
+                                       max_cost)
+                if weight(d) != -wf:
                     return False, {"diagrams": flipped}
             return True, {"diagrams": flipped}
 
         def check_gens(gens):
             def body(gens=gens):
                 for vec in gens:
-                    if eval_vec(vec) != 0:
+                    if sum(c * weight(d) for d, c in vec.items()) != 0:
                         return False, {"generators": len(gens)}
                 return True, {"generators": len(gens)}
             return body
@@ -228,8 +232,7 @@ def run_suite(name: str, *, max_total=None, vmax=None, algebra="sl2",
     """Run one named suite with its applicable limits."""
     if name == "relations":
         return verify_relations(max_total=max_total if max_total is not None else 6,
-                                algebra=algebra, rep=rep, cache_dir=cache_dir,
-                                max_cost=max_cost)
+                                algebra=algebra, rep=rep, max_cost=max_cost)
     if name == "chi-iso":
         return verify_chi_iso(max_total=max_total if max_total is not None else 4,
                               cache_dir=cache_dir)

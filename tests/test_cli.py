@@ -109,10 +109,16 @@ def test_resource_cutoff_exit_code(tmp_path):
     assert proc.returncode == 4
     assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
 
-    proc = run_cli(["eval", "--algebra", "sl2", "--max-cost", "1"],
+    # The chord's plan costs 1: a bound of 0 refuses it, a bound of 1 does not.
+    proc = run_cli(["eval", "--algebra", "sl2", "--max-cost", "0"],
                    stdin_text=json.dumps(chord_json()), cache=tmp_path)
     assert proc.returncode == 4
     assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
+
+    proc = run_cli(["eval", "--algebra", "sl2", "--max-cost", "1"],
+                   stdin_text=json.dumps(chord_json()), cache=tmp_path)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["value"] == "3"
 
 
 def test_help_exits_cleanly(tmp_path):

@@ -180,6 +180,22 @@ def test_evaluation_is_linear():
     assert evaluate(DiagramVector.zero(), SL2, FUND) == 0
 
 
+def test_raised_axes_use_the_inverse_metric():
+    # Scaling an invariant metric by 3 scales f by 3 and the inverse metric
+    # on each of the E edges by 1/3, so a weight scales by 3^(v - E).
+    g3 = MetricLieAlgebra(SL2.dim, SL2.structure_constants,
+                          tuple(tuple(3 * x for x in r) for r in SL2.metric),
+                          SL2.representations)
+    for total in (0, 2, 4):
+        for d in enumerate_diagrams("A", total=total):
+            scale = Fraction(3) ** (d.v - len(d.pairing))
+            assert evaluate(d, g3, FUND) == scale * evaluate(d, SL2, FUND)
+    for v in (0, 2, 4):
+        for d in enumerate_diagrams("B", v=v, l=0):
+            scale = Fraction(3) ** (d.v - len(d.pairing))
+            assert evaluate_closed(d, g3) == scale * evaluate_closed(d, SL2)
+
+
 def test_relation_generators_vanish_at_small_total():
     for total in (4, 6):
         diagrams = enumerate_diagrams("A", total=total)
@@ -222,8 +238,9 @@ def test_plan_cost_beats_naive_on_eight_vertex_closed_diagram():
 def test_plan_reports_elimination_order_covering_all_merges():
     d = a_theta()
     plan = contraction_plan(d, (3, 2))
-    # 2 vertices + 2 skeleton points + 4 edges = 8 nodes -> 7 pairwise merges
-    assert len(plan.order) == 7
+    # 2 vertices + 2 skeleton points = 4 nodes -> 3 pairwise merges
+    assert len(plan.order) == 3
+    assert {n for pair in plan.order for n in pair} == set(range(4))
     assert plan.cost > 0
 
 
