@@ -444,9 +444,11 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
     if cache_dir:
         payload = cache_mod.load_basis(cache_dir, key)
         if payload is not None and payload.get("space") == space:
-            qb = QuotientBasis.from_payload(payload)
-            _basis_memo[key] = qb
-            return qb
+            try:
+                _basis_memo[key] = QuotientBasis.from_payload(payload)
+                return _basis_memo[key]
+            except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError):
+                pass  # an undecodable payload is a miss: recomputed and overwritten
     if space == "B":
         diagrams = enumerate_diagrams("B", v=v, l=l, max_steps=max_steps)
         gens = ihx_generators(diagrams)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .algebra import (DiagramVector, quotient_basis, reduce_vector,
@@ -33,7 +32,8 @@ from .cache import default_cache_dir
 from .diagrams import diagram_from_json, diagram_to_json, enumerate_diagrams
 from .errors import (DiagramError, GradingMismatchError, LieAlgebraError,
                      ResourceLimitError, SpaceMismatchError)
-from .lie import builtin_algebra, evaluate, evaluate_closed, lie_algebra_from_json
+from .lie import (evaluate, evaluate_closed, resolve_algebra,
+                  resolve_representation)
 from .maps import cap, chi, closure, connect_sum, omega
 from .verify import SUITES, run_suite
 
@@ -70,27 +70,6 @@ def _read_stdin_json(stdin):
 
 def _resolve_cache(ns) -> str:
     return ns.cache_dir or default_cache_dir()
-
-
-def _load_algebra(source: str):
-    """A built-in name, or a path to an exact-rational algebra file."""
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            blob = json.load(fh)
-        return lie_algebra_from_json(blob)
-    return builtin_algebra(source)
-
-
-def _pick_rep(g, name):
-    if name is not None:
-        if name not in g.representations:
-            raise LieAlgebraError(f"unknown representation {name!r}")
-        return g.representations[name]
-    if not g.representations:
-        return None
-    if "fundamental" in g.representations:
-        return g.representations["fundamental"]
-    return g.representations[sorted(g.representations)[0]]
 
 
 def _add_common(p: _Parser):
@@ -166,14 +145,14 @@ def _cmd_eval(ns, stdin):
     spaces = {d.space for d, _ in vec.items()}
     if len(spaces) > 1:
         raise SpaceMismatchError("cannot evaluate a mixed-space vector")
-    g = _load_algebra(ns.algebra)
+    g = resolve_algebra(ns.algebra)
     kwargs = {}
     if ns.max_cost is not None:
         kwargs["max_cost"] = ns.max_cost
     if spaces == {"B"}:
         value = evaluate_closed(vec, g, **kwargs)
     else:
-        rep = _pick_rep(g, ns.rep)
+        rep = resolve_representation(g, ns.rep)
         if rep is None:
             raise LieAlgebraError(
                 "circle-space evaluation needs a representation")

@@ -16,8 +16,11 @@ edge is raised; the edge then joins the two slots directly.
 
 from __future__ import annotations
 
+import json
+import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 from .algebra import DiagramVector
@@ -153,14 +156,18 @@ def check_representation(g: MetricLieAlgebra, rep: Representation):
     return True, None
 
 
+@lru_cache(maxsize=None)
 def _require_valid(g: MetricLieAlgebra, rep: Representation | None = None):
-    ok, detail = check_lie(g)
+    """Raise LieAlgebraError unless g (and rep, when given) is valid.  Memoized
+    by value, as validity reads only frozen, compared fields; failures raise on
+    every call.  Pass no explicit None: it would be a second memo entry for g."""
+    if rep is None:
+        ok, detail = check_lie(g)
+    else:
+        _require_valid(g)
+        ok, detail = check_representation(g, rep)
     if not ok:
         raise LieAlgebraError(detail)
-    if rep is not None:
-        ok, detail = check_representation(g, rep)
-        if not ok:
-            raise LieAlgebraError(detail)
 
 
 def _mat_mul(a, b):
@@ -204,10 +211,9 @@ def _invert(m):
 # structure tensors
 
 
-def derive_tensors(g: MetricLieAlgebra, *, validate: bool = True) -> StructureTensors:
-    """f_{ijk} = b([e_i, e_j], e_k) and the inverse metric, exactly."""
-    if validate:
-        _require_valid(g)
+def derive_tensors(g: MetricLieAlgebra) -> StructureTensors:
+    """f_{ijk} = b([e_i, e_j], e_k) and the inverse metric of a valid g."""
+    _require_valid(g)
     n = g.dim
     c, b = g.structure_constants, g.metric
     f = {}
@@ -318,14 +324,40 @@ def lie_algebra_from_json(obj) -> MetricLieAlgebra:
                       for m in action))
     g = MetricLieAlgebra(dim=dim, structure_constants=structure, metric=metric,
                          representations=reps, name=str(obj.get("name", "")))
-    ok, detail = check_lie(g)
-    if not ok:
-        raise LieAlgebraError(detail)
+    _require_valid(g)
     for name, rep in reps.items():
-        ok, detail = check_representation(g, rep)
-        if not ok:
-            raise LieAlgebraError(f"{name}: {detail}")
+        try:
+            _require_valid(g, rep)
+        except LieAlgebraError as exc:
+            raise LieAlgebraError(f"{name}: {exc}") from None
     return g
+
+
+def resolve_algebra(source) -> MetricLieAlgebra:
+    """A MetricLieAlgebra as given, else the algebra in the file at path
+    ``source``, else the built-in algebra of that name."""
+    if isinstance(source, MetricLieAlgebra):
+        return source
+    if not isinstance(source, str):
+        raise LieAlgebraError("expected an algebra name, file path or MetricLieAlgebra")
+    if os.path.exists(source):
+        with open(source, "r", encoding="utf-8") as fh:
+            return lie_algebra_from_json(json.load(fh))
+    return builtin_algebra(source)
+
+
+def resolve_representation(g: MetricLieAlgebra,
+                           name: str | None = None) -> Representation | None:
+    """The representation of g called ``name``; with no name, the one
+    called 'fundamental', else the first by name, else None."""
+    reps = g.representations
+    if name is None:
+        if not reps:
+            return None
+        name = "fundamental" if "fundamental" in reps else min(reps)
+    if name not in reps:
+        raise LieAlgebraError(f"unknown representation {name!r}")
+    return reps[name]
 
 
 def _scalar_text(x: Fraction) -> object:
@@ -386,12 +418,15 @@ def _network(d: Diagram, dim_g: int, dim_V: int):
     return shapes, edges, kinds
 
 
-def _node_tensors(tensors: StructureTensors, rep: Representation | None,
-                  dim_g: int):
-    """The node tensors of one evaluation, each built on first use: f with
-    any subset of its axes raised, and rho with its algebra index lowered
-    or raised.  Returns a function from a kind of ``_network`` to its
-    SparseTensor."""
+def _node_tensors(g: MetricLieAlgebra, rep: Representation | None):
+    """The node tensors of one evaluation against g (and rep, when given),
+    each built on first use: f with any subset of its axes raised, and rho
+    with its algebra index lowered or raised.  Checks g and rep first.
+    Returns a function from a kind of ``_network`` to its SparseTensor."""
+    if rep is not None:
+        _require_valid(g, rep)
+    tensors = derive_tensors(g)
+    dim_g = g.dim
     # raising index j of a tensor sums it against b^{ij}
     up = [[(i, row[j]) for i, row in enumerate(tensors.c_up) if row[j]]
           for j in range(dim_g)]
@@ -463,11 +498,11 @@ def _as_vector(x) -> DiagramVector:
     raise TypeError("expected a Diagram or DiagramVector")
 
 
-def _evaluate_vector(vec: DiagramVector, space: str, g: MetricLieAlgebra,
+def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
                      rep: Representation | None, max_cost) -> Fraction:
-    nodes = _node_tensors(derive_tensors(g, validate=False), rep, g.dim)
+    nodes = _node_tensors(g, rep)
     total = _ZERO
-    for d, coeff in vec.items():
+    for d, coeff in _as_vector(x).items():
         if d.space != space:
             what = "circle-space" if space == "A" else "leg-space"
             raise SpaceMismatchError(f"this evaluation acts on {what} diagrams")
@@ -480,27 +515,25 @@ def _evaluate_vector(vec: DiagramVector, space: str, g: MetricLieAlgebra,
 def evaluate(x, g: MetricLieAlgebra, rep: Representation, *,
              max_cost: int = DEFAULT_MAX_COST) -> Fraction:
     """Weight of a circle-space diagram or vector against (g, rep)."""
-    _require_valid(g, rep)
-    return _evaluate_vector(_as_vector(x), "A", g, rep, max_cost)
+    return _evaluate_vector(x, "A", g, rep, max_cost)
 
 
 def evaluate_closed(x, g: MetricLieAlgebra, *,
                     max_cost: int = DEFAULT_MAX_COST) -> Fraction:
     """Weight of a closed leg-space diagram or vector against g alone."""
-    _require_valid(g)
-    return _evaluate_vector(_as_vector(x), "B", g, None, max_cost)
+    return _evaluate_vector(x, "B", g, None, max_cost)
 
 
-def evaluate_naive(x, g: MetricLieAlgebra, rep: Representation | None = None, *,
-                   _validate: bool = True) -> Fraction:
+def evaluate_naive(x, g: MetricLieAlgebra,
+                   rep: Representation | None = None) -> Fraction:
     """Term-by-term expansion over all edge index assignments.
 
     Deliberately naive; exists so the planned contraction has an in-package
     cross-check, mirroring the independent test oracle.
     """
-    if _validate:
+    if rep is not None:
         _require_valid(g, rep)
-    tensors = derive_tensors(g, validate=False)
+    tensors = derive_tensors(g)
     nonzero_pairs = [(i, j, v) for i, row in enumerate(tensors.c_up)
                      for j, v in enumerate(row) if v]
     vec = _as_vector(x)

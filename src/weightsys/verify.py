@@ -16,8 +16,8 @@ from .algebra import (DiagramVector, _rref, equal_mod_relations,
                       ihx_generators, quotient_basis, stu_generators)
 from .diagrams import Diagram, empty_diagram, enumerate_diagrams, validate
 from .errors import LieAlgebraError, ResourceLimitError
-from .lie import (MetricLieAlgebra, _evaluate_diagram, _node_tensors,
-                  _require_valid, builtin_algebra, derive_tensors)
+from .lie import (_evaluate_diagram, _node_tensors, resolve_algebra,
+                  resolve_representation)
 from .maps import cap, chi, closure, connect_sum, disjoint_union, omega, strut, wheel
 
 SUITES = ("relations", "chi-iso", "closure-omega", "wheeling")
@@ -26,23 +26,6 @@ SUITES = ("relations", "chi-iso", "closure-omega", "wheeling")
 # closure of the wheels series is the exponential of (this sign) * theta/24
 # in the pair-weight-2 normalization (theta/48 at pair weight 1).
 CLOSURE_SIGN = -1
-
-
-def _resolve_algebra(algebra, rep):
-    if isinstance(algebra, str):
-        algebra = builtin_algebra(algebra)
-    if not isinstance(algebra, MetricLieAlgebra):
-        raise LieAlgebraError("expected an algebra name or MetricLieAlgebra")
-    if rep is None:
-        if not algebra.representations:
-            raise LieAlgebraError("the algebra carries no representations")
-        rep = sorted(algebra.representations)[0]
-    if isinstance(rep, str):
-        try:
-            rep = algebra.representations[rep]
-        except KeyError as exc:
-            raise LieAlgebraError(f"unknown representation {rep!r}") from exc
-    return algebra, rep
 
 
 class _Report:
@@ -84,9 +67,11 @@ def _flip_first_vertex(d: Diagram) -> Diagram:
 
 def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
                      max_cost=None) -> dict:
-    g, rho = _resolve_algebra(algebra, rep)
-    _require_valid(g, rho)
-    nodes = _node_tensors(derive_tensors(g, validate=False), rho, g.dim)
+    g = resolve_algebra(algebra)
+    rho = resolve_representation(g, rep)
+    if rho is None:
+        raise LieAlgebraError("the algebra carries no representations")
+    nodes = _node_tensors(g, rho)
     report = _Report("relations")
     # Weights are linear, so every generator is checked against one table
     # of diagram weights, each filled on first use inside a check (where a

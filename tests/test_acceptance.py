@@ -139,7 +139,7 @@ def test_acceptance_contraction_plans_are_sound_and_beat_naive(capsys):
         for d in enumerate_diagrams("B", v=v, l=0):
             n += 1
             ok = ok and (evaluate_closed(d, SL2)
-                         == evaluate_naive(d, SL2, _validate=False))
+                         == evaluate_naive(d, SL2))
     d8 = _cube()
     plan = contraction_plan(d8, (3,))
     strict = plan.cost < naive_cost(d8, 3)

@@ -216,6 +216,29 @@ def test_cold_and_warm_cache_outputs_are_byte_identical(tmp_path):
     assert fresh.stdout == cold.stdout
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda p: p.pop("diagrams"),
+    lambda p: p.update(diagrams=[7]),
+    lambda p: p.update(pivots=[]),
+    lambda p: p.update(pivots={"0": {"0": "1/0"}}),
+], ids=["no-diagrams", "diagram-not-object", "pivots-not-object",
+        "zero-denominator"])
+def test_undecodable_cache_file_is_recomputed_and_rewritten(tmp_path, corrupt):
+    args = ["basis", "--space", "B", "--v", "2", "--l", "0"]
+    cold = run_cli(args, cache=tmp_path)
+    assert cold.returncode == 0
+    path = tmp_path / "basis_B_v2_l0.json"
+    good = path.read_bytes()
+    payload = json.loads(good)
+    corrupt(payload)
+    path.write_text(json.dumps(payload), encoding="utf-8")
+
+    proc = run_cli(args, cache=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout == cold.stdout
+    assert path.read_bytes() == good
+
+
 def test_cache_dir_flag_overrides_environment(tmp_path):
     env_dir = tmp_path / "env"
     flag_dir = tmp_path / "flag"
@@ -245,3 +268,12 @@ def test_verify_suite_reports_and_exit_status(tmp_path):
 
     proc = run_cli(["verify", "nonsense"], cache=tmp_path)
     assert proc.returncode == 5
+
+
+def test_verify_relations_with_algebra_file(tmp_path):
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(lie_algebra_to_json(sl2())), encoding="utf-8")
+    proc = run_cli(["verify", "relations", "--max-total", "2",
+                    "--algebra", str(path)], cache=tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["pass"] is True

@@ -15,12 +15,13 @@ from weightsys.diagrams import (bare_circle, canonicalize, enumerate_diagrams,
                                 validate)
 from weightsys.errors import (LieAlgebraError, ResourceLimitError,
                               SpaceMismatchError)
+from weightsys import lie
 from weightsys.lie import (MetricLieAlgebra, Representation, abelian,
                            builtin_algebra, check_lie, check_representation,
                            contraction_plan, derive_tensors, evaluate,
                            evaluate_closed, evaluate_naive,
                            lie_algebra_from_json, lie_algebra_to_json,
-                           naive_cost, sl2)
+                           naive_cost, resolve_representation, sl2)
 
 SL2 = sl2()
 FUND = SL2.representations["fundamental"]
@@ -71,15 +72,71 @@ def test_check_lie_reports_antisymmetry_violation():
     assert not ok and "antisymmetry" in detail
 
 
-def test_check_lie_reports_jacobi_violation():
+def jacobi_violating_sl2():
     g = sl2()
     c = [[list(r) for r in ck] for ck in g.structure_constants]
     c[0][0][1] = Fraction(5)  # perturb [h,e] while keeping antisymmetry
     c[0][1][0] = Fraction(-5)
-    bad = MetricLieAlgebra(3, tuple(tuple(tuple(r) for r in ck) for ck in c),
-                           g.metric)
-    ok, detail = check_lie(bad)
+    return MetricLieAlgebra(3, tuple(tuple(tuple(r) for r in ck) for ck in c),
+                            g.metric)
+
+
+def test_check_lie_reports_jacobi_violation():
+    ok, detail = check_lie(jacobi_violating_sl2())
     assert not ok and ("Jacobi" in detail or "invariance" in detail)
+
+
+@pytest.mark.parametrize("call", [
+    lambda g: evaluate_closed(oracles.theta_closed(), g),
+    lambda g: evaluate_naive(oracles.theta_closed(), g),
+    derive_tensors,
+], ids=["evaluate_closed", "evaluate_naive", "derive_tensors"])
+def test_invalid_algebra_raises_on_every_call(call):
+    bad = jacobi_violating_sl2()
+    _, detail = check_lie(bad)
+    for _ in range(2):  # a failure is never memoized as a pass
+        with pytest.raises(LieAlgebraError) as exc:
+            call(bad)
+        assert str(exc.value) == detail
+
+
+def count_checks(monkeypatch):
+    """Count the calls of lie.check_lie and lie.check_representation."""
+    lie._require_valid.cache_clear()
+    calls = {"check_lie": 0, "check_representation": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(lie, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(lie, name, counted)
+    return calls
+
+
+def test_each_algebra_and_pair_is_checked_once(monkeypatch):
+    calls = count_checks(monkeypatch)
+    evaluate(a_chord(), SL2, FUND)
+    evaluate(a_theta(), SL2, FUND)
+    evaluate_closed(oracles.theta_closed(), SL2)
+    evaluate_naive(a_chord(), SL2, FUND)
+    derive_tensors(SL2)
+    assert calls == {"check_lie": 1, "check_representation": 1}
+
+
+def test_loaded_algebra_is_not_checked_again(monkeypatch):
+    calls = count_checks(monkeypatch)
+    g = lie_algebra_from_json(lie_algebra_to_json(SL2))
+    evaluate(a_theta(), g, g.representations["fundamental"])
+    assert calls == {"check_lie": 1, "check_representation": 1}
+
+
+def test_json_loader_names_the_failing_representation():
+    blob = lie_algebra_to_json(SL2)
+    blob["representations"]["fundamental"]["action"][2] = \
+        blob["representations"]["fundamental"]["action"][1]
+    for _ in range(2):
+        with pytest.raises(LieAlgebraError) as exc:
+            lie_algebra_from_json(blob)
+        assert str(exc.value) == "fundamental: representation fails on bracket (0,2)"
 
 
 def test_check_lie_reports_metric_problems():
@@ -123,6 +180,20 @@ def test_builtin_lookup():
     assert builtin_algebra("abelian5").dim == 5
     with pytest.raises(LieAlgebraError):
         builtin_algebra("so3000x")
+
+
+def test_default_representation_is_fundamental_else_first_by_name():
+    triv = abelian(3).representations["trivial"]
+
+    def with_reps(reps):
+        return MetricLieAlgebra(SL2.dim, SL2.structure_constants, SL2.metric, reps)
+
+    assert resolve_representation(with_reps({"a": triv, "fundamental": FUND})) is FUND
+    assert resolve_representation(with_reps({"b": FUND, "a": triv})) is triv
+    assert resolve_representation(with_reps({"b": FUND, "a": triv}), "b") is FUND
+    assert resolve_representation(with_reps({})) is None
+    with pytest.raises(LieAlgebraError):
+        resolve_representation(SL2, "missing")
 
 
 # ---------------------------------------------------------------------------
