@@ -9,6 +9,8 @@ identifies the failure class:
 exit  error code              meaning
 ====  ======================  ==========================================
 1     (verify report)         a verification check failed
+1     (none)                  stdout was closed before the output was
+                              written (a broken pipe); stderr stays empty
 2     malformed-json          stdin or a referenced file is not JSON
 3     unknown-verb            the first argument names no verb
 4     resource-cutoff         a configured resource bound was exceeded
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import (DiagramVector, quotient_basis, reduce_vector,
@@ -39,17 +42,20 @@ from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
+EXIT_BROKEN_PIPE = 1
 EXIT_MALFORMED_JSON = 2
 EXIT_UNKNOWN_VERB = 3
 EXIT_RESOURCE = 4
 EXIT_VALIDATION = 5
 
-_VALIDATION_ERRORS = (DiagramError, GradingMismatchError, SpaceMismatchError,
-                      LieAlgebraError, KeyError, TypeError, ValueError)
-
 
 class _ArgError(Exception):
     pass
+
+
+_VALIDATION_ERRORS = (_ArgError, DiagramError, GradingMismatchError,
+                      SpaceMismatchError, LieAlgebraError, KeyError, TypeError,
+                      ValueError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,10 +63,8 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgError(message)
 
 
-def _emit(obj, stream=None):
-    stream = stream or sys.stdout
-    stream.write(json.dumps(obj, indent=2))
-    stream.write("\n")
+def _error(code, message):
+    return {"error": {"code": code, "message": message}}
 
 
 def _read_stdin_json(stdin):
@@ -231,36 +235,36 @@ run 'weightsys VERB --help' for per-verb options."""
 
 
 def main(argv=None, stdin=None, stdout=None) -> int:
-    argv = list(sys.argv[1:]) if argv is None else list(argv)
-    stdin = stdin or sys.stdin
     out = stdout or sys.stdout
-    if not argv or argv[0] in ("-h", "--help"):
-        out.write(_USAGE + "\n")
-        return EXIT_OK
-    verb = argv[0]
-    handler = _HANDLERS.get(verb)
-    if handler is None:
-        _emit({"error": {"code": "unknown-verb",
-                         "message": f"unknown verb {verb!r}"}}, out)
-        return EXIT_UNKNOWN_VERB
+    payload, status = _respond(list(sys.argv[1:]) if argv is None else list(argv),
+                               stdin or sys.stdin)
     try:
-        ns = _build_parser(verb).parse_args(argv[1:])
-    except _ArgError as exc:
-        _emit({"error": {"code": "validation", "message": str(exc)}}, out)
-        return EXIT_VALIDATION
-    try:
-        payload, status = handler(ns, stdin)
-    except json.JSONDecodeError as exc:
-        _emit({"error": {"code": "malformed-json", "message": str(exc)}}, out)
-        return EXIT_MALFORMED_JSON
-    except ResourceLimitError as exc:
-        _emit({"error": {"code": "resource-cutoff", "message": str(exc)}}, out)
-        return EXIT_RESOURCE
-    except _VALIDATION_ERRORS as exc:
-        _emit({"error": {"code": "validation", "message": str(exc)}}, out)
-        return EXIT_VALIDATION
-    _emit(payload, out)
+        out.write(payload if isinstance(payload, str) else json.dumps(payload, indent=2))
+        out.write("\n")
+        out.flush()
+    except BrokenPipeError:
+        # The reader is gone: devnull takes the flush at interpreter exit,
+        # which would fail again (the recipe in Python's ``signal`` docs).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     return status
+
+
+def _respond(argv, stdin):
+    """One call's output (the usage text or a JSON object) and exit status."""
+    if not argv or argv[0] in ("-h", "--help"):
+        return _USAGE, EXIT_OK
+    handler = _HANDLERS.get(argv[0])
+    if handler is None:
+        return _error("unknown-verb", f"unknown verb {argv[0]!r}"), EXIT_UNKNOWN_VERB
+    try:
+        return handler(_build_parser(argv[0]).parse_args(argv[1:]), stdin)
+    except json.JSONDecodeError as exc:
+        return _error("malformed-json", str(exc)), EXIT_MALFORMED_JSON
+    except ResourceLimitError as exc:
+        return _error("resource-cutoff", str(exc)), EXIT_RESOURCE
+    except _VALIDATION_ERRORS as exc:
+        return _error("validation", str(exc)), EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import DiagramVector
+from .algebra import DiagramVector, _rref
 from .diagrams import Diagram
 from .errors import LieAlgebraError, ResourceLimitError, SpaceMismatchError
 from .tensor import ContractionPlan, SparseTensor, contract_network, plan_contraction
@@ -189,22 +189,13 @@ def _mat_scale(a, s):
 
 
 def _invert(m):
-    """Exact inverse by Gauss-Jordan, or None when singular."""
+    """Exact inverse read off the reduced rows of [m | I], or None when
+    singular (some column of m has no pivot)."""
     n = len(m)
-    aug = [list(r) + [_ONE if i == j else _ZERO for j in range(n)]
-           for i, r in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            return None
-        aug[col], aug[piv] = aug[piv], aug[col]
-        f = aug[col][col]
-        aug[col] = [x / f for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                g = aug[r][col]
-                aug[r] = [x - g * y for x, y in zip(aug[r], aug[col])]
-    return tuple(tuple(r[n:]) for r in aug)
+    rows = _rref([{**dict(enumerate(r)), n + i: _ONE} for i, r in enumerate(m)])
+    if any(c not in rows for c in range(n)):
+        return None
+    return tuple(tuple(rows[c].get(n + j, _ZERO) for j in range(n)) for c in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +332,13 @@ def resolve_algebra(source) -> MetricLieAlgebra:
     if not isinstance(source, str):
         raise LieAlgebraError("expected an algebra name, file path or MetricLieAlgebra")
     if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            return lie_algebra_from_json(json.load(fh))
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise LieAlgebraError(
+                f"cannot read algebra file {source!r}: {exc.strerror}") from None
+        return lie_algebra_from_json(obj)
     return builtin_algebra(source)
 
 
@@ -418,41 +414,48 @@ def _network(d: Diagram, dim_g: int, dim_V: int):
     return shapes, edges, kinds
 
 
-def _node_tensors(g: MetricLieAlgebra, rep: Representation | None):
-    """The node tensors of one evaluation against g (and rep, when given),
-    each built on first use: f with any subset of its axes raised, and rho
-    with its algebra index lowered or raised.  Checks g and rep first.
-    Returns a function from a kind of ``_network`` to its SparseTensor."""
-    if rep is not None:
-        _require_valid(g, rep)
-    tensors = derive_tensors(g)
-    dim_g = g.dim
-    # raising index j of a tensor sums it against b^{ij}
-    up = [[(i, row[j]) for i, row in enumerate(tensors.c_up) if row[j]]
-          for j in range(dim_g)]
-    base = {"f": ((dim_g,) * 3, tensors.f)}
-    if rep is not None:
-        base["rho"] = ((dim_g, rep.dim_V, rep.dim_V),
-                       {(a, r, c): x for a in range(dim_g)
-                        for r, row in enumerate(rep.matrix(a))
-                        for c, x in enumerate(row) if x})
-    built = {}
+class _NodeTensors(dict):
+    """A kind of ``_network`` -> its SparseTensor, each built on first
+    lookup: f with any subset of its axes raised, and rho (when a
+    representation is given) with its algebra index lowered or raised."""
 
-    def tensor(kind):
-        if kind not in built:
-            name, raised = kind
-            shape, data = base[name]
-            for ax in raised:
-                out = {}
-                for k, v in data.items():
-                    for i, b in up[k[ax]]:
-                        key = k[:ax] + (i,) + k[ax + 1:]
-                        out[key] = out.get(key, _ZERO) + b * v
-                data = out
-            built[kind] = SparseTensor(shape, data)
-        return built[kind]
+    def __init__(self, tensors: StructureTensors, rep: Representation | None):
+        super().__init__()
+        self.tensors = tensors
+        n = len(tensors.c_up)
+        # raising index j of a tensor sums it against b^{ij}
+        self.up = [[(i, row[j]) for i, row in enumerate(tensors.c_up) if row[j]]
+                   for j in range(n)]
+        self.base = {"f": ((n,) * 3, tensors.f)}
+        if rep is not None:
+            self.base["rho"] = ((n, rep.dim_V, rep.dim_V),
+                                {(a, r, c): x for a, m in enumerate(rep.action)
+                                 for r, row in enumerate(m) for c, x in enumerate(row) if x})
 
-    return tensor
+    def __missing__(self, kind):
+        name, raised = kind
+        shape, data = self.base[name]
+        for ax in raised:
+            out = {}
+            for k, v in data.items():
+                for i, b in self.up[k[ax]]:
+                    key = k[:ax] + (i,) + k[ax + 1:]
+                    out[key] = out.get(key, _ZERO) + b * v
+            data = out
+        self[kind] = SparseTensor(shape, data)
+        return self[kind]
+
+
+@lru_cache(maxsize=None)
+def _node_tensors(g: MetricLieAlgebra, rep: Representation | None) -> _NodeTensors:
+    """The node tensors of evaluations against g (and rep, when not None),
+    after checking both.  Memoized by value, as ``_require_valid`` is; the
+    (g, rep) entry reuses the structure tensors of the (g, None) entry, so
+    ``derive_tensors`` runs once per algebra.  Failures raise on every call."""
+    if rep is None:
+        return _NodeTensors(derive_tensors(g), None)
+    _require_valid(g, rep)
+    return _NodeTensors(_node_tensors(g, None).tensors, rep)
 
 
 def contraction_plan(d: Diagram, dims) -> ContractionPlan:
@@ -470,45 +473,41 @@ def naive_cost(d: Diagram, dim_g: int) -> int:
     return dim_g ** len(d.pairing)
 
 
-def _evaluate_diagram(d: Diagram, g: MetricLieAlgebra,
-                      rep: Representation | None, nodes, max_cost: int) -> Fraction:
-    """Weight of one legless diagram; ``nodes`` comes from ``_node_tensors``."""
-    if d.l:
-        raise SpaceMismatchError("weights are defined for legless diagrams")
-    loops_factor = Fraction(g.dim) ** d.free_loops
-    if not d.triples and not d.pairing:
-        base = Fraction(rep.dim_V) if d.space == "A" else _ONE
-        return base * loops_factor
-    shapes, edges, kinds = _network(d, g.dim, rep.dim_V if rep else 1)
-    plan = plan_contraction(shapes, edges)
-    if max_cost is not None and plan.cost > max_cost:
-        raise ResourceLimitError(
-            f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")
-    value = contract_network([nodes(k) for k in kinds], edges, plan).item()
-    if d.space == "A" and not d.skeleton:
-        value *= rep.dim_V
-    return value * loops_factor
-
-
-def _as_vector(x) -> DiagramVector:
+def _terms(x):
+    """(diagram, coefficient) pairs of x: a lone Diagram as labeled, a
+    vector's stored terms as stored.  A weight system already respects
+    antisymmetry and the relations, so no canonical form is needed."""
     if isinstance(x, Diagram):
-        return DiagramVector.single(x)
+        return ((x, 1),)
     if isinstance(x, DiagramVector):
-        return x
+        return x._terms.items()
     raise TypeError("expected a Diagram or DiagramVector")
 
 
 def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
-                     rep: Representation | None, max_cost) -> Fraction:
+                     rep: Representation | None, max_cost: int) -> Fraction:
+    """Weight of x, each term's network planned and contracted as labeled."""
     nodes = _node_tensors(g, rep)
+    dim_V = rep.dim_V if rep else 1
     total = _ZERO
-    for d, coeff in _as_vector(x).items():
+    for d, coeff in _terms(x):
         if d.space != space:
             what = "circle-space" if space == "A" else "leg-space"
             raise SpaceMismatchError(f"this evaluation acts on {what} diagrams")
-        if space == "B" and d.l:
-            raise SpaceMismatchError("closed evaluation needs all legs closed off")
-        total += coeff * _evaluate_diagram(d, g, rep, nodes, max_cost)
+        if d.l:
+            raise SpaceMismatchError("closed evaluation needs all legs closed off"
+                                     if space == "B" else
+                                     "weights are defined for legless diagrams")
+        # with no circle point the circle's trace is that of the identity
+        value = Fraction(dim_V) if space == "A" and not d.skeleton else _ONE
+        if d.pairing:
+            shapes, edges, kinds = _network(d, g.dim, dim_V)
+            plan = plan_contraction(shapes, edges)
+            if plan.cost > max_cost:
+                raise ResourceLimitError(
+                    f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")
+            value *= contract_network([nodes[k] for k in kinds], edges, plan).item()
+        total += coeff * value * Fraction(g.dim) ** d.free_loops
     return total
 
 
@@ -531,14 +530,11 @@ def evaluate_naive(x, g: MetricLieAlgebra,
     Deliberately naive; exists so the planned contraction has an in-package
     cross-check, mirroring the independent test oracle.
     """
-    if rep is not None:
-        _require_valid(g, rep)
-    tensors = derive_tensors(g)
+    tensors = _node_tensors(g, rep).tensors
     nonzero_pairs = [(i, j, v) for i, row in enumerate(tensors.c_up)
                      for j, v in enumerate(row) if v]
-    vec = _as_vector(x)
     total = _ZERO
-    for d, coeff in vec.items():
+    for d, coeff in _terms(x):
         if d.l:
             raise SpaceMismatchError("weights are defined for legless diagrams")
         if d.space == "A" and rep is None:

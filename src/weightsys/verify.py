@@ -16,7 +16,7 @@ from .algebra import (DiagramVector, _rref, equal_mod_relations,
                       ihx_generators, quotient_basis, stu_generators)
 from .diagrams import Diagram, empty_diagram, enumerate_diagrams, validate
 from .errors import LieAlgebraError, ResourceLimitError
-from .lie import (_evaluate_diagram, _node_tensors, resolve_algebra,
+from .lie import (DEFAULT_MAX_COST, evaluate, resolve_algebra,
                   resolve_representation)
 from .maps import cap, chi, closure, connect_sum, disjoint_union, omega, strut, wheel
 
@@ -66,12 +66,11 @@ def _flip_first_vertex(d: Diagram) -> Diagram:
 
 
 def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
-                     max_cost=None) -> dict:
+                     max_cost: int = DEFAULT_MAX_COST) -> dict:
     g = resolve_algebra(algebra)
     rho = resolve_representation(g, rep)
     if rho is None:
         raise LieAlgebraError("the algebra carries no representations")
-    nodes = _node_tensors(g, rho)
     report = _Report("relations")
     # Weights are linear, so every generator is checked against one table
     # of diagram weights, each filled on first use inside a check (where a
@@ -80,7 +79,7 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
 
     def weight(d):
         if d not in table:
-            table[d] = _evaluate_diagram(d, g, rho, nodes, max_cost)
+            table[d] = evaluate(d, g, rho, max_cost=max_cost)
         return table[d]
 
     for total in range(2, max_total + 1, 2):
@@ -92,8 +91,7 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
                 if not d.triples:
                     continue
                 flipped += 1
-                wf = _evaluate_diagram(_flip_first_vertex(d), g, rho, nodes,
-                                       max_cost)
+                wf = evaluate(_flip_first_vertex(d), g, rho, max_cost=max_cost)
                 if weight(d) != -wf:
                     return False, {"diagrams": flipped}
             return True, {"diagrams": flipped}
@@ -118,18 +116,16 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
 # chi-iso: leg-averaging is a graded isomorphism onto the circle space
 
 
-def verify_chi_iso(max_total: int = 4, cache_dir=None, max_steps=None) -> dict:
+def verify_chi_iso(max_total: int = 4, cache_dir=None) -> dict:
     report = _Report("chi-iso")
     table = []
     for n in range(max_total + 1):
         def check(n=n):
-            a_basis = quotient_basis("A", total=n, cache_dir=cache_dir,
-                                     max_steps=max_steps)
+            a_basis = quotient_basis("A", total=n, cache_dir=cache_dir)
             rows = []
             dim_legs = 0
             for v in range(n + 1):
-                piece = quotient_basis("B", v=v, l=n - v, cache_dir=cache_dir,
-                                       max_steps=max_steps)
+                piece = quotient_basis("B", v=v, l=n - v, cache_dir=cache_dir)
                 dim_legs += piece.dim
                 for d in piece.basis:
                     coords = a_basis.coordinates(chi(DiagramVector.single(d)))
@@ -181,23 +177,17 @@ def verify_closure_omega(vmax: int = 4, cache_dir=None) -> dict:
 _WHEELING_PAIRS = (("empty", "empty"), ("strut", "strut"), ("wheel2", "strut"))
 
 
-def _wheeling_inputs():
-    return {
-        "empty": DiagramVector.single(empty_diagram()),
-        "strut": DiagramVector.single(strut()),
-        "wheel2": DiagramVector.single(wheel(2)),
-    }
-
-
-def verify_wheeling(cache_dir=None, pairs=_WHEELING_PAIRS) -> dict:
+def verify_wheeling(cache_dir=None) -> dict:
     report = _Report("wheeling")
-    vecs = _wheeling_inputs()
+    vecs = {"empty": DiagramVector.single(empty_diagram()),
+            "strut": DiagramVector.single(strut()),
+            "wheel2": DiagramVector.single(wheel(2))}
 
     def wheeled(x):
         legs = max((d.l for d, _ in x.items()), default=0)
         return chi(cap(omega(legs), x))
 
-    for a, b in pairs:
+    for a, b in _WHEELING_PAIRS:
         def check(a=a, b=b):
             x, y = vecs[a], vecs[b]
             lhs = wheeled(disjoint_union(x, y))
@@ -216,6 +206,8 @@ def run_suite(name: str, *, max_total=None, vmax=None, algebra="sl2",
               rep=None, cache_dir=None, max_cost=None) -> dict:
     """Run one named suite with its applicable limits."""
     if name == "relations":
+        if max_cost is None:
+            max_cost = DEFAULT_MAX_COST
         return verify_relations(max_total=max_total if max_total is not None else 6,
                                 algebra=algebra, rep=rep, max_cost=max_cost)
     if name == "chi-iso":

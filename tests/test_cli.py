@@ -13,7 +13,7 @@ import pytest
 
 import oracles
 import weightsys
-from weightsys.algebra import DiagramVector, vector_from_json
+from weightsys.algebra import DiagramVector, vector_from_json, vector_to_json
 from weightsys.diagrams import diagram_to_json, validate
 from weightsys.lie import lie_algebra_to_json, sl2
 from weightsys.maps import cap, chi, closure, connect_sum, omega
@@ -21,7 +21,7 @@ from weightsys.maps import cap, chi, closure, connect_sum, omega
 PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(weightsys.__file__)))
 
 
-def run_cli(args, stdin_text="", cache=None, extra_env=None):
+def cli_env(cache=None, extra_env=None):
     # The child runs with cwd=tests/, where a relative PYTHONPATH entry (such
     # as the documented PYTHONPATH=src) would not resolve; putting the absolute
     # root of the package this process imported first makes the child run the
@@ -34,9 +34,14 @@ def run_cli(args, stdin_text="", cache=None, extra_env=None):
         env["WEIGHTSYS_CACHE"] = str(cache)
     if extra_env:
         env.update(extra_env)
+    return env
+
+
+def run_cli(args, stdin_text="", cache=None, extra_env=None):
     proc = subprocess.run([sys.executable, "-m", "weightsys.cli", *args],
                           input=stdin_text, capture_output=True, text=True,
-                          env=env, cwd=os.path.dirname(__file__))
+                          env=cli_env(cache, extra_env),
+                          cwd=os.path.dirname(__file__))
     return proc
 
 
@@ -119,6 +124,27 @@ def test_resource_cutoff_exit_code(tmp_path):
                    stdin_text=json.dumps(chord_json()), cache=tmp_path)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["value"] == "3"
+
+
+@pytest.mark.parametrize("verb", [["eval"], ["verify", "relations"]])
+def test_algebra_path_that_is_a_directory_is_a_validation_error(tmp_path, verb):
+    proc = run_cli([*verb, "--algebra", str(tmp_path)],
+                   stdin_text=json.dumps(chord_json()), cache=tmp_path)
+    assert proc.returncode == 5, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "validation"
+    assert proc.stderr == ""
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    proc = subprocess.Popen([sys.executable, "-m", "weightsys.cli", "chi"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=cli_env(tmp_path),
+                            cwd=os.path.dirname(__file__))
+    proc.stdout.close()
+    strut = DiagramVector.single(oracles.strut())
+    _, err = proc.communicate(json.dumps(vector_to_json(strut)).encode())
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_help_exits_cleanly(tmp_path):

@@ -5,6 +5,7 @@ package's own term-by-term expansion, against the independent brute-force
 oracle, and against hand-computed scalar values.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -15,13 +16,14 @@ from weightsys.diagrams import (bare_circle, canonicalize, enumerate_diagrams,
                                 validate)
 from weightsys.errors import (LieAlgebraError, ResourceLimitError,
                               SpaceMismatchError)
-from weightsys import lie
+from weightsys import algebra, diagrams, lie, verify
 from weightsys.lie import (MetricLieAlgebra, Representation, abelian,
                            builtin_algebra, check_lie, check_representation,
                            contraction_plan, derive_tensors, evaluate,
                            evaluate_closed, evaluate_naive,
                            lie_algebra_from_json, lie_algebra_to_json,
                            naive_cost, resolve_representation, sl2)
+from weightsys.verify import verify_relations
 
 SL2 = sl2()
 FUND = SL2.representations["fundamental"]
@@ -103,6 +105,7 @@ def test_invalid_algebra_raises_on_every_call(call):
 def count_checks(monkeypatch):
     """Count the calls of lie.check_lie and lie.check_representation."""
     lie._require_valid.cache_clear()
+    lie._node_tensors.cache_clear()
     calls = {"check_lie": 0, "check_representation": 0}
     for name in calls:
         def counted(*args, name=name, real=getattr(lie, name)):
@@ -127,6 +130,22 @@ def test_loaded_algebra_is_not_checked_again(monkeypatch):
     g = lie_algebra_from_json(lie_algebra_to_json(SL2))
     evaluate(a_theta(), g, g.representations["fundamental"])
     assert calls == {"check_lie": 1, "check_representation": 1}
+
+
+def test_structure_tensors_are_derived_once_per_algebra(monkeypatch):
+    lie._node_tensors.cache_clear()
+    calls = []
+
+    def counted(g, real=lie.derive_tensors):
+        calls.append(g)
+        return real(g)
+
+    monkeypatch.setattr(lie, "derive_tensors", counted)
+    for _ in range(2):
+        evaluate(a_theta(), SL2, FUND)
+        evaluate_closed(oracles.theta_closed(), SL2)
+    assert verify_relations(max_total=4)["pass"]
+    assert calls == [SL2]
 
 
 def test_json_loader_names_the_failing_representation():
@@ -244,6 +263,38 @@ def test_evaluation_is_sign_compatible_with_canonicalization():
     assert evaluate(flipped_a, SL2, FUND) == 12
 
 
+def test_lone_diagram_is_evaluated_without_canonicalization(monkeypatch):
+    calls = []
+    for module in (algebra, diagrams):
+        def counted(d, real=module.canonicalize):
+            calls.append(d)
+            return real(d)
+        monkeypatch.setattr(module, "canonicalize", counted)
+    assert evaluate(a_theta(), SL2, FUND) == -12
+    assert evaluate_closed(oracles.theta_closed(), SL2) == -12
+    assert evaluate_naive(a_chord(), SL2, FUND) == 3
+    assert calls == []
+    DiagramVector.single(a_chord())  # the counter does see a canonical search
+    assert len(calls) == 1
+
+
+def test_relabeled_diagrams_weigh_their_sign_times_the_original():
+    rng = random.Random(5)
+    for total in (0, 2, 4, 6):
+        for d in enumerate_diagrams("A", total=total):
+            copy, sign = oracles.relabel_randomly(d, rng)
+            assert evaluate(copy, SL2, FUND) == sign * evaluate(d, SL2, FUND)
+    for v in (0, 2, 4):
+        for d in enumerate_diagrams("B", v=v, l=0):
+            copy, sign = oracles.relabel_randomly(d, rng)
+            assert evaluate_closed(copy, SL2) == sign * evaluate_closed(d, SL2)
+
+
+def test_handcuff_weighs_exactly_zero():
+    # zero by antisymmetry; evaluated as labeled, through its tadpole traces
+    assert evaluate_closed(oracles.handcuff(), sl2()) == 0
+
+
 def test_evaluation_is_linear():
     v = (Fraction(2) * DiagramVector.single(a_theta())
          - Fraction(1, 3) * DiagramVector.single(a_chord()))
@@ -322,6 +373,19 @@ def test_resource_guard_refuses_oversized_contractions():
     # The guard fires before any contraction happens, and a generous bound
     # lets the same call through.
     assert evaluate_closed(d, SL2, max_cost=10 ** 9) == 384
+
+
+def test_verify_relations_is_bounded(monkeypatch):
+    def cutoffs(report):
+        assert not report["pass"]
+        failed = [c for c in report["checks"] if not c["pass"]]
+        return failed and all(c["error"].startswith("resource cutoff")
+                              for c in failed)
+
+    assert cutoffs(verify_relations(max_total=2, max_cost=0))
+    # with no bound given, run_suite applies the default one
+    monkeypatch.setattr(verify, "DEFAULT_MAX_COST", 0)
+    assert cutoffs(verify.run_suite("relations", max_total=2))
 
 
 # ---------------------------------------------------------------------------
