@@ -245,11 +245,6 @@ def _component_search(triples, legs, skeleton, partner, n):
     ``(sig, sign, relabel, nstates, struts)`` where ``relabel[h]`` is the
     canonical label of half-edge ``h``, ``sig`` is a flat integer tuple that
     determines the component up to isomorphism, and ``sign`` is +1/-1/0.
-    ``nstates`` is the number of minimal labelings that survive to the end;
-    the automorphism group of the component (allowing vertex reflections)
-    acts simply transitively on minimal labelings, except that the search
-    assigns leg labels by one forced rule per state, so
-    ``|Aut| = nstates * 2^struts * struts!``.
 
     The labeling family searched: choose a rotation of the skeleton (the
     circle is oriented, so no reflections), an order in which to place the
@@ -257,27 +252,53 @@ def _component_search(triples, legs, skeleton, partner, n):
     triple (three rotations keep the orientation, three reversals flip the
     sign); legs are ordered canonically afterwards. At each stage only the
     choices extending the minimal partial signature survive.
+
+    Forced vertex: a placed label is *open* while its partner half-edge
+    sits on an unplaced vertex. A chunk entry is a placed label (necessarily
+    open), a label of the chunk's own block, or a sentinel above ``n``; so
+    if a state has open labels and m is the smallest, only the chunks
+    starting with m can be minimal, and those come from m's partner's
+    vertex rewritten to put that partner first (one rotation, one
+    reversal). All unplaced vertices are scanned only when a state has no
+    open label: at depth 0 without a skeleton, and never again inside one
+    component. Each state keeps its own sorted open labels, since the
+    skeleton rotations open different positions.
+
+    The rule drops only candidates that cannot tie the minimum, so the
+    surviving states at every depth, and their order, are those of the
+    exhaustive scan. States never merge (a child's labels extend its
+    parent's), so none is deduplicated. ``nstates`` is still the number of
+    minimal labelings: the automorphism group of the component (allowing
+    vertex reflections) acts simply transitively on them, except that the
+    search assigns leg labels by one forced rule per state, so
+    ``|Aut| = nstates * 2^struts * struts!``.
     """
     v = len(triples)
     l = len(legs)
-    has_sk = skeleton is not None
-    e = len(skeleton) if has_sk else 0
+    e = len(skeleton or ())
     legset = frozenset(legs)
     inf_v = n + _INFV_OFF
     inf_l = n + _INFL_OFF
 
     reps = []
-    for (a, b, c) in triples:
+    where = [None] * n  # half-edge -> (vertex, position in its triple)
+    for vi, (a, b, c) in enumerate(triples):
         reps.append((((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
                      ((c, b, a), -1), ((b, a, c), -1), ((a, c, b), -1)))
+        where[a], where[b], where[c] = (vi, 0), (vi, 1), (vi, 2)
 
-    if has_sk and e:
-        states = []
-        for r in range(e):
-            lab = {skeleton[(r + pos) % e]: pos for pos in range(e)}
-            states.append((lab, 0, 1))
-    else:
-        states = [({}, 0, 1)]
+    # a state: (label of each half-edge or None, half-edge of each label,
+    # sorted open labels, sign)
+    states = []
+    for r in range(e):
+        inv = tuple(skeleton[(r + pos) % e] for pos in range(e))
+        lab = [None] * n
+        for pos, h in enumerate(inv):
+            lab[h] = pos
+        opn = [pos for pos, h in enumerate(inv) if where[partner[h]] is not None]
+        states.append((lab, inv, opn, 1))
+    if not states:
+        states.append(([None] * n, (), [], 1))
 
     sig = [v, l, e, n]
 
@@ -285,67 +306,69 @@ def _component_search(triples, legs, skeleton, partner, n):
         base = e + 3 * depth
         best = None
         chosen = []
-        for lab, placed, sgn in states:
-            for vi in range(v):
-                if placed >> vi & 1:
-                    continue
-                for trip, s in reps[vi]:
-                    cs = []
-                    for j in range(3):
-                        p = partner[trip[j]]
-                        pl = lab.get(p)
-                        if pl is None:
-                            if p == trip[0]:
-                                pl = base
-                            elif p == trip[1]:
-                                pl = base + 1
-                            elif p == trip[2]:
-                                pl = base + 2
-                            elif p in legset:
-                                pl = inf_l
-                            else:
-                                pl = inf_v
-                        cs.append(pl)
-                    chunk = (cs[0], cs[1], cs[2])
-                    if best is None or chunk < best:
-                        best = chunk
-                        chosen = [(lab, placed, sgn, vi, trip, s)]
-                    elif chunk == best:
-                        chosen.append((lab, placed, sgn, vi, trip, s))
+        for state in states:
+            lab, inv, opn, _ = state
+            if opn:
+                vi, j = where[partner[inv[opn[0]]]]
+                cands = (reps[vi][j], reps[vi][5 - j])
+            else:
+                cands = [rep for t, vreps in zip(triples, reps) if lab[t[0]] is None
+                         for rep in vreps]
+            for trip, s in cands:
+                cs = []
+                for h in trip:
+                    p = partner[h]
+                    pl = lab[p]
+                    if pl is None:
+                        if p == trip[0]:
+                            pl = base
+                        elif p == trip[1]:
+                            pl = base + 1
+                        elif p == trip[2]:
+                            pl = base + 2
+                        elif p in legset:
+                            pl = inf_l
+                        else:
+                            pl = inf_v
+                    cs.append(pl)
+                chunk = (cs[0], cs[1], cs[2])
+                if best is None or chunk < best:
+                    best = chunk
+                    chosen = [(state, trip, s)]
+                elif chunk == best:
+                    chosen.append((state, trip, s))
         sig.extend(best)
+        closed = [c for c in best if c < base]
+        opened = [base + j for j in range(3) if best[j] == inf_v]
         states = []
-        seen = set()
-        for lab, placed, sgn, vi, trip, s in chosen:
-            lab2 = dict(lab)
+        for (lab, inv, opn, sgn), trip, s in chosen:
+            lab2 = lab.copy()
             lab2[trip[0]] = base
             lab2[trip[1]] = base + 1
             lab2[trip[2]] = base + 2
-            sgn2 = sgn * s
-            key = (frozenset(lab2.items()), sgn2)
-            if key in seen:
-                continue
-            seen.add(key)
-            states.append((lab2, placed | (1 << vi), sgn2))
+            opn2 = [x for x in opn if x not in closed] + opened
+            states.append((lab2, inv + trip, opn2, sgn * s))
 
     # legs: ordered by the canonical label of their partner; leg-leg pairs
     # (struts) are mutually interchangeable and come last.
     if l:
         best = None
         chosen = []
-        for lab, placed, sgn in states:
+        for state in states:
+            lab = state[0]
             ext = sorted(lab[partner[g]] for g in legs if partner[g] not in legset)
             struts = sum(1 for g in legs if partner[g] in legset and partner[g] > g)
             chunk = (len(ext), *ext, struts)
             if best is None or chunk < best:
                 best = chunk
-                chosen = [(lab, placed, sgn)]
+                chosen = [state]
             elif chunk == best:
-                chosen.append((lab, placed, sgn))
+                chosen.append(state)
         sig.extend(best)
         legbase = e + 3 * v
         states = []
-        for lab, placed, sgn in chosen:
-            lab2 = dict(lab)
+        for lab, inv, opn, sgn in chosen:
+            lab2 = lab.copy()
             i = legbase
             for g in sorted((g for g in legs if partner[g] not in legset),
                             key=lambda x: lab[partner[x]]):
@@ -356,32 +379,26 @@ def _component_search(triples, legs, skeleton, partner, n):
                     lab2[g] = i
                     lab2[partner[g]] = i + 1
                     i += 2
-            states.append((lab2, placed, sgn))
+            states.append((lab2, inv, opn, sgn))
 
-    if has_sk and e:
+    if e:
         best = None
         chosen = []
-        for lab, placed, sgn in states:
-            inv = [0] * e
-            for h in skeleton:
-                inv[lab[h]] = h
+        for state in states:
+            lab, inv = state[0], state[1]
             chunk = tuple(lab[partner[inv[pos]]] for pos in range(e))
             if best is None or chunk < best:
                 best = chunk
-                chosen = [(lab, placed, sgn)]
+                chosen = [state]
             elif chunk == best:
-                chosen.append((lab, placed, sgn))
+                chosen.append(state)
         sig.extend(best)
         states = chosen
 
-    signs = {sgn for _, _, sgn in states}
+    signs = {state[3] for state in states}
     sign = 0 if len(signs) == 2 else signs.pop()
-    lab = states[0][0]
-    relabel = [0] * n
-    for h, x in lab.items():
-        relabel[h] = x
     struts = sum(1 for g in legs if partner[g] in legset and partner[g] > g)
-    return tuple(sig), sign, relabel, len(states), struts
+    return tuple(sig), sign, states[0][0], len(states), struts
 
 
 _comp_memo: dict = {}
@@ -657,21 +674,28 @@ _enum_memo: dict = {}
 
 def _enumerate_split_full(space, nsk, nv, nl, max_steps=None):
     """Isomorphism classes of one slot layout, including the classes that
-    are zero by antisymmetry: list of ``(canonical_diagram, nonzero_flag)``."""
+    are zero by antisymmetry: list of ``(canonical_diagram, nonzero_flag)``.
+
+    A closed A layout (no skeleton point) is the bare circle beside each
+    class of the closed B layout, so it is read off that enumeration."""
     key = (space, nsk, nv, nl)
     hit = _enum_memo.get(key)
     if hit is not None:
         return hit
-    found = {}
+    if space == "A" and nsk == 0:
+        out = [(Diagram("A", d.triples, d.legs, (), d.pairing, 0), nonzero)
+               for d, nonzero in _enumerate_split_full("B", 0, nv, 0, max_steps)]
+    else:
+        found = {}
 
-    def collect(partner):
-        d = _layout_diagram(space, nsk, nv, nl, partner)
-        cf = canonicalize(d)
-        if cf.diagram._key not in found:
-            found[cf.diagram._key] = (cf.diagram, 1 if cf.sign != 0 else 0)
+        def collect(partner):
+            d = _layout_diagram(space, nsk, nv, nl, partner)
+            cf = canonicalize(d)
+            if cf.diagram._key not in found:
+                found[cf.diagram._key] = (cf.diagram, 1 if cf.sign != 0 else 0)
 
-    _matchings(nsk, nv, nl, collect, max_steps)
-    out = sorted(found.values(), key=lambda pair: pair[0].sort_key())
+        _matchings(nsk, nv, nl, collect, max_steps)
+        out = sorted(found.values(), key=lambda pair: pair[0].sort_key())
     _enum_memo[key] = out
     return out
 

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from weightsys import algebra, diagrams
 from weightsys import cache as cache_mod
 from weightsys.algebra import (
     DiagramVector,
@@ -150,6 +151,25 @@ def test_quotient_dimensions():
     for space, grading, dim in HAND_DIMS:
         qb = quotient_basis(space, **grading)
         assert qb.dim == dim, (space, grading)
+
+
+def test_circle_basis_enumerates_the_closed_pieces_once(monkeypatch):
+    """A total 6 enumerates B(6, 0) for its closed split, so B(6, 0)
+    afterwards canonicalizes nothing."""
+    monkeypatch.setattr(diagrams, "_enum_memo", {})
+    monkeypatch.setattr(algebra, "_basis_memo", {})
+    calls = []
+
+    def counted(d, real=diagrams.canonicalize):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(diagrams, "canonicalize", counted)
+    quotient_basis("A", total=6)
+    assert calls
+    calls.clear()
+    quotient_basis("B", v=6, l=0)
+    assert calls == []
 
 
 def test_ladder_is_twice_tetrahedron_up_to_sign():

@@ -12,6 +12,7 @@ import random
 import pytest
 
 import oracles
+from weightsys import diagrams
 from weightsys.diagrams import (
     Diagram,
     automorphism_count,
@@ -138,6 +139,49 @@ def test_free_loops_survive_canonicalization():
     d = oracles.theta_closed().with_loops(2)
     cf = canonicalize(d)
     assert cf.diagram.free_loops == 2
+
+
+def random_layout(rng):
+    """One random matching of a random slot layout, tadpoles allowed:
+    A-space with 0-8 skeleton points and up to 6 vertices, or B-space with
+    up to 8 vertices and 0-5 legs."""
+    while True:
+        if rng.random() < 0.5:
+            space, nsk, nv, nl = "A", rng.randrange(9), rng.randrange(7), 0
+        else:
+            space, nsk, nv, nl = "B", 0, rng.randrange(9), rng.randrange(6)
+        n = nsk + 3 * nv + nl
+        if n % 2 == 0:
+            break
+    hes = list(range(n))
+    rng.shuffle(hes)
+    partner = [0] * n
+    for a, b in zip(hes[::2], hes[1::2]):
+        partner[a], partner[b] = b, a
+    return oracles.layout_diagram(space, nsk, nv, nl, partner)
+
+
+def test_canonical_search_on_random_layouts():
+    """Each skeleton rotation starts the search with its own open labels;
+    relabeled random layouts (many disconnected, many with tadpoles) must
+    still land on one canonical form, sign and automorphism count, and agree
+    with the explicit bijection search where that is affordable."""
+    rng = random.Random(31)
+    brute = 0
+    for _ in range(600):
+        d = random_layout(rng)
+        base = canonicalize(d)
+        aut = automorphism_count(d)
+        r, parity = oracles.relabel_randomly(d, rng)
+        cf = canonicalize(r)
+        assert cf.diagram == base.diagram, d
+        assert cf.sign == parity * base.sign, d
+        assert automorphism_count(r) == aut, d
+        if d.v <= 4 and oracles.layout_group_order(d.space, d.e, d.v, d.l) <= 20000:
+            brute += 1
+            want = {1, -1} if base.sign == 0 else {parity}
+            assert oracles.brute_isomorphism_signs(d, r) == want, d
+    assert brute >= 200
 
 
 # ---------------------------------------------------------------------------
@@ -291,6 +335,21 @@ def test_matching_counts_and_orbit_sums():
             assert g % aut == 0, d
             total += g // aut
         assert total == leaves, (space, nsk, nv, nl)
+
+
+def test_closed_circle_pieces_are_the_closed_leg_pieces(monkeypatch):
+    """The closed circle split is read off the closed leg piece; each class
+    must still be its own canonical form, with the same zero flag."""
+    for v in range(7):
+        closed = [(Diagram("A", d.triples, d.legs, (), d.pairing, 0), nonzero)
+                  for d, nonzero in _enumerate_split_full("B", 0, v, 0)]
+        assert _enumerate_split_full("A", 0, v, 0) == closed, v
+        for d, nonzero in closed:
+            cf = canonicalize(d)
+            assert cf.diagram == d and (cf.sign != 0) == bool(nonzero), d
+    monkeypatch.setattr(diagrams, "_enum_memo", {})
+    with pytest.raises(ResourceLimitError):
+        enumerate_diagrams("A", e=0, v=8, max_steps=10)
 
 
 def test_enumeration_resource_limit():
