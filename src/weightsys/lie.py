@@ -299,8 +299,11 @@ def lie_algebra_from_json(obj) -> MetricLieAlgebra:
     structure = tuple(_matrix(ck, dim, dim, "each structure constant slice")
                       for ck in sc)
     metric = _matrix(obj.get("metric", ()), dim, dim, "'metric'")
+    entries = obj.get("representations", {})
+    if not isinstance(entries, dict):
+        raise LieAlgebraError("'representations' must be an object")
     reps = {}
-    for name, entry in (obj.get("representations") or {}).items():
+    for name, entry in entries.items():
         if not isinstance(entry, dict):
             raise LieAlgebraError(f"representation {name!r} must be an object")
         dv = entry.get("dim")

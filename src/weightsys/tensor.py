@@ -2,12 +2,19 @@
 
 Tensors are dictionaries from integer multi-indices to Fractions; a
 *network* is a list of tensors plus a list of edges, each edge tying one
-axis of one tensor to one axis of another.  Contracting the network sums
-over all edge indices.  The planner chooses the pairwise merge order:
-exhaustive subset dynamic programming when the network is narrow enough,
-greedy minimum-intermediate-size otherwise.  The reported cost is the sum
-of the sizes (index-space products) of every intermediate tensor, which is
-also what the resource guard in the evaluator checks against.
+axis of one tensor to one axis of another (or of the same tensor).
+Contracting the network sums over all edge indices.
+
+One representation serves both halves.  The planner sees a set of nodes
+as an integer bitmask and an edge as the mask of its two nodes; it
+chooses the pairwise merge order by exhaustive subset dynamic programming
+when the network has at most ``DP_WIDTH`` nodes, greedy
+minimum-intermediate-size otherwise.  The reported cost is the sum of the
+sizes (index-space products) of every intermediate tensor, which is also
+what the resource guard in the evaluator checks against.  The executor
+gives edge e the label e on both of its axes, traces each node's
+self-edges once, and then merges tensors pairwise over the labels they
+share, so a merged tensor never carries a label twice.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from math import prod
 
 _ZERO = Fraction(0)
 
@@ -38,13 +45,6 @@ class SparseTensor:
     def scalar(cls, value) -> "SparseTensor":
         return cls((), {(): Fraction(value)})
 
-    @property
-    def size(self) -> int:
-        out = 1
-        for s in self.shape:
-            out *= s
-        return out
-
     def item(self) -> Fraction:
         if self.shape:
             raise ValueError("tensor has free axes; not a scalar")
@@ -56,63 +56,6 @@ class SparseTensor:
 
     def __repr__(self):
         return f"SparseTensor(shape={self.shape}, nnz={len(self.data)})"
-
-
-def contract_pair(a: SparseTensor, b: SparseTensor, pairs) -> SparseTensor:
-    """Contract ``a`` and ``b`` over the axis pairs ``[(axis_a, axis_b), ...]``.
-
-    Result axes: the free axes of ``a`` in order, then the free axes of
-    ``b`` in order.
-    """
-    apos = [p for p, _ in pairs]
-    bpos = [q for _, q in pairs]
-    for p, q in pairs:
-        if a.shape[p] != b.shape[q]:
-            raise ValueError("contracted axes differ in dimension")
-    aset, bset = set(apos), set(bpos)
-    afree = [i for i in range(len(a.shape)) if i not in aset]
-    bfree = [i for i in range(len(b.shape)) if i not in bset]
-    groups = defaultdict(list)
-    for k, v in b.data.items():
-        groups[tuple(k[q] for q in bpos)].append(
-            (tuple(k[i] for i in bfree), v))
-    out: dict = {}
-    for k, v in a.data.items():
-        hits = groups.get(tuple(k[p] for p in apos))
-        if not hits:
-            continue
-        head = tuple(k[i] for i in afree)
-        for tail, w in hits:
-            key = head + tail
-            nv = out.get(key, _ZERO) + v * w
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
-    shape = tuple(a.shape[i] for i in afree) + tuple(b.shape[i] for i in bfree)
-    return SparseTensor(shape, out)
-
-
-def trace_axes(a: SparseTensor, pairs) -> SparseTensor:
-    """Sum over internal axis pairs of a single tensor."""
-    hit = set()
-    for p, q in pairs:
-        if a.shape[p] != a.shape[q]:
-            raise ValueError("traced axes differ in dimension")
-        hit.add(p)
-        hit.add(q)
-    free = [i for i in range(len(a.shape)) if i not in hit]
-    out: dict = {}
-    for k, v in a.data.items():
-        if any(k[p] != k[q] for p, q in pairs):
-            continue
-        key = tuple(k[i] for i in free)
-        nv = out.get(key, _ZERO) + v
-        if nv:
-            out[key] = nv
-        elif key in out:
-            del out[key]
-    return SparseTensor(tuple(a.shape[i] for i in free), out)
 
 
 @dataclass(frozen=True)
@@ -135,8 +78,9 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     """Choose a merge order for a network.
 
     ``node_axes``: per node, the tuple of axis dimensions.
-    ``edges``: ((i, axis_i), (j, axis_j)) pairs with i != j allowed to
-    repeat between the same nodes.  Axes not in any edge stay free.
+    ``edges``: ((i, axis_i), (j, axis_j)) pairs, possibly repeating
+    between the same nodes, with i == j allowed.  Axes not in any edge
+    stay free.
 
     Exhaustive subset dynamic programming when there are at most
     ``DP_WIDTH`` nodes, greedy minimum-result-size otherwise.  Both are
@@ -145,150 +89,137 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     n = len(node_axes)
     if n == 0:
         return ContractionPlan((), 0)
-    # per node: which of its axes pair off with which node
-    adj = [defaultdict(list) for _ in range(n)]
-    free_axes = [set(range(len(sh))) for sh in node_axes]
+    # Each edge is (mask of its nodes, dimension).  A node's free axes are
+    # one more edge, to an outside bit that no node set holds, so the size
+    # of the tensor merged from ``mask`` is the product over the edges with
+    # exactly one end in it.
+    free = [dict(enumerate(shape)) for shape in node_axes]
+    bonds = []
     for (i, ai), (j, aj) in edges:
-        adj[i][j].append((ai, aj))
-        adj[j][i].append((aj, ai))
-        free_axes[i].discard(ai)
-        free_axes[j].discard(aj)
+        bonds.append(((1 << i) | (1 << j), node_axes[i][ai]))
+        free[i].pop(ai, None)
+        free[j].pop(aj, None)
+    bonds += [((1 << i) | (1 << n), prod(axes.values()))
+              for i, axes in enumerate(free) if axes]
 
-    def merged_size(members):
-        """Size of the tensor left after contracting all edges inside
-        ``members``: free axes plus axes crossing the boundary."""
-        out = 1
-        for i in members:
-            for ax in free_axes[i]:
-                out *= node_axes[i][ax]
-            for j, pairs in adj[i].items():
-                if j not in members:
-                    for ax, _ in pairs:
-                        out *= node_axes[i][ax]
-        return out
+    def size(mask):
+        return prod(d for e, d in bonds if e & mask and e & ~mask)
 
     if n <= DP_WIDTH:
-        full = frozenset(range(n))
-        best: dict = {}
-        for i in range(n):
-            best[frozenset((i,))] = (0, None)
-        subsets = [frozenset(s) for k in range(2, n + 1)
-                   for s in combinations(range(n), k)]
-        for s in subsets:
-            size_s = merged_size(s)
-            choice = None
-            members = sorted(s)
-            anchor = members[0]
-            for t in _proper_subsets_with(members, anchor):
-                rest = s - t
-                ct = best[t][0]
-                cr = best[rest][0]
-                c = ct + cr + size_s
-                if choice is None or c < choice[0]:
-                    choice = (c, (t, rest))
-            best[s] = choice
+        # best[s]: cheapest cost of merging s; split[s]: the part of s that
+        # holds its lowest node.  Masks grow, so every part is done first.
+        full = (1 << n) - 1
+        best = [0] * (full + 1)
+        split = [0] * (full + 1)
+        for s in range(1, full + 1):
+            low = s & -s
+            rest = sub = s ^ low
+            if not rest:
+                continue
+            top = None
+            while sub:
+                sub = (sub - 1) & rest
+                c = best[low | sub] + best[rest ^ sub]
+                if top is None or c < top:
+                    top, split[s] = c, low | sub
+            best[s] = top + size(s)
         order = []
 
         def emit(s):
-            if len(s) == 1:
-                return min(s)
-            t, rest = best[s][1]
-            a = emit(t)
-            b = emit(rest)
-            i, j = (a, b) if a < b else (b, a)
+            if not s & (s - 1):
+                return s.bit_length() - 1
+            i, j = emit(split[s]), emit(s ^ split[s])
             order.append((i, j))
             return i
 
         emit(full)
-        return ContractionPlan(tuple(order), best[full][0])
+        return ContractionPlan(tuple(order), best[full])
 
     # greedy: repeatedly merge the pair with the smallest result size,
-    # preferring connected pairs; deterministic tie-break by node ids
-    groups = {i: frozenset((i,)) for i in range(n)}
-    alive = sorted(groups)
+    # preferring connected pairs; deterministic tie-break by node ids.  Two
+    # live groups are fixed by their union, so each union is ranked once.
+    groups = {i: 1 << i for i in range(n)}
+    known = {}
+
+    def rank(i, j):
+        gi, gj = groups[i], groups[j]
+        if gi | gj not in known:
+            known[gi | gj] = (not any(e & gi and e & gj for e, _ in bonds),
+                              size(gi | gj))
+        return known[gi | gj] + (i, j)
+
     order = []
     cost = 0
-    while len(alive) > 1:
-        bestp = None
-        for x in range(len(alive)):
-            for y in range(x + 1, len(alive)):
-                i, j = alive[x], alive[y]
-                connected = any(k in groups[j]
-                                for m in groups[i] for k in adj[m])
-                size = merged_size(groups[i] | groups[j])
-                rank = (not connected, size, i, j)
-                if bestp is None or rank < bestp[0]:
-                    bestp = (rank, i, j)
-        _, i, j = bestp
-        cost += merged_size(groups[i] | groups[j])
-        groups[i] = groups[i] | groups[j]
-        del groups[j]
+    while len(groups) > 1:
         alive = sorted(groups)
+        _, s, i, j = min(rank(i, j) for x, i in enumerate(alive) for j in alive[x + 1:])
+        cost += s
+        groups[i] |= groups.pop(j)
         order.append((i, j))
     return ContractionPlan(tuple(order), cost)
 
 
-def _proper_subsets_with(members, anchor):
-    """All proper nonempty subsets of ``members`` containing ``anchor``."""
-    rest = [m for m in members if m != anchor]
-    for bits in product((0, 1), repeat=len(rest)):
-        if all(bits) :
-            continue
-        yield frozenset([anchor] + [m for m, b in zip(rest, bits) if b])
+def contract_network(tensors, edges, plan: ContractionPlan) -> SparseTensor:
+    """Execute a network contraction, merging per ``plan``.
 
-
-def contract_network(tensors, edges, plan: ContractionPlan | None = None) -> SparseTensor:
-    """Execute a network contraction, merging per ``plan`` (computed here
-    when not supplied).  Free axes of the result appear in node order."""
+    Each merge puts the kept node's free axes first, then the merged
+    node's, so the result's free axes follow the plan, not node order.
+    """
     tensors = list(tensors)
-    if plan is None:
-        plan = plan_contraction([t.shape for t in tensors], edges)
     if not tensors:
         return SparseTensor.scalar(1)
-    # axis bookkeeping: for each node, map live axis -> original (node, axis)
-    axis_ids = [[(i, a) for a in range(len(t.shape))] for i, t in enumerate(tensors)]
-    edge_of = {}
-    for (i, ai), (j, aj) in edges:
-        edge_of[(i, ai)] = (j, aj)
-        edge_of[(j, aj)] = (i, ai)
-    work = {i: t for i, t in enumerate(tensors)}
+    # edge e labels both of its axes e; a free axis keeps its own (node, axis)
+    labels = [[(i, p) for p in range(len(t.shape))] for i, t in enumerate(tensors)]
+    for e, ((i, ai), (j, aj)) in enumerate(edges):
+        if tensors[i].shape[ai] != tensors[j].shape[aj]:
+            raise ValueError("an edge joins axes of different dimensions")
+        labels[i][ai] = labels[j][aj] = e
+    work = {i: _trace_self(labs, t) for i, (labs, t) in enumerate(zip(labels, tensors))}
     for i, j in plan.order:
-        a, b = work[i], work[j]
-        ids_a, ids_b = axis_ids[i], axis_ids[j]
-        pairs = []
-        used_b = set()
-        for pa, ida in enumerate(ids_a):
-            other = edge_of.get(ida)
-            if other is None:
-                continue
-            for pb, idb in enumerate(ids_b):
-                if idb == other and pb not in used_b:
-                    pairs.append((pa, pb))
-                    used_b.add(pb)
-                    break
-        merged = contract_pair(a, b, pairs)
-        apos = {p for p, _ in pairs}
-        bpos = {q for _, q in pairs}
-        ids = ([d for p, d in enumerate(ids_a) if p not in apos]
-               + [d for q, d in enumerate(ids_b) if q not in bpos])
-        work[i], axis_ids[i] = _trace_internal(merged, ids, edge_of)
-        del work[j]
-    (last,) = work
-    return _trace_internal(work[last], axis_ids[last], edge_of)[0]
+        work[i] = _merge(*work[i], *work.pop(j))
+    (last,) = work.values()
+    return last[1]
 
 
-def _trace_internal(t: SparseTensor, ids, edge_of):
-    """Trace the axis pairs of ``t`` that an edge joins to each other;
-    returns the traced tensor and the original ids of its remaining axes."""
-    internal = []
-    seen = {}
-    for p, d in enumerate(ids):
-        other = edge_of.get(d)
-        if other is not None and other in seen:
-            internal.append((seen[other], p))
-        seen[d] = p
-    if not internal:
-        return t, ids
-    dead = {p for pq in internal for p in pq}
-    return (trace_axes(t, internal),
-            [d for p, d in enumerate(ids) if p not in dead])
+def _trace_self(labels, t: SparseTensor):
+    """(labels, t) with each pair of axes that carries one label summed out."""
+    first = [labels.index(lab) for lab in labels]
+    keep = [p for p, lab in enumerate(labels) if labels.count(lab) == 1]
+    if len(keep) == len(labels):
+        return labels, t
+    out: dict = {}
+    for k, v in t.data.items():
+        if all(k[p] == k[q] for p, q in enumerate(first)):
+            key = tuple(k[p] for p in keep)
+            out[key] = out.get(key, _ZERO) + v
+    return ([labels[p] for p in keep],
+            SparseTensor(tuple(t.shape[p] for p in keep), out))
+
+
+def _merge(la, a: SparseTensor, lb, b: SparseTensor):
+    """Contract ``a`` and ``b`` over the labels they share.  Result axes:
+    the other axes of ``a`` in order, then those of ``b``."""
+    shared = set(la) & set(lb)
+    apos = [p for p, lab in enumerate(la) if lab in shared]
+    bpos = [lb.index(la[p]) for p in apos]
+    afree = [p for p, lab in enumerate(la) if lab not in shared]
+    bfree = [q for q, lab in enumerate(lb) if lab not in shared]
+    groups = defaultdict(list)
+    for k, v in b.data.items():
+        groups[tuple(k[q] for q in bpos)].append((tuple(k[q] for q in bfree), v))
+    out: dict = {}
+    for k, v in a.data.items():
+        hits = groups.get(tuple(k[p] for p in apos))
+        if not hits:
+            continue
+        head = tuple(k[p] for p in afree)
+        for tail, w in hits:
+            key = head + tail
+            nv = out.get(key, _ZERO) + v * w
+            if nv:
+                out[key] = nv
+            elif key in out:
+                del out[key]
+    return ([la[p] for p in afree] + [lb[q] for q in bfree],
+            SparseTensor(tuple(a.shape[p] for p in afree)
+                         + tuple(b.shape[q] for q in bfree), out))

@@ -380,3 +380,52 @@ def sl2_weight_bruteforce(d: Diagram):
             w *= m[0][0] + m[1][1]
         total += w
     return total * _Fr(3) ** d.free_loops
+
+
+# ---------------------------------------------------------------------------
+# brute-force tensor networks, on plain dicts: a network is a list of node
+# shapes, a list of node data dicts (index tuple -> value) and a list of
+# edges ((node, axis), (node, axis)) that joins every axis exactly once.
+
+
+def network_value_bruteforce(shapes, datas, edges):
+    """Sum over every assignment of an index to each edge of the product
+    of the node entries that assignment selects."""
+    total = _Fr(0)
+    for combo in itertools.product(*(range(shapes[i][a]) for (i, a), _ in edges)):
+        idx = [[None] * len(shape) for shape in shapes]
+        for ((i, a), (j, b)), k in zip(edges, combo):
+            idx[i][a] = idx[j][b] = k
+        w = _Fr(1)
+        for data, ix in zip(datas, idx):
+            w *= data.get(tuple(ix), 0)
+            if not w:
+                break
+        total += w
+    return total
+
+
+def min_merge_cost_bruteforce(shapes, edges):
+    """Cheapest sum of intermediate sizes over every sequence of pairwise
+    merges; an intermediate's size is the product of the dimensions of its
+    axes whose partner lies outside it (or that have none)."""
+    partner = {}
+    for x, y in edges:
+        partner[x], partner[y] = y, x
+
+    def size(group):
+        out = 1
+        for i in group:
+            for a, d in enumerate(shapes[i]):
+                other = partner.get((i, a))
+                if other is None or other[0] not in group:
+                    out *= d
+        return out
+
+    def best(groups):
+        if len(groups) == 1:
+            return 0
+        return min(size(g | h) + best([x for x in groups if x not in (g, h)] + [g | h])
+                   for g, h in itertools.combinations(groups, 2))
+
+    return best([frozenset((i,)) for i in range(len(shapes))])

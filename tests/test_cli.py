@@ -135,6 +135,18 @@ def test_algebra_path_that_is_a_directory_is_a_validation_error(tmp_path, verb):
     assert proc.stderr == ""
 
 
+def test_algebra_file_with_non_object_representations_is_a_validation_error(tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 1, "structure_constants": [[[0]]],
+                                "metric": [[1]], "representations": [1]}),
+                    encoding="utf-8")
+    proc = run_cli(["eval", "--algebra", str(path)],
+                   stdin_text=json.dumps(chord_json()), cache=tmp_path)
+    assert proc.returncode == 5, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "validation"
+    assert proc.stderr == ""
+
+
 def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
     proc = subprocess.Popen([sys.executable, "-m", "weightsys.cli", "chi"],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,

@@ -1,0 +1,70 @@
+"""The tensor layer on its own: seeded random closed networks, planned and
+contracted, against the brute-force oracles in ``oracles``."""
+
+import itertools
+import math
+import random
+from fractions import Fraction
+
+import oracles
+from weightsys.tensor import (DP_WIDTH, ContractionPlan, SparseTensor,
+                              contract_network, plan_contraction)
+
+
+def random_network(rng, n):
+    """n nodes of 0-3 axes wired by a random perfect matching of their
+    axes (so self-edges and parallel edges occur), edge dimensions 1-3
+    with at most 2000 index assignments in all, and sparse Fraction
+    entries."""
+    arity = [rng.choice((0, 1, 2, 2, 3, 3)) for _ in range(n)]
+    if sum(arity) % 2:
+        arity[rng.randrange(n)] += 1
+    slots = [(i, a) for i in range(n) for a in range(arity[i])]
+    rng.shuffle(slots)
+    edges = [(slots[k], slots[k + 1]) for k in range(0, len(slots), 2)]
+    dims = [rng.randint(1, 3) for _ in edges]
+    while math.prod(dims) > 2000:
+        dims[rng.choice([e for e, d in enumerate(dims) if d > 1])] = 1
+    shapes = [[0] * k for k in arity]
+    for ((i, a), (j, b)), d in zip(edges, dims):
+        shapes[i][a] = shapes[j][b] = d
+    datas = []
+    for shape in shapes:
+        datas.append({k: Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))
+                      for k in itertools.product(*map(range, shape))
+                      if rng.random() < 0.8})
+    return [tuple(s) for s in shapes], datas, edges
+
+
+def test_planned_contraction_matches_brute_force_on_random_networks():
+    rng = random.Random(20260)
+    seen = {"self": 0, "parallel": 0, "greedy": 0, "nonzero": 0}
+    for trial in range(132):
+        n = 1 + trial % 11
+        shapes, datas, edges = random_network(rng, n)
+        plan = plan_contraction(shapes, edges)
+        assert len(plan.order) == n - 1
+        assert {i for pair in plan.order for i in pair} | {0} == set(range(n))
+        tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
+        value = contract_network(tensors, edges, plan).item()
+        assert value == oracles.network_value_bruteforce(shapes, datas, edges), (shapes, edges)
+        if n <= 5:
+            assert plan.cost == oracles.min_merge_cost_bruteforce(shapes, edges)
+        pairs = [tuple(sorted((i, j))) for (i, _), (j, _) in edges]
+        seen["self"] += any(i == j for i, j in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["greedy"] += n > DP_WIDTH
+        seen["nonzero"] += value != 0
+    # the population exercises what it is meant to
+    assert seen["self"] >= 30 and seen["parallel"] >= 30, seen
+    assert seen["greedy"] >= 30 and seen["nonzero"] >= 60, seen
+
+
+def test_free_axes_follow_the_merge_order():
+    # the kept node's free axes come first, then the merged node's
+    shapes = [(2, 2), (2, 3), (2, 4)]
+    tensors = [SparseTensor(s, {k: 1}) for s, k in zip(shapes, [(0, 1), (1, 2), (0, 3)])]
+    out = contract_network(tensors, [((0, 0), (2, 0))],
+                           ContractionPlan(((0, 2), (0, 1)), 0))
+    assert out.shape == (2, 4, 2, 3)
+    assert out.data == {(1, 3, 1, 2): 1}
