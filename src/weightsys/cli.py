@@ -156,11 +156,7 @@ def _cmd_eval(ns, stdin):
     if spaces == {"B"}:
         value = evaluate_closed(vec, g, **kwargs)
     else:
-        rep = resolve_representation(g, ns.rep)
-        if rep is None:
-            raise LieAlgebraError(
-                "circle-space evaluation needs a representation")
-        value = evaluate(vec, g, rep, **kwargs)
+        value = evaluate(vec, g, resolve_representation(g, ns.rep), **kwargs)
     return {"value": str(value)}, EXIT_OK
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -112,22 +113,43 @@ def check_lie(g: MetricLieAlgebra):
                 return False, f"metric not symmetric at ({i},{j})"
     if _invert(b) is None:
         return False, "metric is singular"
+    # The Jacobi and invariance sums, accumulated from the nonzero structure
+    # constants only, one first index i at a time in increasing order, so a
+    # failure names the least index tuple, as a dense scan would.
+    by_first = [[] for _ in range(n)]   # i -> (m, j, c^m_{ij})
+    by_second = [[] for _ in range(n)]  # j -> (m, i, c^m_{ij})
+    by_upper = [[] for _ in range(n)]   # m -> (i, j, c^m_{ij})
+    for m, i, j in product(range(n), repeat=3):
+        if c[m][i][j]:
+            by_first[i].append((m, j, c[m][i][j]))
+            by_second[j].append((m, i, c[m][i][j]))
+            by_upper[m].append((i, j, c[m][i][j]))
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    s = sum((c[m][i][j] * c[l][m][k]
-                             + c[m][j][k] * c[l][m][i]
-                             + c[m][k][i] * c[l][m][j]) for m in range(n))
-                    if s:
-                        return False, f"Jacobi fails at (i,j,k,l)=({i},{j},{k},{l})"
+        # (j, k, l) -> sum over m of c^m_{ij} c^l_{mk} + c^m_{jk} c^l_{mi} + c^m_{ki} c^l_{mj}
+        jac = defaultdict(int)
+        for m, j, x in by_first[i]:
+            for l, k, y in by_first[m]:
+                jac[j, k, l] += x * y
+        for l, m, y in by_second[i]:
+            for j, k, x in by_upper[m]:
+                jac[j, k, l] += x * y
+        for m, k, x in by_second[i]:
+            for l, j, y in by_first[m]:
+                jac[j, k, l] += x * y
+        bad = min((key for key, v in jac.items() if v), default=None)
+        if bad is not None:
+            return False, "Jacobi fails at (i,j,k,l)=({},{},{},{})".format(i, *bad)
     for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                inv = (sum(c[m][i][j] * b[m][k] for m in range(n))
-                       + sum(c[m][i][k] * b[j][m] for m in range(n)))
-                if inv:
-                    return False, f"metric invariance fails at ({i},{j},{k})"
+        # (j, k) -> sum over m of c^m_{ij} b_{mk} + c^m_{ik} b_{jm}; b is symmetric
+        inv = defaultdict(int)
+        for m, p, x in by_first[i]:
+            for q, y in enumerate(b[m]):
+                if y:
+                    inv[p, q] += x * y
+                    inv[q, p] += x * y
+        bad = min((key for key, v in inv.items() if v), default=None)
+        if bad is not None:
+            return False, "metric invariance fails at ({},{},{})".format(i, *bad)
     return True, None
 
 
@@ -461,6 +483,14 @@ def _node_tensors(g: MetricLieAlgebra, rep: Representation | None) -> _NodeTenso
     return _NodeTensors(_node_tensors(g, None).tensors, rep)
 
 
+@lru_cache(maxsize=4096)
+def _plan(shapes: tuple, edges: tuple) -> ContractionPlan:
+    """``plan_contraction`` memoized by the network as labeled, with no
+    canonical search, so a vector evaluated again plans nothing.  The
+    bound is a few times the distinct networks of a weights pass."""
+    return plan_contraction(shapes, edges)
+
+
 def contraction_plan(d: Diagram, dims) -> ContractionPlan:
     """Plan the contraction of one diagram's network.
 
@@ -505,7 +535,7 @@ def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
         value = Fraction(dim_V) if space == "A" and not d.skeleton else _ONE
         if d.pairing:
             shapes, edges, kinds = _network(d, g.dim, dim_V)
-            plan = plan_contraction(shapes, edges)
+            plan = _plan(tuple(shapes), tuple(edges))
             if plan.cost > max_cost:
                 raise ResourceLimitError(
                     f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")
@@ -517,6 +547,8 @@ def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
 def evaluate(x, g: MetricLieAlgebra, rep: Representation, *,
              max_cost: int = DEFAULT_MAX_COST) -> Fraction:
     """Weight of a circle-space diagram or vector against (g, rep)."""
+    if rep is None:
+        raise LieAlgebraError("circle-space evaluation needs a representation")
     return _evaluate_vector(x, "A", g, rep, max_cost)
 
 

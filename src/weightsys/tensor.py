@@ -15,6 +15,13 @@ what the resource guard in the evaluator checks against.  The executor
 gives edge e the label e on both of its axes, traces each node's
 self-edges once, and then merges tensors pairwise over the labels they
 share, so a merged tensor never carries a label twice.
+
+Values are Fractions at the API and integers inside.  A tensor keeps,
+beside its Fraction entries, their numerators over one common
+denominator (the lcm of theirs), computed once when it is built; a
+tensor is not mutated after that.  The executor multiplies and adds
+those integers, a merge's denominator is the product of its operands',
+and only the final result is divided back into Fractions.
 """
 
 from __future__ import annotations
@@ -22,15 +29,18 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import lcm, prod
+from operator import itemgetter
 
 _ZERO = Fraction(0)
 
 
 class SparseTensor:
-    """An exact tensor: ``shape`` per axis, ``data`` index-tuple -> Fraction."""
+    """An exact tensor: ``shape`` per axis, ``data`` index-tuple -> Fraction,
+    with no zero entries.  ``nums`` holds the same entries as integers over
+    the common denominator ``den``.  A tensor is not mutated once built."""
 
-    __slots__ = ("shape", "data")
+    __slots__ = ("shape", "data", "nums", "den")
 
     def __init__(self, shape, data=None):
         self.shape = tuple(int(s) for s in shape)
@@ -40,6 +50,9 @@ class SparseTensor:
                 v = Fraction(v)
                 if v:
                     self.data[tuple(k)] = v
+        self.den = lcm(*(v.denominator for v in self.data.values()))
+        self.nums = {k: v.numerator * (self.den // v.denominator)
+                     for k, v in self.data.items()}
 
     @classmethod
     def scalar(cls, value) -> "SparseTensor":
@@ -174,52 +187,65 @@ def contract_network(tensors, edges, plan: ContractionPlan) -> SparseTensor:
         if tensors[i].shape[ai] != tensors[j].shape[aj]:
             raise ValueError("an edge joins axes of different dimensions")
         labels[i][ai] = labels[j][aj] = e
-    work = {i: _trace_self(labs, t) for i, (labs, t) in enumerate(zip(labels, tensors))}
+    work = {i: _trace_self(labs, t.shape, t.nums, t.den)
+            for i, (labs, t) in enumerate(zip(labels, tensors))}
     for i, j in plan.order:
         work[i] = _merge(*work[i], *work.pop(j))
-    (last,) = work.values()
-    return last[1]
+    ((_, shape, nums, den),) = work.values()
+    return SparseTensor(shape, {k: Fraction(v, den) for k, v in nums.items()})
 
 
-def _trace_self(labels, t: SparseTensor):
-    """(labels, t) with each pair of axes that carries one label summed out."""
+# Inside the executor a tensor is (labels, shape, {index: int}, den): its
+# value at an index is that integer over den, and absent indices are zero.
+
+
+def _trace_self(labels, shape, nums, den):
+    """The tensor with each pair of axes that carries one label summed out."""
     first = [labels.index(lab) for lab in labels]
     keep = [p for p, lab in enumerate(labels) if labels.count(lab) == 1]
     if len(keep) == len(labels):
-        return labels, t
+        return labels, shape, nums, den
     out: dict = {}
-    for k, v in t.data.items():
+    for k, v in nums.items():
         if all(k[p] == k[q] for p, q in enumerate(first)):
             key = tuple(k[p] for p in keep)
-            out[key] = out.get(key, _ZERO) + v
-    return ([labels[p] for p in keep],
-            SparseTensor(tuple(t.shape[p] for p in keep), out))
+            out[key] = out.get(key, 0) + v
+    return ([labels[p] for p in keep], tuple(shape[p] for p in keep),
+            {k: v for k, v in out.items() if v}, den)
 
 
-def _merge(la, a: SparseTensor, lb, b: SparseTensor):
-    """Contract ``a`` and ``b`` over the labels they share.  Result axes:
-    the other axes of ``a`` in order, then those of ``b``."""
+def _picker(pos):
+    """A function from an index to the tuple of its entries at ``pos``:
+    ``itemgetter`` where it returns a tuple, as it is much faster than a
+    generator; it returns a bare entry for a single position."""
+    if len(pos) > 1:
+        return itemgetter(*pos)
+    if pos:
+        return lambda k, p=pos[0]: (k[p],)
+    return lambda k: ()
+
+
+def _merge(la, ashape, anums, aden, lb, bshape, bnums, bden):
+    """Contract two tensors over the labels they share.  Result axes: the
+    other axes of the first in order, then those of the second."""
     shared = set(la) & set(lb)
     apos = [p for p, lab in enumerate(la) if lab in shared]
     bpos = [lb.index(la[p]) for p in apos]
     afree = [p for p, lab in enumerate(la) if lab not in shared]
     bfree = [q for q, lab in enumerate(lb) if lab not in shared]
+    bkey, btail, akey, ahead = map(_picker, (bpos, bfree, apos, afree))
     groups = defaultdict(list)
-    for k, v in b.data.items():
-        groups[tuple(k[q] for q in bpos)].append((tuple(k[q] for q in bfree), v))
+    for k, v in bnums.items():
+        groups[bkey(k)].append((btail(k), v))
     out: dict = {}
-    for k, v in a.data.items():
-        hits = groups.get(tuple(k[p] for p in apos))
+    for k, v in anums.items():
+        hits = groups.get(akey(k))
         if not hits:
             continue
-        head = tuple(k[p] for p in afree)
+        head = ahead(k)
         for tail, w in hits:
             key = head + tail
-            nv = out.get(key, _ZERO) + v * w
-            if nv:
-                out[key] = nv
-            elif key in out:
-                del out[key]
+            out[key] = out.get(key, 0) + v * w
     return ([la[p] for p in afree] + [lb[q] for q in bfree],
-            SparseTensor(tuple(a.shape[p] for p in afree)
-                         + tuple(b.shape[q] for q in bfree), out))
+            tuple(ashape[p] for p in afree) + tuple(bshape[q] for q in bfree),
+            {k: v for k, v in out.items() if v}, aden * bden)

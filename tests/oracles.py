@@ -429,3 +429,22 @@ def min_merge_cost_bruteforce(shapes, edges):
                    for g, h in itertools.combinations(groups, 2))
 
     return best([frozenset((i,)) for i in range(len(shapes))])
+
+
+# ---------------------------------------------------------------------------
+# Lie-algebra identities, scanned densely
+
+
+def lie_identity_first_failure(c, b):
+    """The first failure, as ``check_lie`` words it, of the Jacobi identity
+    and then of metric invariance, scanning every index tuple in increasing
+    order; None when both hold.  ``c[k][i][j]`` is c^k_{ij}, ``b`` the metric."""
+    n = len(c)
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        if sum(c[m][i][j] * c[l][m][k] + c[m][j][k] * c[l][m][i]
+               + c[m][k][i] * c[l][m][j] for m in range(n)):
+            return f"Jacobi fails at (i,j,k,l)=({i},{j},{k},{l})"
+    for i, j, k in itertools.product(range(n), repeat=3):
+        if sum(c[m][i][j] * b[m][k] + c[m][i][k] * b[j][m] for m in range(n)):
+            return f"metric invariance fails at ({i},{j},{k})"
+    return None

@@ -5,6 +5,7 @@ package's own term-by-term expansion, against the independent brute-force
 oracle, and against hand-computed scalar values.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -86,6 +87,57 @@ def jacobi_violating_sl2():
 def test_check_lie_reports_jacobi_violation():
     ok, detail = check_lie(jacobi_violating_sl2())
     assert not ok and ("Jacobi" in detail or "invariance" in detail)
+
+
+def sl2_plus_sl2():
+    """sl2 + sl2: block-diagonal structure constants and metric, dim 6."""
+    n = 6
+    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    b = [[Fraction(0)] * n for _ in range(n)]
+    for off in (0, 3):
+        for k, i, j in itertools.product(range(3), repeat=3):
+            c[k + off][i + off][j + off] = SL2.structure_constants[k][i][j]
+        for i, j in itertools.product(range(3), repeat=2):
+            b[i + off][j + off] = SL2.metric[i][j]
+    return MetricLieAlgebra(n, tuple(tuple(tuple(r) for r in ck) for ck in c),
+                            tuple(tuple(r) for r in b))
+
+
+def test_check_lie_names_the_failure_a_dense_scan_finds_first():
+    rng = random.Random(8101)
+    seen = {"Jacobi": set(), "metric": 0, "pass": 0}
+    for g, trials in ((SL2, 36), (sl2_plus_sl2(), 18)):
+        n = g.dim
+        for trial in range(trials):
+            c = [[list(r) for r in ck] for ck in g.structure_constants]
+            b = [list(r) for r in g.metric]
+            if trial % 3 != 1:  # constants: one or two antisymmetric pairs,
+                block = range(3 * rng.randrange(n // 3), n)  # some in the last sl2
+                for _ in range(rng.randint(1, 2)):
+                    k = rng.choice(block)
+                    i, j = rng.sample(block, 2)
+                    v = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                    c[k][i][j], c[k][j][i] = v, -v
+            if trial % 3 != 0:  # metric: a symmetric pair, or unchanged
+                i, j = rng.randrange(n), rng.randrange(n)
+                b[i][j] = b[j][i] = b[i][j] + rng.choice((-1, 0, 1))
+            bad = MetricLieAlgebra(n, tuple(tuple(tuple(r) for r in ck) for ck in c),
+                                   tuple(tuple(r) for r in b))
+            got = check_lie(bad)
+            if got[1] == "metric is singular":
+                continue
+            want = oracles.lie_identity_first_failure(c, b)
+            assert got == (want is None, want), (g.dim, trial)
+            if want is None:
+                seen["pass"] += 1
+            elif want.startswith("Jacobi"):
+                seen["Jacobi"].add(want)
+            else:
+                seen["metric"] += 1
+    # failures at many first indices, invariance failures and passes all occur
+    assert len(seen["Jacobi"]) >= 8, seen
+    assert len({m[len("Jacobi fails at (i,j,k,l)=(")] for m in seen["Jacobi"]}) >= 3, seen
+    assert seen["metric"] >= 5 and seen["pass"] >= 3, seen
 
 
 @pytest.mark.parametrize("call", [
@@ -364,6 +416,41 @@ def test_plan_reports_elimination_order_covering_all_merges():
     assert len(plan.order) == 3
     assert {n for pair in plan.order for n in pair} == set(range(4))
     assert plan.cost > 0
+
+
+def test_repeated_labeled_diagram_is_planned_once(monkeypatch):
+    lie._plan.cache_clear()
+    calls = []
+
+    def counted(shapes, edges, real=lie.plan_contraction):
+        calls.append(shapes)
+        return real(shapes, edges)
+
+    monkeypatch.setattr(lie, "plan_contraction", counted)
+    d = a_theta()
+    w = evaluate(d, SL2, FUND)
+    assert evaluate(d, SL2, FUND) == w
+    assert len(calls) == 1
+    # the memo keys the network as labeled: a flipped vertex plans anew
+    assert evaluate(verify._flip_first_vertex(d), SL2, FUND) == -w
+    assert len(calls) == 2
+
+
+def test_cost_bound_holds_on_a_memoized_plan():
+    lie._plan.cache_clear()
+    d = cube()
+    cost = contraction_plan(d, (3,)).cost
+    for _ in range(2):  # the miss, then the hit
+        with pytest.raises(ResourceLimitError):
+            evaluate_closed(d, SL2, max_cost=cost - 1)
+    assert lie._plan.cache_info()[:2] == (1, 1)
+    assert evaluate_closed(d, SL2, max_cost=cost) == 384
+
+
+def test_circle_evaluation_without_a_representation_is_refused():
+    for x in (a_chord(), bare_circle(), DiagramVector.single(a_chord())):
+        with pytest.raises(LieAlgebraError, match="needs a representation"):
+            evaluate(x, SL2, None)
 
 
 def test_resource_guard_refuses_oversized_contractions():

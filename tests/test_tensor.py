@@ -68,3 +68,31 @@ def test_free_axes_follow_the_merge_order():
                            ContractionPlan(((0, 2), (0, 1)), 0))
     assert out.shape == (2, 4, 2, 3)
     assert out.data == {(1, 3, 1, 2): 1}
+
+
+def test_exact_cancellation_leaves_no_entries():
+    # 1/2 * 2/3 - 1/3 * 1 = 0
+    a = SparseTensor((2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 3)})
+    b = SparseTensor((2,), {(0,): Fraction(2, 3), (1,): -1})
+    edges = [((0, 0), (1, 0))]
+    out = contract_network([a, b], edges, plan_contraction([(2,), (2,)], edges))
+    assert out.data == {} and out.item() == 0
+
+
+def test_free_axis_result_over_mixed_denominators_matches_brute_force():
+    rng = random.Random(31)
+    shapes = [(2, 3), (3, 3, 2), (3,)]
+    datas = [{k: Fraction(rng.randint(-4, 4), den)
+              for k in itertools.product(*map(range, s))}
+             for s, den in zip(shapes, (2, 3, 6))]
+    edges = [((0, 1), (1, 0)), ((1, 1), (2, 0))]
+    tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
+    out = contract_network(tensors, edges, plan_contraction(shapes, edges))
+    assert out.shape == (2, 2)  # node 0's free axis, then node 1's
+    assert out.data and all(type(v) is Fraction and v for v in out.data.values())
+    for a, b in itertools.product(range(2), repeat=2):
+        # pin the free axes with one-hot nodes and sum the closed network
+        closed = edges + [((0, 0), (3, 0)), ((1, 2), (4, 0))]
+        value = oracles.network_value_bruteforce(
+            shapes + [(2,), (2,)], datas + [{(a,): 1}, {(b,): 1}], closed)
+        assert out.data.get((a, b), 0) == value
