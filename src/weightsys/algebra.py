@@ -28,6 +28,7 @@ from fractions import Fraction
 from . import cache as cache_mod
 from .diagrams import (
     Diagram,
+    _require_non_negative,
     canonicalize,
     diagram_from_json,
     diagram_to_json,
@@ -419,6 +420,7 @@ _basis_memo: dict = {}
 
 
 def _basis_key(space, v=None, l=None, total=None):
+    _require_non_negative(v=v, l=l, total=total)
     if space == "B":
         if v is None or l is None:
             raise GradingMismatchError("B-space bases are keyed by v and l")

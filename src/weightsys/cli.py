@@ -13,7 +13,9 @@ exit  error code              meaning
                               written (a broken pipe); stderr stays empty
 2     malformed-json          stdin or a referenced file is not JSON
 3     unknown-verb            the first argument names no verb
-4     resource-cutoff         a configured resource bound was exceeded
+4     resource-cutoff         a configured resource bound was exceeded,
+                              or the input nests deeper than the
+                              interpreter's recursion limit
 5     validation              bad options, bad structure, bad algebra
 ====  ======================  ==========================================
 
@@ -257,7 +259,7 @@ def _respond(argv, stdin):
         return handler(_build_parser(argv[0]).parse_args(argv[1:]), stdin)
     except json.JSONDecodeError as exc:
         return _error("malformed-json", str(exc)), EXIT_MALFORMED_JSON
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, RecursionError) as exc:
         return _error("resource-cutoff", str(exc)), EXIT_RESOURCE
     except _VALIDATION_ERRORS as exc:
         return _error("validation", str(exc)), EXIT_VALIDATION

@@ -24,8 +24,8 @@ carried along as a plain counter (closures can create them).
 
 from __future__ import annotations
 
-import itertools
-from typing import Iterable, Optional
+from functools import lru_cache
+from typing import NamedTuple, Optional
 
 from .errors import DiagramError, GradingMismatchError, ResourceLimitError, SpaceMismatchError
 
@@ -141,24 +141,14 @@ class Diagram:
                 f"legs={list(self.legs)}{sk}, pairing={list(self.pairing)}{fl})")
 
 
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """A canonical representative together with the antisymmetry sign.
 
     ``d == sign * diagram`` in the diagram algebra; ``sign == 0`` exactly
     when the input has an orientation-reversing automorphism."""
 
-    __slots__ = ("diagram", "sign")
-
-    def __init__(self, diagram: Diagram, sign: int):
-        self.diagram = diagram
-        self.sign = sign
-
-    def __iter__(self):
-        yield self.diagram
-        yield self.sign
-
-    def __repr__(self):
-        return f"CanonicalForm(sign={self.sign}, diagram={self.diagram!r})"
+    diagram: Diagram
+    sign: int
 
 
 # ---------------------------------------------------------------------------
@@ -238,10 +228,13 @@ _INFV_OFF = 1  # unplaced internal partner sorts before ...
 _INFL_OFF = 2  # ... a leg partner
 
 
-def _component_search(triples, legs, skeleton, partner, n):
+@lru_cache(maxsize=None)
+def _component_search(triples, legs, skeleton, partner):
     """Lexicographically minimal labeling of one connected component.
 
-    All half-edges are assumed relabeled 0..n-1. Returns
+    All half-edges are assumed relabeled 0..n-1, with ``partner[h]`` the
+    partner of ``h``; the arguments are tuples, and equal arguments are
+    answered from the cache (one entry per normalized component). Returns
     ``(sig, sign, relabel, nstates, struts)`` where ``relabel[h]`` is the
     canonical label of half-edge ``h``, ``sig`` is a flat integer tuple that
     determines the component up to isomorphism, and ``sign`` is +1/-1/0.
@@ -273,6 +266,7 @@ def _component_search(triples, legs, skeleton, partner, n):
     search assigns leg labels by one forced rule per state, so
     ``|Aut| = nstates * 2^struts * struts!``.
     """
+    n = len(partner)
     v = len(triples)
     l = len(legs)
     e = len(skeleton or ())
@@ -401,37 +395,22 @@ def _component_search(triples, legs, skeleton, partner, n):
     return tuple(sig), sign, states[0][0], len(states), struts
 
 
-_comp_memo: dict = {}
-_canon_memo: dict = {}
-
-
 def _min_rotation(t):
     a, b, c = t
     return min((a, b, c), (b, c, a), (c, a, b))
 
 
-def _canon_component(triples, legs, skeleton, pmap):
-    """Canonicalize one component (original ids); memoized on the structure
-    normalized by rank-relabeling its half-edges."""
-    hes = sorted(set(itertools.chain(*triples)) | set(legs)
-                 | (set(skeleton) if skeleton else set())
-                 | set(pmap))
+def _canon_component(triples, legs, skeleton, hes, pmap):
+    """Canonicalize one component, given its sorted half-edges ``hes``
+    (original ids); the search runs on the structure normalized by
+    rank-relabeling them."""
     norm = {h: i for i, h in enumerate(hes)}
-    n = len(hes)
     ntrip = tuple(sorted(_min_rotation((norm[a], norm[b], norm[c])) for a, b, c in triples))
     nlegs = tuple(sorted(norm[g] for g in legs))
     nskel = tuple(norm[h] for h in skeleton) if skeleton is not None else None
-    npart = [0] * n
-    for a, b in pmap.items():
-        npart[norm[a]] = norm[b]
-    key = (ntrip, nlegs, nskel, tuple(npart))
-    hit = _comp_memo.get(key)
-    if hit is None:
-        hit = _component_search(list(ntrip), nlegs, nskel, npart, n)
-        _comp_memo[key] = hit
-    sig, sign, rel, nstates, struts = hit
-    relabel = {h: rel[norm[h]] for h in hes}
-    return (sig, sign, relabel, len(ntrip), len(nlegs),
+    npart = tuple(norm[pmap[h]] for h in hes)
+    sig, sign, rel, nstates, struts = _component_search(ntrip, nlegs, nskel, npart)
+    return (sig, sign, dict(zip(hes, rel)), len(ntrip), len(nlegs),
             len(nskel) if nskel is not None else 0, nstates, struts)
 
 
@@ -468,21 +447,22 @@ def _split_components(d: Diagram):
         for h in d.skeleton[1:]:
             union(first, h)
 
+    # every half-edge is paired, so each group is its component's sorted
+    # half-edges, and the groups come in order of their smallest one
     groups: dict = {}
-    for h in pmap:
+    for h in sorted(pmap):
         groups.setdefault(find(h), []).append(h)
 
     floats = []
     sk_comp = None
-    for _, hes in sorted(groups.items(), key=lambda kv: min(kv[1])):
+    for hes in groups.values():
         hset = set(hes)
         ctrip = [t for t in d.triples if t[0] in hset]
         clegs = [g for g in d.legs if g in hset]
-        cpm = {h: pmap[h] for h in hes}
         if d.skeleton and d.skeleton[0] in hset:
-            sk_comp = _canon_component(ctrip, clegs, d.skeleton, cpm)
+            sk_comp = _canon_component(ctrip, clegs, d.skeleton, hes, pmap)
         else:
-            floats.append(_canon_component(ctrip, clegs, None, cpm))
+            floats.append(_canon_component(ctrip, clegs, None, hes, pmap))
     if d.space == "A" and sk_comp is None:
         # bare circle: an empty skeleton component
         sk_comp = ((0, 0, 0, 0), 1, {}, 0, 0, 0, 1, 0)
@@ -498,12 +478,10 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     the product of component signs). In A-space the component carrying the
     circle comes first; the remaining components are sorted by their
     canonical signatures. Labels: skeleton half-edges first in circle
-    order, then vertex triples as consecutive blocks, then legs.
+    order, then vertex triples as consecutive blocks, then legs. The
+    answer depends on ``d`` alone; only the per-component search is
+    memoized.
     """
-    cached = _canon_memo.get(d._key)
-    if cached is not None:
-        return cached
-
     sk_comp, comps = _split_components(d)
     ordered = ([sk_comp] if sk_comp is not None else []) + comps
 
@@ -532,12 +510,8 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     legs = tuple(range(e + 3 * vtot, e + 3 * vtot + ltot))
     skeleton = tuple(range(e)) if d.space == "A" else None
     pairing = sorted(tuple(sorted((global_map[a], global_map[b]))) for a, b in d.pairing)
-    canon = Diagram(d.space, triples, legs, skeleton, tuple(pairing), d.free_loops)
-    cf = CanonicalForm(canon, sign)
-    _canon_memo[d._key] = cf
-    if canon._key not in _canon_memo:
-        _canon_memo[canon._key] = CanonicalForm(canon, 0 if sign == 0 else 1)
-    return cf
+    return CanonicalForm(Diagram(d.space, triples, legs, skeleton, tuple(pairing),
+                                 d.free_loops), sign)
 
 
 def is_isomorphic(d1: Diagram, d2: Diagram) -> Optional[int]:
@@ -705,14 +679,22 @@ def _enumerate_split(space, nsk, nv, nl, max_steps=None):
             if nonzero]
 
 
+def _require_non_negative(**grading):
+    for name, x in grading.items():
+        if x is not None and x < 0:
+            raise GradingMismatchError(f"grading {name} must be non-negative, got {x}")
+
+
 def enumerate_diagrams(space, v=None, l=None, e=None, total=None, max_steps=None):
     """All isomorphism classes with nonzero canonical sign in a graded piece.
 
     B-space: pass ``v`` (internal vertices) and ``l`` (legs).
     A-space: pass ``total`` (= v + skeleton points; all splits are included)
     or a specific split via ``e`` and ``v``. Free loops are never produced.
-    Returns canonical diagrams in a deterministic order.
+    Returns canonical diagrams in a deterministic order. A negative grading
+    raises ``GradingMismatchError``.
     """
+    _require_non_negative(v=v, l=l, e=e, total=total)
     if space == "B":
         if v is None or l is None:
             raise ValueError("B-space enumeration needs v and l")

@@ -126,6 +126,33 @@ def test_resource_cutoff_exit_code(tmp_path):
     assert json.loads(proc.stdout)["value"] == "3"
 
 
+def test_grading_too_deep_for_the_recursion_limit_is_a_resource_cutoff(tmp_path):
+    # The matching search recurses once per half-edge; 2,100 of them pass
+    # Python's default recursion limit at once.
+    proc = run_cli(["enumerate", "--space", "B", "--v", "700", "--l", "0"],
+                   cache=tmp_path)
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("args", [
+    ["enumerate", "--space", "B", "--v", "-2", "--l", "0"],
+    ["enumerate", "--space", "B", "--v", "2", "--l", "-2"],
+    ["enumerate", "--space", "A", "--e", "-1", "--v", "1"],
+    ["enumerate", "--space", "A", "--total", "-2"],
+    ["basis", "--space", "A", "--total", "-2"],
+    ["basis", "--space", "B", "--v", "-2", "--l", "2"],
+])
+def test_negative_grading_is_a_validation_error_and_writes_no_cache(tmp_path, args):
+    cache = tmp_path / "cache"
+    proc = run_cli(args, cache=cache)
+    assert proc.returncode == 5, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "validation"
+    assert proc.stderr == ""
+    assert not cache.exists()
+
+
 @pytest.mark.parametrize("verb", [["eval"], ["verify", "relations"]])
 def test_algebra_path_that_is_a_directory_is_a_validation_error(tmp_path, verb):
     proc = run_cli([*verb, "--algebra", str(tmp_path)],

@@ -184,6 +184,25 @@ def test_canonical_search_on_random_layouts():
     assert brute >= 200
 
 
+def test_answers_do_not_depend_on_the_search_cache():
+    """Only the component search is memoized: a cold cache gives the warm
+    answers, and a canonical form found by the search is its own canonical
+    form with sign 1 (0 when antisymmetry-zero)."""
+    rng = random.Random(53)
+    ds = [d for d, _ in oracles.corpus()] + [random_layout(rng) for _ in range(40)]
+
+    def answers():
+        return [(canonicalize(d), automorphism_count(d)) for d in ds]
+
+    answers()
+    warm = answers()
+    diagrams._component_search.cache_clear()
+    assert answers() == warm
+    for cf, _ in warm:
+        diagrams._component_search.cache_clear()
+        assert canonicalize(cf.diagram) == (cf.diagram, 0 if cf.sign == 0 else 1)
+
+
 # ---------------------------------------------------------------------------
 # isomorphism
 
