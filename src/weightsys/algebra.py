@@ -192,6 +192,17 @@ def vector_to_json(vec: DiagramVector) -> list:
 # relation generators
 
 
+def _distinct(vectors) -> list:
+    """The nonzero vectors, in order, each kept once up to scale."""
+    seen = set()
+    out = []
+    for vec in vectors:
+        if vec and (key := vec.key()) not in seen:
+            seen.add(key)
+            out.append(vec)
+    return out
+
+
 def ihx_generators(diagrams) -> list:
     """Edge-rewrite relation vectors based at each given diagram.
 
@@ -201,41 +212,37 @@ def ihx_generators(diagrams) -> list:
     u = (x, y, k) and w = (p, z, t) and all pairings unchanged. Both edge
     directions are generated; duplicates are removed by normal form.
     """
-    gens = []
-    seen = set()
-    for d in diagrams:
-        pmap = d.partner_map
-        where = {}
-        for i, t in enumerate(d.triples):
-            for j, h in enumerate(t):
-                where[h] = (i, j)
-        for i, t in enumerate(d.triples):
-            for j in range(3):
-                k = t[j]
-                p = pmap[k]
-                if p not in where:
-                    continue
-                w, js = where[p]
-                if w == i:
-                    continue
-                a, b = t[(j + 1) % 3], t[(j + 2) % 3]
-                tw = d.triples[w]
-                c, dd = tw[(js + 1) % 3], tw[(js + 2) % 3]
-                trip2 = list(d.triples)
-                trip2[i] = (a, c, k)
-                trip2[w] = (p, b, dd)
-                trip3 = list(d.triples)
-                trip3[i] = (b, c, k)
-                trip3[w] = (p, a, dd)
-                d2 = Diagram._new(d.space, trip2, d.legs, d.skeleton, d.pairing, d.free_loops)
-                d3 = Diagram._new(d.space, trip3, d.legs, d.skeleton, d.pairing, d.free_loops)
-                vec = DiagramVector([(d, 1), (d2, -1), (d3, 1)])
-                if vec:
-                    key = vec.key()
-                    if key not in seen:
-                        seen.add(key)
-                        gens.append(vec)
-    return gens
+    return _distinct(vec for d in diagrams for vec in _ihx_vectors(d))
+
+
+def _ihx_vectors(d):
+    """The edge-rewrite vectors based at d, zeros and repeats included."""
+    pmap = d.partner_map
+    where = {}
+    for i, t in enumerate(d.triples):
+        for j, h in enumerate(t):
+            where[h] = (i, j)
+    for i, t in enumerate(d.triples):
+        for j in range(3):
+            k = t[j]
+            p = pmap[k]
+            if p not in where:
+                continue
+            w, js = where[p]
+            if w == i:
+                continue
+            a, b = t[(j + 1) % 3], t[(j + 2) % 3]
+            tw = d.triples[w]
+            c, dd = tw[(js + 1) % 3], tw[(js + 2) % 3]
+            trip2 = list(d.triples)
+            trip2[i] = (a, c, k)
+            trip2[w] = (p, b, dd)
+            trip3 = list(d.triples)
+            trip3[i] = (b, c, k)
+            trip3[w] = (p, a, dd)
+            d2 = Diagram._new(d.space, trip2, d.legs, d.skeleton, d.pairing, d.free_loops)
+            d3 = Diagram._new(d.space, trip3, d.legs, d.skeleton, d.pairing, d.free_loops)
+            yield DiagramVector([(d, 1), (d2, -1), (d3, 1)])
 
 
 def stu_generators(diagrams) -> list:
@@ -248,35 +255,31 @@ def stu_generators(diagrams) -> list:
     S - T + U = 0 with S the vertex form, T the in-order planting, U the
     swapped planting.
     """
-    gens = []
-    seen = set()
-    for d in diagrams:
-        if d.space != "A":
-            raise GradingMismatchError("skeleton-resolution relations need A-space diagrams")
-        pmap = d.partner_map
-        skpos = {h: idx for idx, h in enumerate(d.skeleton)}
-        for i, t in enumerate(d.triples):
-            for j in range(3):
-                h = t[j]
-                p = pmap[h]
-                if p not in skpos:
-                    continue
-                ha, hb = t[(j + 1) % 3], t[(j + 2) % 3]
-                idx = skpos[p]
-                trips = d.triples[:i] + d.triples[i + 1:]
-                pairing = tuple(pr for pr in d.pairing if h not in pr)
-                sk = d.skeleton
-                skT = sk[:idx] + (ha, hb) + sk[idx + 1:]
-                skU = sk[:idx] + (hb, ha) + sk[idx + 1:]
-                dT = Diagram._new("A", trips, (), skT, pairing, d.free_loops)
-                dU = Diagram._new("A", trips, (), skU, pairing, d.free_loops)
-                vec = DiagramVector([(d, 1), (dT, -1), (dU, 1)])
-                if vec:
-                    key = vec.key()
-                    if key not in seen:
-                        seen.add(key)
-                        gens.append(vec)
-    return gens
+    return _distinct(vec for d in diagrams for vec in _stu_vectors(d))
+
+
+def _stu_vectors(d):
+    """The skeleton-resolution vectors based at d, zeros and repeats included."""
+    if d.space != "A":
+        raise GradingMismatchError("skeleton-resolution relations need A-space diagrams")
+    pmap = d.partner_map
+    skpos = {h: idx for idx, h in enumerate(d.skeleton)}
+    for i, t in enumerate(d.triples):
+        for j in range(3):
+            h = t[j]
+            p = pmap[h]
+            if p not in skpos:
+                continue
+            ha, hb = t[(j + 1) % 3], t[(j + 2) % 3]
+            idx = skpos[p]
+            trips = d.triples[:i] + d.triples[i + 1:]
+            pairing = tuple(pr for pr in d.pairing if h not in pr)
+            sk = d.skeleton
+            skT = sk[:idx] + (ha, hb) + sk[idx + 1:]
+            skU = sk[:idx] + (hb, ha) + sk[idx + 1:]
+            dT = Diagram._new("A", trips, (), skT, pairing, d.free_loops)
+            dU = Diagram._new("A", trips, (), skU, pairing, d.free_loops)
+            yield DiagramVector([(d, 1), (dT, -1), (dU, 1)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@
   log(sinh(y/2)/(y/2)), and the truncated exponential ``omega`` built
   from them.
 
-Gluing two legs fuses their incident edges; chains of fused struts that
-close up entirely are recorded in ``free_loops``.
+Every map expands its input term by term through one walk, ``_expand``,
+which checks each term's space once; the two products share one
+side-by-side builder. Gluing two legs fuses their incident edges; chains
+of fused struts that close up entirely are recorded in ``free_loops``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .algebra import DiagramVector
-from .diagrams import Diagram, bare_circle, empty_diagram
+from .diagrams import Diagram, _require_non_negative, empty_diagram
 from .errors import DiagramError, SpaceMismatchError
 
 __all__ = [
@@ -65,45 +67,56 @@ def wheel(k: int) -> Diagram:
 
 
 # ---------------------------------------------------------------------------
-# unions
+# the expansion walk and products
 
 
 def _as_vector(x) -> DiagramVector:
     return x if isinstance(x, DiagramVector) else DiagramVector.single(x)
 
 
-def _shift(d: Diagram, off: int) -> Diagram:
-    return Diagram(
-        d.space,
-        tuple((a + off, b + off, c + off) for a, b, c in d.triples),
-        tuple(g + off for g in d.legs),
-        tuple(h + off for h in d.skeleton) if d.skeleton is not None else None,
-        tuple(tuple(sorted((a + off, b + off))) for a, b in d.pairing),
-        d.free_loops,
-    )
+def _checked_terms(x, space, message):
+    """The stored terms (d, c) of x, each checked to lie in ``space``."""
+    for d, c in _as_vector(x)._terms.items():
+        if d.space != space:
+            raise SpaceMismatchError(message)
+        yield d, c
 
 
-def _offset(d: Diagram) -> int:
-    return max(d.half_edges(), default=-1) + 1
+def _expand(x, space, message, expand) -> DiagramVector:
+    """Sum of c * w * e over the stored terms (d, c) of x and the outputs
+    (e, w) of ``expand(d)``. A bilinear map expands each term of x into a
+    walk over the terms of y."""
+    return DiagramVector((e, c * w)
+                         for d, c in _checked_terms(x, space, message)
+                         for e, w in expand(d))
 
 
-def _union_diagrams(a: Diagram, b: Diagram) -> Diagram:
-    b = _shift(b, _offset(a))
-    return Diagram._new("B", a.triples + b.triples, a.legs + b.legs, None,
-                        a.pairing + b.pairing, a.free_loops + b.free_loops)
+def _side_by_side(a: Diagram, b: Diagram) -> Diagram:
+    """a and b in one diagram, b's half-edges shifted past a's; in the
+    circle space the two skeletons are concatenated."""
+    off = max(a.half_edges(), default=-1) + 1
+
+    def sh(hs):
+        return tuple(h + off for h in hs)
+
+    skeleton = None if a.skeleton is None else a.skeleton + sh(b.skeleton)
+    return Diagram._new(a.space, a.triples + tuple(map(sh, b.triples)),
+                        a.legs + sh(b.legs), skeleton,
+                        a.pairing + tuple(map(sh, b.pairing)),
+                        a.free_loops + b.free_loops)
+
+
+def _product(x, y, space, message, vmax=None) -> DiagramVector:
+    """Side-by-side product; with vmax, a pair whose vertices add up past
+    it is dropped before it is built."""
+    return _expand(x, space, message, lambda a: (
+        (_side_by_side(a, b), cb) for b, cb in _checked_terms(y, space, message)
+        if vmax is None or a.v + b.v <= vmax))
 
 
 def disjoint_union(x, y) -> DiagramVector:
     """Bilinear product of the leg space: diagrams side by side."""
-    out = []
-    for a, ca in _as_vector(x)._terms.items():
-        if a.space != "B":
-            raise SpaceMismatchError("disjoint union is a leg-space product")
-        for b, cb in _as_vector(y)._terms.items():
-            if b.space != "B":
-                raise SpaceMismatchError("disjoint union is a leg-space product")
-            out.append((_union_diagrams(a, b), ca * cb))
-    return DiagramVector(out)
+    return _product(x, y, "B", "disjoint union is a leg-space product")
 
 
 def connect_sum(x, y) -> DiagramVector:
@@ -113,19 +126,7 @@ def connect_sum(x, y) -> DiagramVector:
     cut, because skeleton-resolution relations let attached pieces slide
     past each other; the test suite checks this on examples.
     """
-    out = []
-    for a, ca in _as_vector(x)._terms.items():
-        if a.space != "A":
-            raise SpaceMismatchError("connect sum is a circle-space product")
-        for b, cb in _as_vector(y)._terms.items():
-            if b.space != "A":
-                raise SpaceMismatchError("connect sum is a circle-space product")
-            bs = _shift(b, _offset(a))
-            d = Diagram._new("A", a.triples + bs.triples, (),
-                             a.skeleton + bs.skeleton, a.pairing + bs.pairing,
-                             a.free_loops + b.free_loops)
-            out.append((d, ca * cb))
-    return DiagramVector(out)
+    return _product(x, y, "A", "connect sum is a circle-space product")
 
 
 # ---------------------------------------------------------------------------
@@ -140,15 +141,12 @@ def chi(x) -> DiagramVector:
     preserved: (v, l) lands in total v + l. With no legs the result is the
     diagram floating beside a bare circle.
     """
-    out = []
-    for d, c in _as_vector(x)._terms.items():
-        if d.space != "B":
-            raise SpaceMismatchError("symmetrization starts from leg-space diagrams")
-        w = Fraction(c, math.factorial(d.l))
-        for perm in itertools.permutations(d.legs):
-            out.append((Diagram._new("A", d.triples, (), perm, d.pairing,
-                                     d.free_loops), w))
-    return DiagramVector(out)
+    def planted(d):
+        w = Fraction(1, math.factorial(d.l))
+        return ((Diagram._new("A", d.triples, (), perm, d.pairing, d.free_loops), w)
+                for perm in itertools.permutations(d.legs))
+
+    return _expand(x, "B", "symmetrization starts from leg-space diagrams", planted)
 
 
 # ---------------------------------------------------------------------------
@@ -218,16 +216,14 @@ def closure(x, pair_weight=1) -> DiagramVector:
     contribute nothing.
     """
     w = Fraction(pair_weight)
-    out = []
-    for d, c in _as_vector(x)._terms.items():
-        if d.space != "B":
-            raise SpaceMismatchError("closure acts on leg-space diagrams")
+
+    def glued(d):
         if d.l % 2:
-            continue
-        factor = c * w ** (d.l // 2)
-        for m in _leg_matchings(d.legs):
-            out.append((_glue(d, m), factor))
-    return DiagramVector(out)
+            return ()
+        f = w ** (d.l // 2)
+        return ((_glue(d, m), f) for m in _leg_matchings(d.legs))
+
+    return _expand(x, "B", "closure acts on leg-space diagrams", glued)
 
 
 def cap(x, y) -> DiagramVector:
@@ -237,25 +233,15 @@ def cap(x, y) -> DiagramVector:
     all j-element injections of C's legs into D's legs, gluing matched
     pairs; k - j legs survive. Terms with j > k contribute zero.
     """
-    out = []
-    for cdiag, cc in _as_vector(x)._terms.items():
-        if cdiag.space != "B":
-            raise SpaceMismatchError("capping acts on leg-space diagrams")
-        for ddiag, cd in _as_vector(y)._terms.items():
-            if ddiag.space != "B":
-                raise SpaceMismatchError("capping acts on leg-space diagrams")
-            if cdiag.l > ddiag.l:
-                continue
-            off = _offset(ddiag)
-            cs = _shift(cdiag, off)
-            u = Diagram._new("B", ddiag.triples + cs.triples,
-                             ddiag.legs + cs.legs, None,
-                             ddiag.pairing + cs.pairing,
-                             ddiag.free_loops + cdiag.free_loops)
-            coeff = cc * cd
-            for image in itertools.permutations(ddiag.legs, cdiag.l):
-                out.append((_glue(u, list(zip(cs.legs, image))), coeff))
-    return DiagramVector(out)
+    message = "capping acts on leg-space diagrams"
+
+    def capped(c):
+        for d, cd in _checked_terms(y, "B", message):
+            u = _side_by_side(d, c)
+            for image in itertools.permutations(d.legs, c.l):
+                yield _glue(u, list(zip(u.legs[d.l:], image))), cd
+
+    return _expand(x, "B", message, capped)
 
 
 # ---------------------------------------------------------------------------
@@ -287,30 +273,27 @@ def modified_bernoulli(i: int) -> Fraction:
 def wheels_vector(vmax: int) -> DiagramVector:
     """Sum of modified-Bernoulli multiples of even wheels up to vmax
     internal vertices (odd wheels are antisymmetry-zero and omitted)."""
+    _require_non_negative(vmax=vmax)
     return DiagramVector((wheel(2 * i), modified_bernoulli(i))
                          for i in range(1, vmax // 2 + 1))
-
-
-def _truncate_v(vec: DiagramVector, vmax: int) -> DiagramVector:
-    return DiagramVector(_raw={d: c for d, c in vec._terms.items() if d.v <= vmax})
 
 
 def exp_disjoint(x, vmax: int) -> DiagramVector:
     """exp of a leg-space vector under disjoint union, truncated to at most
     vmax internal vertices. Every term of x must have at least one vertex
     (otherwise the series would not terminate)."""
+    _require_non_negative(vmax=vmax)
     x = _as_vector(x)
     if any(d.v == 0 for d in x._terms):
         raise ValueError("exp needs every term to carry internal vertices")
-    out = DiagramVector.single(empty_diagram())
-    term = out
+    out = term = DiagramVector.single(empty_diagram())
     k = 0
-    while True:
+    while term:
         k += 1
-        term = _truncate_v(Fraction(1, k) * disjoint_union(term, x), vmax)
-        if not term:
-            return out
+        term = Fraction(1, k) * _product(
+            term, x, "B", "disjoint union is a leg-space product", vmax)
         out = out + term
+    return out
 
 
 def omega(vmax: int) -> DiagramVector:

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 from .algebra import (DiagramVector, _rref, equal_mod_relations,
                       ihx_generators, quotient_basis, stu_generators)
-from .diagrams import Diagram, empty_diagram, enumerate_diagrams, validate
+from .diagrams import (Diagram, _require_non_negative, empty_diagram,
+                       enumerate_diagrams, validate)
 from .errors import LieAlgebraError, ResourceLimitError
 from .lie import (DEFAULT_MAX_COST, evaluate, resolve_algebra,
                   resolve_representation)
@@ -67,6 +68,7 @@ def _flip_first_vertex(d: Diagram) -> Diagram:
 
 def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
                      max_cost: int = DEFAULT_MAX_COST) -> dict:
+    _require_non_negative(max_total=max_total)
     g = resolve_algebra(algebra)
     rho = resolve_representation(g, rep)
     if rho is None:
@@ -117,6 +119,7 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
 
 
 def verify_chi_iso(max_total: int = 4, cache_dir=None) -> dict:
+    _require_non_negative(max_total=max_total)
     report = _Report("chi-iso")
     table = []
     for n in range(max_total + 1):
@@ -147,6 +150,7 @@ def verify_chi_iso(max_total: int = 4, cache_dir=None) -> dict:
 
 
 def verify_closure_omega(vmax: int = 4, cache_dir=None) -> dict:
+    _require_non_negative(vmax=vmax)
     report = _Report("closure-omega")
     theta_vec = -closure(DiagramVector.single(wheel(2)))
     one = DiagramVector.single(empty_diagram())

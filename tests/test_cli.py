@@ -143,6 +143,11 @@ def test_grading_too_deep_for_the_recursion_limit_is_a_resource_cutoff(tmp_path)
     ["enumerate", "--space", "A", "--total", "-2"],
     ["basis", "--space", "A", "--total", "-2"],
     ["basis", "--space", "B", "--v", "-2", "--l", "2"],
+    # a negative bound would otherwise pass an empty verification
+    ["verify", "chi-iso", "--max-total", "-2"],
+    ["verify", "closure-omega", "--vmax", "-4"],
+    ["verify", "relations", "--max-total", "-2"],
+    ["omega", "--vmax", "-2"],
 ])
 def test_negative_grading_is_a_validation_error_and_writes_no_cache(tmp_path, args):
     cache = tmp_path / "cache"

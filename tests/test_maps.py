@@ -14,7 +14,7 @@ import pytest
 import oracles
 from weightsys.algebra import DiagramVector, equal_mod_relations, reduce_vector
 from weightsys.diagrams import Diagram, bare_circle, canonicalize, empty_diagram, validate
-from weightsys.errors import SpaceMismatchError
+from weightsys.errors import GradingMismatchError, SpaceMismatchError
 from weightsys.maps import (
     cap,
     chi,
@@ -95,9 +95,10 @@ def test_disjoint_union_is_bilinear_commutative_and_loop_aware():
 
 
 def test_disjoint_union_rejects_circle_space():
-    with pytest.raises(SpaceMismatchError):
+    message = "^disjoint union is a leg-space product$"
+    with pytest.raises(SpaceMismatchError, match=message):
         disjoint_union(chi(S), S)
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(SpaceMismatchError, match=message):
         disjoint_union(chi(S), chi(S))
 
 
@@ -112,7 +113,8 @@ def test_connect_sum_unit_commutativity_associativity():
 
 
 def test_connect_sum_rejects_leg_space():
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(SpaceMismatchError,
+                       match="^connect sum is a circle-space product$"):
         connect_sum(S, S)
 
 
@@ -175,7 +177,8 @@ def disjoint_sum_of_float(avec, bclosed):
 
 def test_chi_preserves_loops_and_mismatched_space_raises():
     assert chi(du(S, LOOP)).coefficient(a_chord().with_loops(1)) == 1
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(SpaceMismatchError,
+                       match="^symmetrization starts from leg-space diagrams$"):
         chi(V(a_chord()))
 
 
@@ -193,7 +196,8 @@ def test_closure_of_even_wheel_and_struts():
 
 
 def test_closure_rejects_circle_space():
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(SpaceMismatchError,
+                       match="^closure acts on leg-space diagrams$"):
         closure(chi(S))
 
 
@@ -260,9 +264,10 @@ def test_closure_partition_law():
 
 
 def test_cap_rejects_circle_space():
-    with pytest.raises(SpaceMismatchError):
+    message = "^capping acts on leg-space diagrams$"
+    with pytest.raises(SpaceMismatchError, match=message):
         cap(chi(S), S)
-    with pytest.raises(SpaceMismatchError):
+    with pytest.raises(SpaceMismatchError, match=message):
         cap(S, chi(S))
 
 
@@ -304,11 +309,37 @@ def test_omega_truncations():
     assert om4.coefficient(w2c) == F(-1, 48)
 
 
+def test_omega_canonicalizes_nothing_past_its_bound(monkeypatch):
+    # exp drops a product whose vertices exceed the bound before building
+    # it; the reference below builds every product and truncates after.
+    import weightsys.algebra as algebra
+    real = algebra.canonicalize
+    seen = []
+
+    def recording(d, *args, **kwargs):
+        seen.append(d)
+        return real(d, *args, **kwargs)
+
+    monkeypatch.setattr(algebra, "canonicalize", recording)
+    om8 = omega(8)
+    monkeypatch.undo()
+    assert seen and max(d.v for d in seen) <= 8
+    wv = wheels_vector(8)
+    expected = power = ONE
+    for k in range(1, 5):
+        power = F(1, k) * du(power, wv)
+        expected = expected + power
+    assert om8 == DiagramVector((d, c) for d, c in expected.items() if d.v <= 8)
+
+
 def test_exp_disjoint_truncates_by_vertices():
     e = exp_disjoint(W2, 4)
     assert e == ONE + W2 + F(1, 2) * du(W2, W2)
     assert exp_disjoint(W2, 0) == ONE
     assert exp_disjoint(W2, 5) == e
+    with pytest.raises(GradingMismatchError,
+                       match="^grading vmax must be non-negative, got -1$"):
+        exp_disjoint(W2, -1)
 
 
 # ---------------------------------------------------------------------------
