@@ -28,7 +28,7 @@ from fractions import Fraction
 from . import cache as cache_mod
 from .diagrams import (
     Diagram,
-    _require_non_negative,
+    _require_piece,
     canonicalize,
     diagram_from_json,
     diagram_to_json,
@@ -297,24 +297,17 @@ def _rref(rows: list) -> dict:
     for row in rows:
         row = {c: f for c, f in row.items() if f}
         # Eliminate every existing pivot column before choosing a pivot;
-        # pivot-row tails hold free columns only, so one sweep suffices,
-        # but loop until clean to keep the invariant unconditional.
-        while True:
-            hit = [c for c in row if c in pivots]
-            if not hit:
-                break
-            for c in hit:
-                f = row.pop(c)
-                if not f:
+        # pivot-row tails hold free columns only, so one sweep clears them.
+        for c in [c for c in row if c in pivots]:
+            f = row.pop(c)
+            for cc, vv in pivots[c].items():
+                if cc == c:
                     continue
-                for cc, vv in pivots[c].items():
-                    if cc == c:
-                        continue
-                    nv = row.get(cc, _ZERO) - f * vv
-                    if nv:
-                        row[cc] = nv
-                    elif cc in row:
-                        del row[cc]
+                nv = row.get(cc, _ZERO) - f * vv
+                if nv:
+                    row[cc] = nv
+                elif cc in row:
+                    del row[cc]
         if not row:
             continue
         c = min(row)
@@ -422,19 +415,6 @@ class QuotientBasis:
 _basis_memo: dict = {}
 
 
-def _basis_key(space, v=None, l=None, total=None):
-    _require_non_negative(v=v, l=l, total=total)
-    if space == "B":
-        if v is None or l is None:
-            raise GradingMismatchError("B-space bases are keyed by v and l")
-        return ("B", v, l)
-    if space == "A":
-        if total is None:
-            raise GradingMismatchError("A-space bases are keyed by total grading")
-        return ("A", total)
-    raise GradingMismatchError(f"unknown space {space!r}")
-
-
 def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
                    max_steps=None) -> QuotientBasis:
     """The quotient basis of one graded piece, computed or loaded.
@@ -442,7 +422,8 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
     In-memory results are memoized per process. With ``cache_dir`` set, a
     versioned JSON copy is loaded if compatible, else computed and saved.
     """
-    key = _basis_key(space, v, l, total)
+    _require_piece(space, v=v, l=l, total=total)
+    key = ("B", v, l) if space == "B" else ("A", total)
     qb = _basis_memo.get(key)
     if qb is not None:
         return qb

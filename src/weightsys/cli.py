@@ -11,12 +11,18 @@ exit  error code              meaning
 1     (verify report)         a verification check failed
 1     (none)                  stdout was closed before the output was
                               written (a broken pipe); stderr stays empty
-2     malformed-json          stdin or a referenced file is not JSON
+2     malformed-json          stdin or a referenced file is not UTF-8
+                              JSON
 3     unknown-verb            the first argument names no verb
 4     resource-cutoff         a configured resource bound was exceeded,
                               or the input nests deeper than the
-                              interpreter's recursion limit
-5     validation              bad options, bad structure, bad algebra
+                              interpreter's recursion limit, or a number
+                              read or written has more digits than it
+                              converts
+5     validation              bad options (one the verb or suite does
+                              not read, or a cache directory that
+                              cannot be written), bad structure, bad
+                              algebra
 ====  ======================  ==========================================
 
 Output is byte-for-byte deterministic for identical inputs and cache
@@ -55,9 +61,10 @@ class _ArgError(Exception):
     pass
 
 
+# Bad input, as opposed to a bug: a bad option, diagram, grading, space or
+# algebra, or a path (such as the cache directory) that cannot be used.
 _VALIDATION_ERRORS = (_ArgError, DiagramError, GradingMismatchError,
-                      SpaceMismatchError, LieAlgebraError, KeyError, TypeError,
-                      ValueError)
+                      SpaceMismatchError, LieAlgebraError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -70,24 +77,22 @@ def _error(code, message):
 
 
 def _read_stdin_json(stdin):
-    text = stdin.read()
-    return json.loads(text)
+    return json.loads(stdin.read())
 
 
 def _resolve_cache(ns) -> str:
     return ns.cache_dir or default_cache_dir()
 
 
-def _add_common(p: _Parser):
-    p.add_argument("--cache-dir", default=None,
-                   help="basis cache directory (default: $WEIGHTSYS_CACHE "
-                        "or the per-user cache)")
-    p.add_argument("--max-steps", type=int, default=None,
-                   help="abort enumeration beyond this many search steps")
+def _given(**options) -> dict:
+    """The options given on the command line, so the callee's defaults
+    apply to the rest."""
+    return {k: x for k, x in options.items() if x is not None}
 
 
 # ---------------------------------------------------------------------------
-# verb handlers: each takes (namespace, stdin) and returns (payload, status)
+# verb handlers: each takes (namespace, stdin) and returns (payload, status),
+# and reads exactly the options its entry in _VERBS declares
 
 
 def _cmd_enumerate(ns, stdin):
@@ -118,7 +123,7 @@ def _cmd_chi(ns, stdin):
 
 def _cmd_close(ns, stdin):
     vec = vector_from_json(_read_stdin_json(stdin))
-    out = closure(vec, pair_weight=ns.pair_weight)
+    out = closure(vec, **_given(pair_weight=ns.pair_weight))
     return {"terms": vector_to_json(out)}, EXIT_OK
 
 
@@ -152,9 +157,7 @@ def _cmd_eval(ns, stdin):
     if len(spaces) > 1:
         raise SpaceMismatchError("cannot evaluate a mixed-space vector")
     g = resolve_algebra(ns.algebra)
-    kwargs = {}
-    if ns.max_cost is not None:
-        kwargs["max_cost"] = ns.max_cost
+    kwargs = _given(max_cost=ns.max_cost)
     if spaces == {"B"}:
         value = evaluate_closed(vec, g, **kwargs)
     else:
@@ -163,73 +166,63 @@ def _cmd_eval(ns, stdin):
 
 
 def _cmd_verify(ns, stdin):
-    report = run_suite(ns.suite, max_total=ns.max_total, vmax=ns.vmax,
-                       algebra=ns.algebra, rep=ns.rep,
-                       cache_dir=_resolve_cache(ns), max_cost=ns.max_cost)
+    # the suite refuses any bound it does not take
+    bounds = dict(vars(ns), cache_dir=_resolve_cache(ns))
+    report = run_suite(bounds.pop("suite"), **bounds)
     return report, EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
 
 
 # ---------------------------------------------------------------------------
-# parsers
+# the verbs: handler, summary and options, each option declared once per verb.
+# Every verb also takes --cache-dir; an option a verb does not declare is
+# refused with exit 5.
+
+_INT = {"type": int}
+_PIECE = (("--space", {"required": True, "choices": ("A", "B")}),
+          ("--v", _INT), ("--l", _INT), ("--total", _INT))
+_MAX_STEPS = ("--max-steps", dict(_INT, help="abort enumeration beyond this "
+                                              "many search steps"))
+
+_VERBS = {
+    "enumerate": (_cmd_enumerate, "list all diagrams of one graded piece",
+                  _PIECE + (("--e", _INT), _MAX_STEPS)),
+    "basis": (_cmd_basis, "quotient basis of one graded piece modulo relations",
+              _PIECE + (_MAX_STEPS,)),
+    "reduce": (_cmd_reduce, "canonical coset representative of a vector (stdin)",
+               (_MAX_STEPS,)),
+    "chi": (_cmd_chi, "average a leg diagram vector over the circle (stdin)", ()),
+    "close": (_cmd_close, "pair up all legs in all ways (stdin; --pair-weight)",
+              (("--pair-weight", {"type": int, "choices": (1, 2)}),)),
+    "cap": (_cmd_cap, "glue all legs of 'left' onto 'right' (stdin object)", ()),
+    "connect-sum": (_cmd_connect_sum,
+                    "circle-space product of 'left' and 'right' (stdin object)", ()),
+    "omega": (_cmd_omega, "the wheels series truncated at --vmax legs",
+              (("--vmax", {"type": int, "required": True}),)),
+    "eval": (_cmd_eval, "weight of a diagram or vector against a metric Lie algebra",
+             (("--algebra", {"required": True, "help": "built-in name (sl2, "
+                             "abelian<k>) or JSON file path"}),
+              ("--rep", {}), ("--max-cost", _INT))),
+    "verify": (_cmd_verify, "run a verification suite: " + " | ".join(SUITES),
+               (("suite", {"choices": SUITES}), ("--max-total", _INT),
+                ("--vmax", _INT), ("--algebra", {}), ("--rep", {}),
+                ("--max-cost", _INT))),
+}
 
 
 def _build_parser(verb: str) -> _Parser:
-    p = _Parser(prog=f"weightsys {verb}", add_help=True)
-    _add_common(p)
-    if verb in ("enumerate", "basis"):
-        p.add_argument("--space", required=True, choices=("A", "B"))
-        p.add_argument("--v", type=int, default=None)
-        p.add_argument("--l", type=int, default=None)
-        p.add_argument("--total", type=int, default=None)
-        if verb == "enumerate":
-            p.add_argument("--e", type=int, default=None)
-    elif verb == "close":
-        p.add_argument("--pair-weight", type=int, choices=(1, 2), default=1)
-    elif verb == "omega":
-        p.add_argument("--vmax", type=int, required=True)
-    elif verb == "eval":
-        p.add_argument("--algebra", required=True,
-                       help="built-in name (sl2, abelian<k>) or JSON file path")
-        p.add_argument("--rep", default=None)
-        p.add_argument("--max-cost", type=int, default=None)
-    elif verb == "verify":
-        p.add_argument("suite", choices=SUITES)
-        p.add_argument("--max-total", type=int, default=None)
-        p.add_argument("--vmax", type=int, default=None)
-        p.add_argument("--algebra", default="sl2")
-        p.add_argument("--rep", default=None)
-        p.add_argument("--max-cost", type=int, default=None)
+    p = _Parser(prog=f"weightsys {verb}")
+    p.add_argument("--cache-dir", help="basis cache directory (default: "
+                                       "$WEIGHTSYS_CACHE or the per-user cache)")
+    for flag, kwargs in _VERBS[verb][2]:
+        p.add_argument(flag, **kwargs)
     return p
 
 
-_HANDLERS = {
-    "enumerate": _cmd_enumerate,
-    "basis": _cmd_basis,
-    "reduce": _cmd_reduce,
-    "chi": _cmd_chi,
-    "close": _cmd_close,
-    "cap": _cmd_cap,
-    "connect-sum": _cmd_connect_sum,
-    "omega": _cmd_omega,
-    "eval": _cmd_eval,
-    "verify": _cmd_verify,
-}
-
-_USAGE = """usage: weightsys VERB [options] (JSON payloads on stdin/stdout)
-
-verbs:
-  enumerate    list all diagrams of one graded piece
-  basis        quotient basis of one graded piece modulo relations
-  reduce       canonical coset representative of a vector (stdin)
-  chi          average a leg diagram vector over the circle (stdin)
-  close        pair up all legs in all ways (stdin; --pair-weight)
-  cap          glue all legs of 'left' onto 'right' (stdin object)
-  connect-sum  circle-space product of 'left' and 'right' (stdin object)
-  omega        the wheels series truncated at --vmax legs
-  eval         weight of a diagram or vector against a metric Lie algebra
-  verify       run a verification suite: """ + " | ".join(SUITES) + """
-
-run 'weightsys VERB --help' for per-verb options."""
+_USAGE = ("usage: weightsys VERB [options] (JSON payloads on stdin/stdout)\n\n"
+          "verbs:\n"
+          + "".join(f"  {verb:<12} {summary}\n"
+                    for verb, (_, summary, _) in _VERBS.items())
+          + "\nrun 'weightsys VERB --help' for per-verb options.")
 
 
 def main(argv=None, stdin=None, stdout=None) -> int:
@@ -252,17 +245,21 @@ def _respond(argv, stdin):
     """One call's output (the usage text or a JSON object) and exit status."""
     if not argv or argv[0] in ("-h", "--help"):
         return _USAGE, EXIT_OK
-    handler = _HANDLERS.get(argv[0])
-    if handler is None:
+    if argv[0] not in _VERBS:
         return _error("unknown-verb", f"unknown verb {argv[0]!r}"), EXIT_UNKNOWN_VERB
     try:
-        return handler(_build_parser(argv[0]).parse_args(argv[1:]), stdin)
-    except json.JSONDecodeError as exc:
+        return _VERBS[argv[0]][0](_build_parser(argv[0]).parse_args(argv[1:]), stdin)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         return _error("malformed-json", str(exc)), EXIT_MALFORMED_JSON
     except (ResourceLimitError, RecursionError) as exc:
         return _error("resource-cutoff", str(exc)), EXIT_RESOURCE
     except _VALIDATION_ERRORS as exc:
         return _error("validation", str(exc)), EXIT_VALIDATION
+    except ValueError as exc:
+        # the interpreter's bound on the digits of an integer it converts
+        if "integer string conversion" not in str(exc):
+            raise
+        return _error("resource-cutoff", str(exc)), EXIT_RESOURCE
 
 
 if __name__ == "__main__":

@@ -160,6 +160,12 @@ def _check_id(x, what):
         raise DiagramError(f"{what} must be a non-negative integer, got {x!r}")
 
 
+def _array(x, what):
+    if not isinstance(x, (list, tuple)):
+        raise DiagramError(f"{what} must be an array, got {type(x).__name__}")
+    return x
+
+
 def validate(space, internal=(), legs=(), skeleton=None, pairing=(), free_loops=0) -> Diagram:
     """Build a Diagram from raw parts, checking every structural invariant."""
     if space not in ("A", "B"):
@@ -184,23 +190,23 @@ def validate(space, internal=(), legs=(), skeleton=None, pairing=(), free_loops=
         seen.add(h)
 
     triples = []
-    for t in internal:
-        t = tuple(t)
+    for t in _array(internal, "internal"):
+        t = tuple(_array(t, "internal vertex"))
         if len(t) != 3:
             raise DiagramError(f"internal vertex {t!r} must have exactly 3 half-edges")
         for h in t:
             claim(h, "internal half-edge")
         triples.append(t)
-    for h in legs:
+    for h in _array(legs, "legs"):
         claim(h, "leg half-edge")
     if skeleton is not None:
-        for h in skeleton:
+        for h in _array(skeleton, "skeleton"):
             claim(h, "skeleton half-edge")
 
     paired = set()
     pairs = []
-    for p in pairing:
-        p = tuple(p)
+    for p in _array(pairing, "pairing"):
+        p = tuple(_array(p, "pairing entry"))
         if len(p) != 2:
             raise DiagramError(f"pairing entry {p!r} must have exactly 2 half-edges")
         a, b = p
@@ -674,15 +680,28 @@ def _enumerate_split_full(space, nsk, nv, nl, max_steps=None):
     return out
 
 
-def _enumerate_split(space, nsk, nv, nl, max_steps=None):
-    return [d for d, nonzero in _enumerate_split_full(space, nsk, nv, nl, max_steps)
-            if nonzero]
-
-
 def _require_non_negative(**grading):
     for name, x in grading.items():
         if x is not None and x < 0:
             raise GradingMismatchError(f"grading {name} must be non-negative, got {x}")
+
+
+# The argument sets that name one graded piece of each space.
+_PIECE_ARGUMENTS = {"B": ({"l", "v"},), "A": ({"total"}, {"e", "v"})}
+
+
+def _require_piece(space, **grading):
+    """Check that the grading arguments given (not None) are non-negative
+    and form one argument set of ``space`` that the caller takes."""
+    if space not in _PIECE_ARGUMENTS:
+        raise SpaceMismatchError(f"unknown space {space!r}")
+    _require_non_negative(**grading)
+    forms = [f for f in _PIECE_ARGUMENTS[space] if f <= grading.keys()]
+    given = {k for k, x in grading.items() if x is not None}
+    if given not in forms:
+        raise GradingMismatchError(
+            f"{space}-space pieces are named by "
+            f"{' or '.join(' and '.join(sorted(f)) for f in forms)}; got {sorted(given)}")
 
 
 def enumerate_diagrams(space, v=None, l=None, e=None, total=None, max_steps=None):
@@ -691,30 +710,20 @@ def enumerate_diagrams(space, v=None, l=None, e=None, total=None, max_steps=None
     B-space: pass ``v`` (internal vertices) and ``l`` (legs).
     A-space: pass ``total`` (= v + skeleton points; all splits are included)
     or a specific split via ``e`` and ``v``. Free loops are never produced.
-    Returns canonical diagrams in a deterministic order. A negative grading
-    raises ``GradingMismatchError``.
+    Returns canonical diagrams in a deterministic order. A negative grading,
+    or grading arguments that name no piece, raise ``GradingMismatchError``.
     """
-    _require_non_negative(v=v, l=l, e=e, total=total)
+    _require_piece(space, v=v, l=l, e=e, total=total)
     if space == "B":
-        if v is None or l is None:
-            raise ValueError("B-space enumeration needs v and l")
-        if (3 * v + l) % 2:
-            return []
-        return list(_enumerate_split("B", 0, v, l, max_steps))
-    if space != "A":
-        raise SpaceMismatchError(f"unknown space {space!r}")
-    if total is not None:
-        out = []
-        for vv in range(total + 1):
-            ee = total - vv
-            if (ee + 3 * vv) % 2 == 0:
-                out.extend(_enumerate_split("A", ee, vv, 0, max_steps))
-        return sorted(out, key=Diagram.sort_key)
-    if e is None or v is None:
-        raise ValueError("A-space enumeration needs total, or e and v")
-    if (e + 3 * v) % 2:
-        return []
-    return list(_enumerate_split("A", e, v, 0, max_steps))
+        splits = [(0, v, l)]
+    elif total is None:
+        splits = [(e, v, 0)]
+    else:
+        splits = [(total - vv, vv, 0) for vv in range(total + 1)]
+    # each split is sorted, and the splits come in the order of sort_key
+    return [d for nsk, nv, nl in splits if (nsk + 3 * nv + nl) % 2 == 0
+            for d, nonzero in _enumerate_split_full(space, nsk, nv, nl, max_steps)
+            if nonzero]
 
 
 # ---------------------------------------------------------------------------

@@ -51,8 +51,8 @@ def _fraction(x):
 
 
 def _matrix(rows, n, m, what):
-    rows = list(rows)
-    if len(rows) != n or any(len(r) != m for r in rows):
+    if not (isinstance(rows, (list, tuple)) and len(rows) == n
+            and all(isinstance(r, (list, tuple)) and len(r) == m for r in rows)):
         raise LieAlgebraError(f"{what} must be {n}x{m}")
     return tuple(tuple(_fraction(x) for x in r) for r in rows)
 
@@ -484,11 +484,13 @@ def _node_tensors(g: MetricLieAlgebra, rep: Representation | None) -> _NodeTenso
 
 
 @lru_cache(maxsize=4096)
-def _plan(shapes: tuple, edges: tuple) -> ContractionPlan:
-    """``plan_contraction`` memoized by the network as labeled, with no
-    canonical search, so a vector evaluated again plans nothing.  The
-    bound is a few times the distinct networks of a weights pass."""
-    return plan_contraction(shapes, edges)
+def _plan(d: Diagram, dim_g: int, dim_V: int):
+    """``(kinds, edges, plan)`` of the network of ``d``: memoized by the
+    diagram as labeled, with no canonical search, so a vector evaluated
+    again builds and plans nothing.  The bound is a few times the distinct
+    terms of a weights pass."""
+    shapes, edges, kinds = _network(d, dim_g, dim_V)
+    return kinds, edges, plan_contraction(shapes, edges)
 
 
 def contraction_plan(d: Diagram, dims) -> ContractionPlan:
@@ -534,8 +536,7 @@ def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
         # with no circle point the circle's trace is that of the identity
         value = Fraction(dim_V) if space == "A" and not d.skeleton else _ONE
         if d.pairing:
-            shapes, edges, kinds = _network(d, g.dim, dim_V)
-            plan = _plan(tuple(shapes), tuple(edges))
+            kinds, edges, plan = _plan(d, g.dim, dim_V)
             if plan.cost > max_cost:
                 raise ResourceLimitError(
                     f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")

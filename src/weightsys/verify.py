@@ -9,6 +9,7 @@ timing fields are the only non-deterministic bytes in a report.
 
 from __future__ import annotations
 
+import inspect
 import time
 from fractions import Fraction
 
@@ -16,12 +17,10 @@ from .algebra import (DiagramVector, _rref, equal_mod_relations,
                       ihx_generators, quotient_basis, stu_generators)
 from .diagrams import (Diagram, _require_non_negative, empty_diagram,
                        enumerate_diagrams, validate)
-from .errors import LieAlgebraError, ResourceLimitError
+from .errors import GradingMismatchError, LieAlgebraError, ResourceLimitError
 from .lie import (DEFAULT_MAX_COST, evaluate, resolve_algebra,
                   resolve_representation)
 from .maps import cap, chi, closure, connect_sum, disjoint_union, omega, strut, wheel
-
-SUITES = ("relations", "chi-iso", "closure-omega", "wheeling")
 
 # The one global sign fixed by this package's orientation conventions: the
 # closure of the wheels series is the exponential of (this sign) * theta/24
@@ -67,8 +66,12 @@ def _flip_first_vertex(d: Diagram) -> Diagram:
 
 
 def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
-                     max_cost: int = DEFAULT_MAX_COST) -> dict:
+                     max_cost: int | None = None) -> dict:
+    """With no ``max_cost``, every contraction is bounded by
+    ``DEFAULT_MAX_COST`` as it stands when the suite runs."""
     _require_non_negative(max_total=max_total)
+    if max_cost is None:
+        max_cost = DEFAULT_MAX_COST
     g = resolve_algebra(algebra)
     rho = resolve_representation(g, rep)
     if rho is None:
@@ -206,20 +209,24 @@ def verify_wheeling(cache_dir=None) -> dict:
 # dispatch
 
 
-def run_suite(name: str, *, max_total=None, vmax=None, algebra="sl2",
-              rep=None, cache_dir=None, max_cost=None) -> dict:
-    """Run one named suite with its applicable limits."""
-    if name == "relations":
-        if max_cost is None:
-            max_cost = DEFAULT_MAX_COST
-        return verify_relations(max_total=max_total if max_total is not None else 6,
-                                algebra=algebra, rep=rep, max_cost=max_cost)
-    if name == "chi-iso":
-        return verify_chi_iso(max_total=max_total if max_total is not None else 4,
-                              cache_dir=cache_dir)
-    if name == "closure-omega":
-        return verify_closure_omega(vmax=vmax if vmax is not None else 4,
-                                    cache_dir=cache_dir)
-    if name == "wheeling":
-        return verify_wheeling(cache_dir=cache_dir)
-    raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+_SUITES = {"relations": verify_relations, "chi-iso": verify_chi_iso,
+           "closure-omega": verify_closure_omega, "wheeling": verify_wheeling}
+SUITES = tuple(_SUITES)
+
+
+def run_suite(name: str, *, cache_dir=None, **bounds) -> dict:
+    """Run one named suite.  A bound that is None counts as not given; the
+    suite function's signature lists the bounds it takes and their
+    defaults, and any other bound raises ``GradingMismatchError``.
+    ``cache_dir`` goes to the suites that read a cache."""
+    suite = _SUITES.get(name)
+    if suite is None:
+        raise ValueError(f"unknown suite {name!r}; expected one of {', '.join(SUITES)}")
+    takes = inspect.signature(suite).parameters
+    kwargs = {k: x for k, x in bounds.items() if x is not None}
+    unread = sorted(set(kwargs) - set(takes))
+    if unread:
+        raise GradingMismatchError(f"suite {name!r} takes no {', '.join(unread)}")
+    if "cache_dir" in takes:
+        kwargs["cache_dir"] = cache_dir
+    return suite(**kwargs)

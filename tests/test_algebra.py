@@ -27,7 +27,8 @@ from weightsys.algebra import (
     _basis_memo,
 )
 from weightsys.diagrams import canonicalize, enumerate_diagrams, validate
-from weightsys.errors import DiagramError, GradingMismatchError
+from weightsys.errors import (DiagramError, GradingMismatchError,
+                              SpaceMismatchError)
 
 
 # ---------------------------------------------------------------------------
@@ -326,3 +327,19 @@ def test_reduce_is_idempotent_and_linear_on_random_vectors():
         assert qb.reduce(v1 + v2) == r1 + r2
         assert set(d.without_loops()._key for d in (r1 + r2)._terms) <= {
             b._key for b in qb.basis}
+
+
+def test_grading_arguments_that_name_no_piece_are_refused():
+    # enumeration and bases decide their grading arguments in one place
+    for call in (lambda: enumerate_diagrams("B", v=2, l=0, total=2),
+                 lambda: enumerate_diagrams("A", total=4, v=3),
+                 lambda: enumerate_diagrams("A", v=2),
+                 lambda: quotient_basis("B", v=2),
+                 lambda: quotient_basis("A", total=2, l=0)):
+        with pytest.raises(GradingMismatchError, match="pieces are named by"):
+            call()
+    for space in ("C", None):
+        with pytest.raises(SpaceMismatchError, match="unknown space"):
+            enumerate_diagrams(space, total=2)
+        with pytest.raises(SpaceMismatchError, match="unknown space"):
+            quotient_basis(space, total=2)

@@ -347,3 +347,96 @@ def test_verify_relations_with_algebra_file(tmp_path):
                     "--algebra", str(path)], cache=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["pass"] is True
+
+
+# ---------------------------------------------------------------------------
+# every option is read or refused
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "wheeling", "--vmax", "-2"],
+    ["verify", "relations", "--max-total", "2", "--vmax", "-2"],
+    ["verify", "chi-iso", "--algebra", "sl2"],
+    ["chi", "--max-steps", "1"],  # reads the strut vector below
+    ["eval", "--algebra", "sl2", "--max-steps", "1"],  # reads the chord
+    ["enumerate", "--space", "A", "--total", "4", "--v", "3"],
+    ["enumerate", "--space", "B", "--v", "2", "--l", "0", "--total", "4"],
+    ["basis", "--space", "B", "--v", "2", "--l", "0", "--total", "9"],
+])
+def test_option_the_verb_or_suite_does_not_read_is_refused(tmp_path, args):
+    cache = tmp_path / "cache"
+    diagram = oracles.strut() if args[0] == "chi" else oracles.chord()
+    proc = run_cli(args, cache=cache, stdin_text=json.dumps(
+        vector_to_json(DiagramVector.single(diagram))))
+    assert proc.returncode == 5, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "validation"
+    assert proc.stderr == ""
+    assert not cache.exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("internal", 0), ("internal", [5]), ("legs", 3),
+    ("pairing", 0), ("pairing", [0]), ("skeleton", 0),
+])
+def test_diagram_field_that_is_not_an_array_is_a_validation_error(tmp_path, field,
+                                                                  value):
+    diagram = {"space": "A" if field == "skeleton" else "B", field: value}
+    proc = run_cli(["eval", "--algebra", "sl2"], stdin_text=json.dumps(diagram),
+                   cache=tmp_path)
+    assert proc.returncode == 5, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "validation"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("change", [
+    {"metric": [5]}, {"metric": None}, {"structure_constants": [5]},
+    {"representations": {"fundamental": {"dim": 1, "action": [7]}}},
+], ids=["metric-row-not-array", "metric-null", "slice-not-array",
+        "action-not-array"])
+def test_algebra_file_with_a_malformed_matrix_is_a_validation_error(tmp_path,
+                                                                    change):
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps({"dim": 1, "structure_constants": [[[0]]],
+                                "metric": [[1]], **change}), encoding="utf-8")
+    proc = run_cli(["eval", "--algebra", str(path)],
+                   stdin_text=json.dumps(chord_json()), cache=tmp_path)
+    assert proc.returncode == 5, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "validation"
+    assert proc.stderr == ""
+
+
+def test_unwritable_cache_directory_is_a_validation_error(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    cache = blocker / "cache"
+    proc = run_cli(["basis", "--space", "B", "--v", "2", "--l", "0",
+                    "--cache-dir", str(cache)], cache=tmp_path / "unused")
+    assert proc.returncode == 5, proc.stdout + proc.stderr
+    error = json.loads(proc.stdout)["error"]
+    assert error["code"] == "validation"
+    assert str(cache) in error["message"]
+    assert proc.stderr == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+def test_algebra_file_that_is_not_utf8_is_malformed_json(tmp_path):
+    path = tmp_path / "algebra.json"
+    path.write_bytes(b"\xff\xfe{")
+    proc = run_cli(["eval", "--algebra", str(path)],
+                   stdin_text=json.dumps(chord_json()), cache=tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "malformed-json"
+    assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("payload", [
+    '{"space": "B", "free_loops": 10000}',  # the weight 3^10000 has 4,772 digits
+    '{"space": "B", "free_loops": ' + "1" * 5000 + "}",
+], ids=["written", "read"])
+def test_number_past_the_interpreter_digit_limit_is_a_resource_cutoff(tmp_path,
+                                                                      payload):
+    proc = run_cli(["eval", "--algebra", "sl2"], stdin_text=payload,
+                   cache=tmp_path)
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
+    assert proc.stderr == ""

@@ -15,8 +15,8 @@ import oracles
 from weightsys.algebra import DiagramVector, ihx_generators, stu_generators
 from weightsys.diagrams import (bare_circle, canonicalize, enumerate_diagrams,
                                 validate)
-from weightsys.errors import (LieAlgebraError, ResourceLimitError,
-                              SpaceMismatchError)
+from weightsys.errors import (GradingMismatchError, LieAlgebraError,
+                              ResourceLimitError, SpaceMismatchError)
 from weightsys import algebra, diagrams, lie, verify
 from weightsys.lie import (MetricLieAlgebra, Representation, abelian,
                            builtin_algebra, check_lie, check_representation,
@@ -436,6 +436,20 @@ def test_repeated_labeled_diagram_is_planned_once(monkeypatch):
     assert len(calls) == 2
 
 
+def test_repeated_term_builds_its_network_once(monkeypatch):
+    lie._plan.cache_clear()
+    built = []
+
+    def counted(d, *dims, real=lie._network):
+        built.append(d)
+        return real(d, *dims)
+
+    monkeypatch.setattr(lie, "_network", counted)
+    vec = DiagramVector([(a_theta(), 2), (a_chord(), 1)])
+    assert evaluate(vec, SL2, FUND) == evaluate(vec, SL2, FUND)
+    assert len(built) == 2
+
+
 def test_cost_bound_holds_on_a_memoized_plan():
     lie._plan.cache_clear()
     d = cube()
@@ -473,6 +487,14 @@ def test_verify_relations_is_bounded(monkeypatch):
     # with no bound given, run_suite applies the default one
     monkeypatch.setattr(verify, "DEFAULT_MAX_COST", 0)
     assert cutoffs(verify.run_suite("relations", max_total=2))
+
+
+def test_run_suite_refuses_a_bound_its_suite_does_not_take():
+    with pytest.raises(GradingMismatchError, match="'wheeling' takes no vmax"):
+        verify.run_suite("wheeling", vmax=-2)
+    with pytest.raises(GradingMismatchError,
+                       match="'chi-iso' takes no algebra, max_cost"):
+        verify.run_suite("chi-iso", max_cost=1, algebra="sl2")
 
 
 # ---------------------------------------------------------------------------
