@@ -40,7 +40,8 @@ import sys
 from .algebra import (DiagramVector, quotient_basis, reduce_vector,
                       vector_from_json, vector_to_json)
 from .cache import default_cache_dir
-from .diagrams import diagram_from_json, diagram_to_json, enumerate_diagrams
+from .diagrams import (DEFAULT_MAX_STEPS, diagram_from_json, diagram_to_json,
+                       enumerate_diagrams)
 from .errors import (DiagramError, GradingMismatchError, LieAlgebraError,
                      ResourceLimitError, SpaceMismatchError)
 from .lie import (evaluate, evaluate_closed, resolve_algebra,
@@ -180,8 +181,9 @@ def _cmd_verify(ns, stdin):
 _INT = {"type": int}
 _PIECE = (("--space", {"required": True, "choices": ("A", "B")}),
           ("--v", _INT), ("--l", _INT), ("--total", _INT))
-_MAX_STEPS = ("--max-steps", dict(_INT, help="abort enumeration beyond this "
-                                              "many search steps"))
+_MAX_STEPS = ("--max-steps", dict(_INT, help="abort enumeration beyond this many "
+                                              "steps, one per half-edge of each candidate "
+                                              f"diagram (default {DEFAULT_MAX_STEPS:,})"))
 
 _VERBS = {
     "enumerate": (_cmd_enumerate, "list all diagrams of one graded piece",

@@ -24,6 +24,7 @@ carried along as a plain counter (closures can create them).
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -573,80 +574,60 @@ def automorphism_count(d: Diagram) -> int:
 # enumeration
 
 
-def _matchings(nsk, nv, nl, collect, max_steps=None):
-    """Generate pairings of the half-edges of a fixed slot layout, up to the
-    relabelings that are free of charge: permuting not-yet-touched vertices,
-    rotating their triples, and permuting legs. Pairs inside one triple are
-    skipped (they give antisymmetry-zero diagrams). ``collect`` is called
-    with each completed partner array."""
-    n = nsk + 3 * nv + nl
-    if n % 2:
-        return 0
-    partner = [-1] * n
-    touched = [0] * nv  # matched half-edge count per vertex
-    steps = 0
-
-    def vertex_of(h):
-        return (h - nsk) // 3
-
-    def rec(h):
-        nonlocal steps
-        while h < n and partner[h] >= 0:
-            h += 1
-        if h == n:
-            collect(list(partner))
-            return
-        steps += 1
-        if max_steps is not None and steps > max_steps:
-            raise ResourceLimitError(f"enumeration exceeded {max_steps} search steps")
-        hv = vertex_of(h) if nsk <= h < nsk + 3 * nv else -1
-        cands = []
-        first_untouched = None
-        for vi in range(nv):
-            if touched[vi] == 0 and vi != hv:
-                first_untouched = vi
-                break
-        for q in range(h + 1, n):
-            if partner[q] >= 0:
-                continue
-            if q < nsk:
-                cands.append(q)
-            elif q < nsk + 3 * nv:
-                qv = vertex_of(q)
-                if qv == hv:
-                    continue  # tadpole: antisymmetry-zero
-                if touched[qv] > 0:
-                    cands.append(q)
-                elif qv == first_untouched and q == nsk + 3 * qv:
-                    cands.append(q)
-            else:
-                cands.append(q)  # first unmatched leg
-                break
-        for q in cands:
-            partner[h] = q
-            partner[q] = h
-            if hv >= 0:
-                touched[hv] += 1
-            if nsk <= q < nsk + 3 * nv:
-                touched[vertex_of(q)] += 1
-            rec(h + 1)
-            partner[h] = -1
-            partner[q] = -1
-            if hv >= 0:
-                touched[hv] -= 1
-            if nsk <= q < nsk + 3 * nv:
-                touched[vertex_of(q)] -= 1
-
-    rec(0)
-    return steps
+# Default bound on the work of one enumeration, in steps: one step is one
+# half-edge of one candidate diagram (see ``_enumerate_split_full``). Every
+# split of total grading 10 fits: B(10, 0) charges 467,266 steps, and
+# A(1, 9), the costliest, 1,268,742.
+DEFAULT_MAX_STEPS = 2_000_000
 
 
-def _layout_diagram(space, nsk, nv, nl, partner):
-    triples = tuple((nsk + 3 * i, nsk + 3 * i + 1, nsk + 3 * i + 2) for i in range(nv))
-    legs = tuple(range(nsk + 3 * nv, nsk + 3 * nv + nl))
-    skeleton = tuple(range(nsk)) if space == "A" else None
-    pairing = tuple(sorted((h, p) for h, p in enumerate(partner) if h < p))
-    return Diagram(space, triples, legs, skeleton, pairing, 0)
+def _perfect_matchings(hes):
+    """Every perfect matching of the half-edges ``hes`` (a list of pairs),
+    the first half-edge paired first."""
+    hes = list(hes)
+    if not hes:
+        yield []
+        return
+    h = hes[0]
+    for i in range(1, len(hes)):
+        for m in _perfect_matchings(hes[1:i] + hes[i + 1:]):
+            yield [(h, hes[i])] + m
+
+
+def _insertions(d):
+    """The children of the canonical ``d`` one vertex up: for each free end
+    g (a leg, or a skeleton point, whose removal keeps the circle order of
+    the others) partnered with z, and each other edge (x, y), remove g and
+    (x, y) and add a vertex (n, n + 1, n + 2) paired with x, y and z, n
+    being the first label that d does not use."""
+    n = 3 * d.v + d.l + d.e
+    triples = d.triples + ((n, n + 1, n + 2),)
+    for g in d.skeleton if d.space == "A" else d.legs:
+        z = d.partner_map[g]
+        rest = [p for p in d.pairing if g not in p]
+        legs = tuple(h for h in d.legs if h != g)
+        skeleton = None if d.skeleton is None else tuple(h for h in d.skeleton if h != g)
+        for i, (x, y) in enumerate(rest):
+            pairing = (*rest[:i], *rest[i + 1:], (n, x), (n + 1, y), (n + 2, z))
+            yield Diagram(d.space, triples, legs, skeleton, pairing, 0)
+
+
+def _with_theta(d):
+    """The canonical ``d`` beside a theta component."""
+    n = 3 * d.v + d.l + d.e
+    return Diagram(d.space, d.triples + ((n, n + 1, n + 2), (n + 3, n + 4, n + 5)),
+                   d.legs, d.skeleton,
+                   d.pairing + ((n, n + 3), (n + 1, n + 4), (n + 2, n + 5)), 0)
+
+
+def _classes(candidates):
+    """The distinct canonical forms of ``candidates``, each with its nonzero
+    flag, in sort order."""
+    found = {}
+    for c in candidates:
+        cf = canonicalize(c)
+        found.setdefault(cf.diagram._key, (cf.diagram, 1 if cf.sign != 0 else 0))
+    return sorted(found.values(), key=lambda pair: pair[0].sort_key())
 
 
 _enum_memo: dict = {}
@@ -656,28 +637,67 @@ def _enumerate_split_full(space, nsk, nv, nl, max_steps=None):
     """Isomorphism classes of one slot layout, including the classes that
     are zero by antisymmetry: list of ``(canonical_diagram, nonzero_flag)``.
 
-    A closed A layout (no skeleton point) is the bare circle beside each
-    class of the closed B layout, so it is read off that enumeration."""
-    key = (space, nsk, nv, nl)
-    hit = _enum_memo.get(key)
-    if hit is not None:
-        return hit
+    With f free ends (legs in B, skeleton points in A) and j vertices,
+    split (j, f) holds the classes of the children of split (j - 1, f + 1)
+    under :func:`_insertions` and of split (j - 2, f) beside a theta; split
+    (0, f) is the struts (B) or the chord diagrams (A). Each split is
+    memoized in ``_enum_memo``. Every class is reached, since isomorphic
+    parents have isomorphic children: a vertex w outside any theta
+    component has two neighbours x, y on different vertices or free ends,
+    and deleting w, pairing x with y and giving the third neighbour a new
+    free end leaves a tadpole-free parent; a diagram with no such w is a
+    smaller one beside a theta.
+
+    Every split, memoized or not, is charged its candidate count times its
+    half-edge count against ``max_steps`` (``DEFAULT_MAX_STEPS`` when None),
+    and ``ResourceLimitError`` is raised before the work that would pass it.
+    A closed A layout is the bare circle beside each class of the closed B
+    layout, so it is read off that enumeration."""
     if space == "A" and nsk == 0:
-        out = [(Diagram("A", d.triples, d.legs, (), d.pairing, 0), nonzero)
-               for d, nonzero in _enumerate_split_full("B", 0, nv, 0, max_steps)]
-    else:
-        found = {}
+        return [(Diagram("A", d.triples, d.legs, (), d.pairing, 0), nonzero)
+                for d, nonzero in _enumerate_split_full("B", 0, nv, 0, max_steps)]
+    free = nsk + nl
+    if (free + 3 * nv) % 2:
+        return []
+    limit = DEFAULT_MAX_STEPS if max_steps is None else max_steps
+    steps = 0
 
-        def collect(partner):
-            d = _layout_diagram(space, nsk, nv, nl, partner)
-            cf = canonicalize(d)
-            if cf.diagram._key not in found:
-                found[cf.diagram._key] = (cf.diagram, 1 if cf.sign != 0 else 0)
+    def split(j, f):
+        return (space, f, j, 0) if space == "A" else (space, 0, j, f)
 
-        _matchings(nsk, nv, nl, collect, max_steps)
-        out = sorted(found.values(), key=lambda pair: pair[0].sort_key())
-    _enum_memo[key] = out
-    return out
+    for j in range(nv + 1):
+        # the splits (j, f) that (nv, free) is built from, most free ends first
+        for f in range(free + nv - j, free - 1, -2):
+            n = 3 * j + f
+            if j == 0:
+                count = 1  # the struts (B) or the (f - 1)!! chord diagrams (A)
+                for k in range(f - 1, 0, -2) if space == "A" else ():
+                    count *= k
+                    if count > limit:
+                        break
+            else:
+                parents = _enum_memo[split(j - 1, f + 1)]
+                thetas = _enum_memo[split(j - 2, f)] if j >= 2 else []
+                count = len(parents) * (f + 1) * ((n - 2) // 2 - 1) + len(thetas)
+            steps += count * n
+            if steps > limit:
+                raise ResourceLimitError(
+                    f"enumeration exceeded {limit} steps (candidate diagrams x half-edges)")
+            if split(j, f) in _enum_memo:
+                continue
+            if j == 0 and space == "B":
+                # the struts, labeled as canonicalize labels them
+                _enum_memo[split(j, f)] = [(Diagram("B", (), tuple(range(f)), None, tuple(
+                    (h, h + 1) for h in range(0, f, 2)), 0), 1)]
+            elif j == 0:
+                _enum_memo[split(j, f)] = _classes(
+                    Diagram("A", (), (), tuple(range(f)), tuple(m), 0)
+                    for m in _perfect_matchings(range(f)))
+            else:
+                _enum_memo[split(j, f)] = _classes(itertools.chain(
+                    (c for d, _ in parents for c in _insertions(d)),
+                    (_with_theta(d) for d, _ in thetas)))
+    return _enum_memo[split(nv, free)]
 
 
 def _require_non_negative(**grading):
@@ -711,7 +731,9 @@ def enumerate_diagrams(space, v=None, l=None, e=None, total=None, max_steps=None
     A-space: pass ``total`` (= v + skeleton points; all splits are included)
     or a specific split via ``e`` and ``v``. Free loops are never produced.
     Returns canonical diagrams in a deterministic order. A negative grading,
-    or grading arguments that name no piece, raise ``GradingMismatchError``.
+    or grading arguments that name no piece, raise ``GradingMismatchError``;
+    a split whose work passes ``max_steps`` (``DEFAULT_MAX_STEPS`` when
+    None) raises ``ResourceLimitError``.
     """
     _require_piece(space, v=v, l=l, e=e, total=total)
     if space == "B":
@@ -719,7 +741,7 @@ def enumerate_diagrams(space, v=None, l=None, e=None, total=None, max_steps=None
     elif total is None:
         splits = [(e, v, 0)]
     else:
-        splits = [(total - vv, vv, 0) for vv in range(total + 1)]
+        splits = ((total - vv, vv, 0) for vv in range(total + 1))
     # each split is sorted, and the splits come in the order of sort_key
     return [d for nsk, nv, nl in splits if (nsk + 3 * nv + nl) % 2 == 0
             for d, nonzero in _enumerate_split_full(space, nsk, nv, nl, max_steps)

@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .algebra import DiagramVector
-from .diagrams import Diagram, _require_non_negative, empty_diagram
+from .diagrams import Diagram, _perfect_matchings, _require_non_negative, empty_diagram
 from .errors import DiagramError, SpaceMismatchError
 
 __all__ = [
@@ -196,18 +196,6 @@ def _glue(d: Diagram, pairs) -> Diagram:
     return Diagram._new(d.space, d.triples, legs, d.skeleton, new_pairs, loops)
 
 
-def _leg_matchings(legs):
-    legs = list(legs)
-    if not legs:
-        yield []
-        return
-    h = legs[0]
-    for i in range(1, len(legs)):
-        rest = legs[1:i] + legs[i + 1:]
-        for m in _leg_matchings(rest):
-            yield [(h, legs[i])] + m
-
-
 def closure(x, pair_weight=1) -> DiagramVector:
     """Sum over all pairwise gluings of each diagram's legs.
 
@@ -221,7 +209,7 @@ def closure(x, pair_weight=1) -> DiagramVector:
         if d.l % 2:
             return ()
         f = w ** (d.l // 2)
-        return ((_glue(d, m), f) for m in _leg_matchings(d.legs))
+        return ((_glue(d, m), f) for m in _perfect_matchings(d.legs))
 
     return _expand(x, "B", "closure acts on leg-space diagrams", glued)
 

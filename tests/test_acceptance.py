@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import factorial
 
 import oracles
+from weightsys import diagrams
 from weightsys.algebra import quotient_basis
 from weightsys.diagrams import (_enumerate_split_full, automorphism_count,
                                 bare_circle, canonicalize, enumerate_diagrams,
@@ -210,3 +211,14 @@ def test_acceptance_enumeration_matches_bruteforce(capsys):
                     "v+l <= 6 and circle gradings total <= 6",
             ok, f"{classes} classes matched class-by-class; "
                 f"{counted} splits pass the exact orbit-count identity")
+
+
+def test_acceptance_orbit_counts_hold_at_total_8(capsys, monkeypatch):
+    # every split of total grading 8, enumerated cold from the splits below
+    monkeypatch.setattr(diagrams, "_enum_memo", {})
+    splits = [("B", 0, v, 8 - v) for v in range(9)]
+    splits += [("A", 8 - v, v, 0) for v in range(9)]
+    failed = [s for s in splits if not _count_identity(*s)]
+    _report(capsys, "orbit-count identity on every leg and circle split of "
+                    "total 8", not failed,
+            f"{len(splits) - len(failed)} of {len(splits)} splits pass")

@@ -6,6 +6,7 @@ hermetic; byte-determinism is asserted by comparing raw stdout.
 
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -127,13 +128,36 @@ def test_resource_cutoff_exit_code(tmp_path):
 
 
 def test_grading_too_deep_for_the_recursion_limit_is_a_resource_cutoff(tmp_path):
-    # The matching search recurses once per half-edge; 2,100 of them pass
-    # Python's default recursion limit at once.
+    # 2,100 half-edges, far past the default enumeration budget.
     proc = run_cli(["enumerate", "--space", "B", "--v", "700", "--l", "0"],
                    cache=tmp_path)
     assert proc.returncode == 4, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("grading", [
+    ["B", "--v", "300", "--l", "0"],
+    ["B", "--v", "100000000000000000000", "--l", "0"],
+    ["B", "--v", "0", "--l", "100000000000000000000"],
+    ["A", "--total", "100000000000000000000"],
+], ids=["v300", "v1e20", "l1e20", "total1e20"])
+def test_grading_past_the_default_budget_is_a_prompt_resource_cutoff(tmp_path, grading):
+    # The child's address space is capped, so a regression that tries to
+    # build the whole grading fails inside the cap and not on the host.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run([sys.executable, "-m", "weightsys.cli", "enumerate",
+                           "--space", *grading], capture_output=True, text=True,
+                          env=cli_env(tmp_path), preexec_fn=cap_memory, timeout=60)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
+    assert proc.stderr == ""
+    cpu = after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime
+    assert cpu < 2, cpu
 
 
 @pytest.mark.parametrize("args", [

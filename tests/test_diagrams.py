@@ -333,8 +333,8 @@ def brute_classes(space, nsk, nv, nl):
 
 
 def test_enumeration_matches_all_matchings_recursion():
-    """The symmetry-collapsed matcher must land on exactly the classes the
-    dumb all-matchings recursion finds, including antisymmetry-zero ones."""
+    """The generator must land on exactly the classes the dumb
+    all-matchings recursion finds, including antisymmetry-zero ones."""
     for space, nsk, nv, nl in BRUTE_GRADINGS:
         assert _enumerate_split_full(space, nsk, nv, nl) == \
             brute_classes(space, nsk, nv, nl), (space, nsk, nv, nl)
@@ -374,6 +374,33 @@ def test_closed_circle_pieces_are_the_closed_leg_pieces(monkeypatch):
 def test_enumeration_resource_limit():
     with pytest.raises(ResourceLimitError):
         enumerate_diagrams("B", v=5, l=3, max_steps=10)
+
+
+def test_cold_enumeration_canonicalizes_per_class_not_per_labeling(monkeypatch):
+    """B(8, 0) has 32 classes from 11,888 labeled matchings; built from the
+    classes below it, a cold enumeration canonicalizes a few thousand."""
+    monkeypatch.setattr(diagrams, "_enum_memo", {})
+    calls = []
+
+    def counted(d, real=diagrams.canonicalize):
+        calls.append(d)
+        return real(d)
+
+    monkeypatch.setattr(diagrams, "canonicalize", counted)
+    assert len(_enumerate_split_full("B", 0, 8, 0)) == 32
+    assert 0 < len(calls) <= 3000
+
+
+def test_enumeration_budget_does_not_depend_on_the_memo(monkeypatch):
+    """B(8, 0) and the splits below it charge 47,262 steps (candidates x
+    half-edges), cold or warm: one step less raises either way."""
+    for warm in (False, True):
+        monkeypatch.setattr(diagrams, "_enum_memo", {})
+        if warm:
+            _enumerate_split_full("B", 0, 8, 0)
+        with pytest.raises(ResourceLimitError):
+            _enumerate_split_full("B", 0, 8, 0, max_steps=47_261)
+        assert len(_enumerate_split_full("B", 0, 8, 0, max_steps=47_262)) == 32
 
 
 def test_units():
