@@ -51,6 +51,16 @@ __all__ = [
 _ZERO = Fraction(0)
 
 
+def _combine(forms) -> dict:
+    """Terms of the sum of c * form over (canonical form, coefficient)
+    pairs, zero coefficients dropped."""
+    acc = {}
+    for cf, c in forms:
+        if cf.sign:
+            acc[cf.diagram] = acc.get(cf.diagram, _ZERO) + cf.sign * c
+    return {k: v for k, v in acc.items() if v}
+
+
 class DiagramVector:
     """A rational linear combination of diagrams, stored over canonical
     representatives with antisymmetry signs folded in."""
@@ -61,17 +71,8 @@ class DiagramVector:
         if _raw is not None:
             self._terms = _raw
             return
-        acc = {}
-        for d, c in items:
-            c = Fraction(c)
-            if not c:
-                continue
-            cf = canonicalize(d)
-            if cf.sign == 0:
-                continue
-            k = cf.diagram
-            acc[k] = acc.get(k, _ZERO) + cf.sign * c
-        self._terms = {k: v for k, v in acc.items() if v}
+        coeffs = ((d, Fraction(c)) for d, c in items)
+        self._terms = _combine((canonicalize(d), c) for d, c in coeffs if c)
 
     @classmethod
     def single(cls, d: Diagram, coeff=1) -> "DiagramVector":
@@ -209,19 +210,32 @@ def ihx_generators(diagrams) -> list:
     For an edge joining internal vertices u and w (half-edges k at u, p at
     w), rotate u to (a, b, k) and w to (p, c, d). The relation is
     D(a,b|c,d) - D(a,c|b,d) + D(b,c|a,d) = 0, where D(x,y|z,t) has
-    u = (x, y, k) and w = (p, z, t) and all pairings unchanged. Both edge
-    directions are generated; duplicates are removed by normal form.
+    u = (x, y, k) and w = (p, z, t) and all pairings unchanged. Each
+    internal edge is taken once, from its lower-indexed vertex: read from
+    w, the same rule gives the same three diagrams with the same signs
+    (swap the roles of u and w, then exchange k and p, which reverses both
+    vertices). Duplicates are removed by normal form.
     """
     return _distinct(vec for d in diagrams for vec in _ihx_vectors(d))
 
 
+def _relation(base, d2, d3) -> DiagramVector:
+    """base - d2 + d3, where base is the canonical form of the based
+    diagram, found once for all of its relations."""
+    one = Fraction(1)
+    return DiagramVector(_raw=_combine(
+        ((base, one), (canonicalize(d2), -one), (canonicalize(d3), one))))
+
+
 def _ihx_vectors(d):
-    """The edge-rewrite vectors based at d, zeros and repeats included."""
+    """The edge-rewrite vectors based at d, one per internal edge between
+    two vertices, zeros and repeats included."""
     pmap = d.partner_map
     where = {}
     for i, t in enumerate(d.triples):
         for j, h in enumerate(t):
             where[h] = (i, j)
+    base = None
     for i, t in enumerate(d.triples):
         for j in range(3):
             k = t[j]
@@ -229,7 +243,7 @@ def _ihx_vectors(d):
             if p not in where:
                 continue
             w, js = where[p]
-            if w == i:
+            if w <= i:
                 continue
             a, b = t[(j + 1) % 3], t[(j + 2) % 3]
             tw = d.triples[w]
@@ -240,9 +254,11 @@ def _ihx_vectors(d):
             trip3 = list(d.triples)
             trip3[i] = (b, c, k)
             trip3[w] = (p, a, dd)
-            d2 = Diagram._new(d.space, trip2, d.legs, d.skeleton, d.pairing, d.free_loops)
-            d3 = Diagram._new(d.space, trip3, d.legs, d.skeleton, d.pairing, d.free_loops)
-            yield DiagramVector([(d, 1), (d2, -1), (d3, 1)])
+            base = base or canonicalize(d)
+            yield _relation(
+                base,
+                Diagram._new(d.space, trip2, d.legs, d.skeleton, d.pairing, d.free_loops),
+                Diagram._new(d.space, trip3, d.legs, d.skeleton, d.pairing, d.free_loops))
 
 
 def stu_generators(diagrams) -> list:
@@ -264,6 +280,7 @@ def _stu_vectors(d):
         raise GradingMismatchError("skeleton-resolution relations need A-space diagrams")
     pmap = d.partner_map
     skpos = {h: idx for idx, h in enumerate(d.skeleton)}
+    base = None
     for i, t in enumerate(d.triples):
         for j in range(3):
             h = t[j]
@@ -277,9 +294,9 @@ def _stu_vectors(d):
             sk = d.skeleton
             skT = sk[:idx] + (ha, hb) + sk[idx + 1:]
             skU = sk[:idx] + (hb, ha) + sk[idx + 1:]
-            dT = Diagram._new("A", trips, (), skT, pairing, d.free_loops)
-            dU = Diagram._new("A", trips, (), skU, pairing, d.free_loops)
-            yield DiagramVector([(d, 1), (dT, -1), (dU, 1)])
+            base = base or canonicalize(d)
+            yield _relation(base, Diagram._new("A", trips, (), skT, pairing, d.free_loops),
+                            Diagram._new("A", trips, (), skU, pairing, d.free_loops))
 
 
 # ---------------------------------------------------------------------------

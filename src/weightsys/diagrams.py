@@ -431,43 +431,42 @@ def _split_components(d: Diagram):
     ``(sig, sign, relabel, v, l, e, nstates, struts)``.
     """
     pmap = d.partner_map
-    parent = {h: h for h in pmap}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for t in d.triples:
-        union(t[0], t[1])
-        union(t[1], t[2])
-    for a, b in d.pairing:
-        union(a, b)
-    if d.skeleton:
-        first = d.skeleton[0]
-        for h in d.skeleton[1:]:
-            union(first, h)
-
-    # every half-edge is paired, so each group is its component's sorted
-    # half-edges, and the groups come in order of their smallest one
-    groups: dict = {}
-    for h in sorted(pmap):
-        groups.setdefault(find(h), []).append(h)
-
+    triple_of = {h: t for t in d.triples for h in t}
+    skeleton = d.skeleton or ()
+    skset = set(skeleton)
+    seen = set()
     floats = []
     sk_comp = None
-    for hes in groups.values():
-        hset = set(hes)
-        ctrip = [t for t in d.triples if t[0] in hset]
-        clegs = [g for g in d.legs if g in hset]
-        if d.skeleton and d.skeleton[0] in hset:
-            sk_comp = _canon_component(ctrip, clegs, d.skeleton, hes, pmap)
+    # every half-edge is paired, so each walk collects one component, and
+    # the walks start in order of the components' smallest half-edges
+    for start in sorted(pmap):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack = [start]
+        hes, ctrip, clegs = [], [], []
+        on_circle = False
+        while stack:
+            h = stack.pop()
+            hes.append(h)
+            t = triple_of.get(h)
+            if t is not None:
+                if h == t[0]:
+                    ctrip.append(t)
+                near = t
+            elif h in skset:
+                near = () if on_circle else skeleton
+                on_circle = True
+            else:
+                clegs.append(h)
+                near = ()
+            for x in (*near, pmap[h]):
+                if x not in seen:
+                    seen.add(x)
+                    stack.append(x)
+        hes.sort()
+        if on_circle:
+            sk_comp = _canon_component(ctrip, clegs, skeleton, hes, pmap)
         else:
             floats.append(_canon_component(ctrip, clegs, None, hes, pmap))
     if d.space == "A" and sk_comp is None:

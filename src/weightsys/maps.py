@@ -26,8 +26,9 @@ import math
 from fractions import Fraction
 
 from .algebra import DiagramVector
-from .diagrams import Diagram, _perfect_matchings, _require_non_negative, empty_diagram
-from .errors import DiagramError, SpaceMismatchError
+from .diagrams import (DEFAULT_MAX_STEPS, Diagram, _perfect_matchings, _require_non_negative,
+                       empty_diagram)
+from .errors import DiagramError, ResourceLimitError, SpaceMismatchError
 
 __all__ = [
     "strut", "theta", "wheel",
@@ -284,7 +285,42 @@ def exp_disjoint(x, vmax: int) -> DiagramVector:
     return out
 
 
+def _partition_counts():
+    """p(0), p(1), p(2), ... by Euler's pentagonal-number recurrence."""
+    p = [1]
+    while True:
+        yield p[-1]
+        n, total, k = len(p), 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:
+            s = 1 if k % 2 else -1
+            total += s * p[n - g] + (s * p[n - g - k] if g + k <= n else 0)
+            k += 1
+        p.append(total)
+
+
+def _omega_half_edges(vmax: int) -> int:
+    """Half-edges of omega(vmax)'s terms, counted until they pass
+    ``DEFAULT_MAX_STEPS``.
+
+    A term with 2m vertices is a product of even wheels, one per part of a
+    partition of m, and has 8m half-edges; so the count runs over m and
+    stops at the first m that passes the bound. Every term is canonicalized
+    once at least, so this is a lower bound on omega's work."""
+    count = 0
+    for m, pm in zip(range(vmax // 2 + 1), _partition_counts()):
+        count += 8 * m * pm
+        if count > DEFAULT_MAX_STEPS:
+            break
+    return count
+
+
 def omega(vmax: int) -> DiagramVector:
     """The wheels element: exp (disjoint union) of the modified-Bernoulli
-    wheel series, truncated to diagrams with at most vmax vertices."""
+    wheel series, truncated to diagrams with at most vmax vertices.
+
+    Raises ``ResourceLimitError`` before any wheel is built when the terms
+    would hold more than ``DEFAULT_MAX_STEPS`` half-edges."""
+    if _omega_half_edges(vmax) > DEFAULT_MAX_STEPS:
+        raise ResourceLimitError(
+            f"omega exceeded {DEFAULT_MAX_STEPS} steps (half-edges of its terms)")
     return exp_disjoint(wheels_vector(vmax), vmax)

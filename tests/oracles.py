@@ -152,6 +152,28 @@ def relabel_randomly(d: Diagram, rng: random.Random):
 
 
 # ---------------------------------------------------------------------------
+# connected components by merging to a fixed point
+
+
+def components_naive(d: Diagram) -> set:
+    """The half-edge sets of d's connected components: start from one set
+    per vertex, edge, leg and skeleton circle, and merge any two sets that
+    meet until none do."""
+    parts = [set(t) for t in d.triples] + [set(p) for p in d.pairing]
+    parts += [{g} for g in d.legs] + ([set(d.skeleton)] if d.skeleton else [])
+    merged = True
+    while merged:
+        merged = False
+        for x, y in itertools.combinations(parts, 2):
+            if x & y:
+                x |= y
+                parts.remove(y)
+                merged = True
+                break
+    return {frozenset(x) for x in parts}
+
+
+# ---------------------------------------------------------------------------
 # brute-force isomorphism: try every structure-preserving bijection
 
 

@@ -125,6 +125,68 @@ def test_skeleton_resolution_generators_change_split():
         stu_generators([oracles.theta_closed()])
 
 
+def _rewrite_from(d, i, j):
+    """The edge-rewrite vector read from slot j of vertex i: u is vertex i
+    rotated to (a, b, k), w the vertex of k's partner p rotated to
+    (p, c, d), and the vector is D(a,b|c,d) - D(a,c|b,d) + D(b,c|a,d)."""
+    where = {h: (x, y) for x, t in enumerate(d.triples) for y, h in enumerate(t)}
+    t = d.triples[i]
+    k, a, b = t[j], t[(j + 1) % 3], t[(j + 2) % 3]
+    p = d.partner_map[k]
+    w, js = where[p]
+    tw = d.triples[w]
+    c, dd = tw[(js + 1) % 3], tw[(js + 2) % 3]
+
+    def rewired(x, y, z, s):
+        triples = list(d.triples)
+        triples[i], triples[w] = (x, y, k), (p, z, s)
+        return validate(d.space, internal=triples, legs=d.legs, skeleton=d.skeleton,
+                        pairing=d.pairing, free_loops=d.free_loops)
+
+    return DiagramVector([(rewired(a, b, c, dd), 1), (rewired(a, c, b, dd), -1),
+                          (rewired(b, c, a, dd), 1)])
+
+
+def test_each_internal_edge_gives_the_same_relation_from_either_end():
+    """Read from its higher-indexed vertex, an edge gives the vector that
+    its lower-indexed vertex gives, so one relation per edge loses none."""
+    pieces = [enumerate_diagrams("B", v=v, l=l) for v in range(9) for l in range(9 - v)]
+    pieces += [enumerate_diagrams("A", total=t) for t in range(7)]
+    edges = 0
+    for d in (d for piece in pieces for d in piece):
+        where = {h: (i, j) for i, t in enumerate(d.triples) for j, h in enumerate(t)}
+        ends = sorted(sorted((where[a], where[b])) for a, b in d.pairing
+                      if a in where and b in where and where[a][0] != where[b][0])
+        for low, high in ends:
+            assert _rewrite_from(d, *high) == _rewrite_from(d, *low), d
+        assert list(algebra._ihx_vectors(d)) == [_rewrite_from(d, *low) for low, _ in ends]
+        edges += len(ends)
+    assert edges > 500
+
+
+def test_edge_rewrites_canonicalize_each_base_diagram_once(monkeypatch):
+    """Per base diagram: its own canonical form once, and the two rewritten
+    diagrams of each internal edge between distinct vertices."""
+    calls = []
+
+    def recording(d, real=algebra.canonicalize):
+        calls.append(d)
+        return real(d)
+
+    ds = enumerate_diagrams("B", v=6, l=0)
+    monkeypatch.setattr(algebra, "canonicalize", recording)
+    ihx_generators(ds)
+    total = len(calls)
+    for d in ds:
+        vertex = {h: i for i, t in enumerate(d.triples) for h in t}
+        edges = sum(1 for a, b in d.pairing if vertex[a] != vertex[b])
+        calls.clear()
+        list(algebra._ihx_vectors(d))
+        assert calls[0] is d and len(calls) == 1 + 2 * edges, d
+        total -= 1 + 2 * edges
+    assert total == 0
+
+
 def test_generators_reduce_to_zero():
     for g in ihx_generators(enumerate_diagrams("B", v=4, l=0)):
         assert not reduce_vector(g)

@@ -160,6 +160,18 @@ def test_grading_past_the_default_budget_is_a_prompt_resource_cutoff(tmp_path, g
     assert cpu < 2, cpu
 
 
+def test_omega_past_the_default_budget_is_a_prompt_resource_cutoff(tmp_path):
+    # capped and timed out as above, so a regression that builds the wheels
+    # fails here and not on the host
+    proc = subprocess.run([sys.executable, "-m", "weightsys.cli", "omega", "--vmax",
+                           "100000000000000000000"], capture_output=True, text=True,
+                          env=cli_env(tmp_path), timeout=60, preexec_fn=lambda: (
+                              resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))))
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("args", [
     ["enumerate", "--space", "B", "--v", "-2", "--l", "0"],
     ["enumerate", "--space", "B", "--v", "2", "--l", "-2"],

@@ -184,6 +184,22 @@ def test_canonical_search_on_random_layouts():
     assert brute >= 200
 
 
+def test_components_match_the_fixed_point_merge():
+    """Each component's relabel map covers exactly one component's half-edges,
+    the circle's component among them, on the corpus and on random layouts
+    (most of them disconnected, many with tadpoles)."""
+    rng = random.Random(61)
+    ds = [d for d, _ in oracles.corpus()] + [random_layout(rng) for _ in range(300)]
+    for d in ds:
+        sk_comp, floats = diagrams._split_components(d)
+        found = [c[2].keys() for c in floats]
+        if d.skeleton:
+            assert set(d.skeleton) <= sk_comp[2].keys(), d
+            found.append(sk_comp[2].keys())
+        assert len(found) == len(set(map(frozenset, found))), d
+        assert set(map(frozenset, found)) == oracles.components_naive(d), d
+
+
 def test_answers_do_not_depend_on_the_search_cache():
     """Only the component search is memoized: a cold cache gives the warm
     answers, and a canonical form found by the search is its own canonical

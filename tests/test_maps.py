@@ -12,9 +12,11 @@ from fractions import Fraction
 import pytest
 
 import oracles
+from weightsys import maps
 from weightsys.algebra import DiagramVector, equal_mod_relations, reduce_vector
-from weightsys.diagrams import Diagram, bare_circle, canonicalize, empty_diagram, validate
-from weightsys.errors import GradingMismatchError, SpaceMismatchError
+from weightsys.diagrams import (DEFAULT_MAX_STEPS, Diagram, bare_circle, canonicalize,
+                                empty_diagram, validate)
+from weightsys.errors import GradingMismatchError, ResourceLimitError, SpaceMismatchError
 from weightsys.maps import (
     cap,
     chi,
@@ -330,6 +332,26 @@ def test_omega_canonicalizes_nothing_past_its_bound(monkeypatch):
         power = F(1, k) * du(power, wv)
         expected = expected + power
     assert om8 == DiagramVector((d, c) for d, c in expected.items() if d.v <= 8)
+
+
+def test_omega_counts_its_half_edges_before_building_a_wheel(monkeypatch):
+    # omega(vmax) has p(m) terms with 2m vertices and 8m half-edges for each
+    # m <= vmax/2: 30 terms at vmax 12 and 508 at vmax 28, counted exactly.
+    for vmax, terms in ((12, 30), (28, 508)):
+        om = omega(vmax)
+        assert len(om) == terms
+        assert maps._omega_half_edges(vmax) == sum(
+            len(list(d.half_edges())) for d, _ in om.items())
+    assert maps._omega_half_edges(50) <= DEFAULT_MAX_STEPS < maps._omega_half_edges(52)
+    # the count stops at the first partition size past the budget
+    assert maps._omega_half_edges(10 ** 20) == maps._omega_half_edges(52)
+
+    def no_wheels(vmax):
+        raise AssertionError("a wheel was built past the budget")
+
+    monkeypatch.setattr(maps, "wheels_vector", no_wheels)
+    with pytest.raises(ResourceLimitError, match="omega exceeded"):
+        omega(10 ** 20)
 
 
 def test_exp_disjoint_truncates_by_vertices():
