@@ -15,6 +15,9 @@ the standard local relations, entirely over the rationals:
   JSON-pipeline command line (:mod:`weightsys.cli`).
 """
 
+import importlib
+import types
+
 from .algebra import (DiagramVector, QuotientBasis, equal_mod_relations,
                       ihx_generators, quotient_basis, reduce_vector,
                       stu_generators, vector_from_json, vector_to_json)
@@ -25,38 +28,35 @@ from .diagrams import (CanonicalForm, Diagram, automorphism_count, bare_circle,
                        validate)
 from .errors import (DiagramError, GradingMismatchError, LieAlgebraError,
                      ResourceLimitError, SpaceMismatchError)
-from .lie import (MetricLieAlgebra, Representation, StructureTensors, abelian,
-                  builtin_algebra, check_lie, check_representation,
-                  contraction_plan, derive_tensors, evaluate, evaluate_closed,
-                  evaluate_naive, lie_algebra_from_json, lie_algebra_to_json,
-                  naive_cost, sl2)
-from .maps import (cap, chi, closure, connect_sum, disjoint_union,
-                   exp_disjoint, modified_bernoulli, omega, strut, theta,
-                   wheel, wheels_vector)
-from .tensor import (ContractionPlan, SparseTensor, contract_network,
-                     plan_contraction)
-from .verify import (SUITES, run_suite, verify_chi_iso, verify_closure_omega,
-                     verify_relations, verify_wheeling)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CanonicalForm", "ContractionPlan", "Diagram", "DiagramError",
-    "DiagramVector", "GradingMismatchError", "LieAlgebraError",
-    "MetricLieAlgebra", "QuotientBasis", "Representation",
-    "ResourceLimitError", "SUITES", "SpaceMismatchError", "SparseTensor",
-    "StructureTensors", "abelian", "automorphism_count", "bare_circle",
-    "builtin_algebra", "canonicalize", "cap", "check_lie",
-    "check_representation", "chi", "closure", "connect_sum",
-    "contract_network", "contraction_plan", "default_cache_dir",
-    "derive_tensors", "diagram_from_json", "diagram_to_json",
-    "disjoint_union", "empty_diagram", "enumerate_diagrams",
-    "equal_mod_relations", "evaluate", "evaluate_closed", "evaluate_naive",
-    "exp_disjoint", "ihx_generators", "is_isomorphic",
-    "lie_algebra_from_json", "lie_algebra_to_json", "modified_bernoulli",
-    "naive_cost", "omega", "plan_contraction", "quotient_basis",
-    "reduce_vector", "run_suite", "sl2", "strut", "stu_generators", "theta",
-    "validate", "vector_from_json", "vector_to_json", "verify_chi_iso",
-    "verify_closure_omega", "verify_relations", "verify_wheeling", "wheel",
-    "wheels_vector",
-]
+# The weight, map and verify layers load on first access (PEP 562), so a
+# command-line call imports only the layers its verb runs: name -> module.
+_LAZY = {name: module for module, names in (
+    ("lie", "MetricLieAlgebra Representation StructureTensors abelian "
+            "builtin_algebra check_lie check_representation contraction_plan "
+            "derive_tensors evaluate evaluate_closed evaluate_naive "
+            "lie_algebra_from_json lie_algebra_to_json naive_cost sl2"),
+    ("maps", "cap chi closure connect_sum disjoint_union exp_disjoint "
+             "modified_bernoulli omega strut theta wheel wheels_vector"),
+    ("tensor", "ContractionPlan SparseTensor contract_network plan_contraction"),
+    ("verify", "SUITES run_suite verify_chi_iso verify_closure_omega "
+               "verify_relations verify_wheeling"),
+) for name in names.split()}
+
+__all__ = sorted([name for name, x in globals().items()
+                  if not name.startswith("_") and not isinstance(x, types.ModuleType)]
+                 + list(_LAZY))
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

@@ -44,10 +44,6 @@ from .diagrams import (DEFAULT_MAX_STEPS, diagram_from_json, diagram_to_json,
                        enumerate_diagrams)
 from .errors import (DiagramError, GradingMismatchError, LieAlgebraError,
                      ResourceLimitError, SpaceMismatchError)
-from .lie import (evaluate, evaluate_closed, resolve_algebra,
-                  resolve_representation)
-from .maps import cap, chi, closure, connect_sum, omega
-from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -93,7 +89,9 @@ def _given(**options) -> dict:
 
 # ---------------------------------------------------------------------------
 # verb handlers: each takes (namespace, stdin) and returns (payload, status),
-# and reads exactly the options its entry in _VERBS declares
+# and reads exactly the options its entry in _VERBS declares.  A handler
+# imports the map, weight and verify layers itself, so a call loads only
+# the layers its verb runs.
 
 
 def _cmd_enumerate(ns, stdin):
@@ -118,11 +116,13 @@ def _cmd_reduce(ns, stdin):
 
 
 def _cmd_chi(ns, stdin):
+    from .maps import chi
     vec = vector_from_json(_read_stdin_json(stdin))
     return {"terms": vector_to_json(chi(vec))}, EXIT_OK
 
 
 def _cmd_close(ns, stdin):
+    from .maps import closure
     vec = vector_from_json(_read_stdin_json(stdin))
     out = closure(vec, **_given(pair_weight=ns.pair_weight))
     return {"terms": vector_to_json(out)}, EXIT_OK
@@ -135,20 +135,25 @@ def _two_vectors(obj):
 
 
 def _cmd_cap(ns, stdin):
+    from .maps import cap
     left, right = _two_vectors(_read_stdin_json(stdin))
     return {"terms": vector_to_json(cap(left, right))}, EXIT_OK
 
 
 def _cmd_connect_sum(ns, stdin):
+    from .maps import connect_sum
     left, right = _two_vectors(_read_stdin_json(stdin))
     return {"terms": vector_to_json(connect_sum(left, right))}, EXIT_OK
 
 
 def _cmd_omega(ns, stdin):
+    from .maps import omega
     return {"terms": vector_to_json(omega(ns.vmax))}, EXIT_OK
 
 
 def _cmd_eval(ns, stdin):
+    from .lie import (evaluate, evaluate_closed, resolve_algebra,
+                      resolve_representation)
     obj = _read_stdin_json(stdin)
     if isinstance(obj, dict) and "space" in obj:
         vec = DiagramVector.single(diagram_from_json(obj))
@@ -167,6 +172,7 @@ def _cmd_eval(ns, stdin):
 
 
 def _cmd_verify(ns, stdin):
+    from .verify import run_suite
     # the suite refuses any bound it does not take
     bounds = dict(vars(ns), cache_dir=_resolve_cache(ns))
     report = run_suite(bounds.pop("suite"), **bounds)
@@ -176,7 +182,8 @@ def _cmd_verify(ns, stdin):
 # ---------------------------------------------------------------------------
 # the verbs: handler, summary and options, each option declared once per verb.
 # Every verb also takes --cache-dir; an option a verb does not declare is
-# refused with exit 5.
+# refused with exit 5.  The suite names of verify stay in verify.SUITES,
+# read only by verify's parser and the usage text ({suites} below).
 
 _INT = {"type": int}
 _PIECE = (("--space", {"required": True, "choices": ("A", "B")}),
@@ -204,8 +211,8 @@ _VERBS = {
              (("--algebra", {"required": True, "help": "built-in name (sl2, "
                              "abelian<k>) or JSON file path"}),
               ("--rep", {}), ("--max-cost", _INT))),
-    "verify": (_cmd_verify, "run a verification suite: " + " | ".join(SUITES),
-               (("suite", {"choices": SUITES}), ("--max-total", _INT),
+    "verify": (_cmd_verify, "run a verification suite: {suites}",
+               (("--max-total", _INT),
                 ("--vmax", _INT), ("--algebra", {}), ("--rep", {}),
                 ("--max-cost", _INT))),
 }
@@ -215,16 +222,21 @@ def _build_parser(verb: str) -> _Parser:
     p = _Parser(prog=f"weightsys {verb}")
     p.add_argument("--cache-dir", help="basis cache directory (default: "
                                        "$WEIGHTSYS_CACHE or the per-user cache)")
+    if verb == "verify":
+        from .verify import SUITES
+        p.add_argument("suite", choices=SUITES)
     for flag, kwargs in _VERBS[verb][2]:
         p.add_argument(flag, **kwargs)
     return p
 
 
-_USAGE = ("usage: weightsys VERB [options] (JSON payloads on stdin/stdout)\n\n"
-          "verbs:\n"
-          + "".join(f"  {verb:<12} {summary}\n"
-                    for verb, (_, summary, _) in _VERBS.items())
-          + "\nrun 'weightsys VERB --help' for per-verb options.")
+def _usage() -> str:
+    from .verify import SUITES
+    return ("usage: weightsys VERB [options] (JSON payloads on stdin/stdout)\n\n"
+            "verbs:\n"
+            + "".join(f"  {verb:<12} {summary.format(suites=' | '.join(SUITES))}\n"
+                      for verb, (_, summary, _) in _VERBS.items())
+            + "\nrun 'weightsys VERB --help' for per-verb options.")
 
 
 def main(argv=None, stdin=None, stdout=None) -> int:
@@ -246,7 +258,7 @@ def main(argv=None, stdin=None, stdout=None) -> int:
 def _respond(argv, stdin):
     """One call's output (the usage text or a JSON object) and exit status."""
     if not argv or argv[0] in ("-h", "--help"):
-        return _USAGE, EXIT_OK
+        return _usage(), EXIT_OK
     if argv[0] not in _VERBS:
         return _error("unknown-verb", f"unknown verb {argv[0]!r}"), EXIT_UNKNOWN_VERB
     try:

@@ -155,26 +155,37 @@ def check_lie(g: MetricLieAlgebra):
 
 def check_representation(g: MetricLieAlgebra, rep: Representation):
     """(True, None) when rho([x,y]) = rho(x)rho(y) - rho(y)rho(x)."""
-    n, m = g.dim, rep.dim_V
+    n, m, c = g.dim, rep.dim_V, g.structure_constants
     if len(rep.action) != n:
         return False, "representation needs one matrix per basis element"
     for mat in rep.action:
         if len(mat) != m or any(len(r) != m for r in mat):
             return False, "representation matrices must be dim_V square"
+    # rho as sparse rows, and c^k_{ij} as (k, c) lists per pair i < j; the
+    # pairs are checked in increasing order, so a failure names the least one
+    rows = [[{col: x for col, x in enumerate(r) if x} for r in mat]
+            for mat in rep.action]
+    brackets = defaultdict(list)
+    for k, i, j in product(range(n), repeat=3):
+        if i < j and c[k][i][j]:
+            brackets[i, j].append((k, c[k][i][j]))
     for i in range(n):
         for j in range(i + 1, n):
-            comm = _mat_sub(_mat_mul(rep.action[i], rep.action[j]),
-                            _mat_mul(rep.action[j], rep.action[i]))
-            want = None
-            for k in range(n):
-                ck = g.structure_constants[k][i][j]
-                if ck:
-                    term = _mat_scale(rep.action[k], ck)
-                    want = term if want is None else _mat_add(want, term)
-            if want is None:
-                want = tuple(tuple(_ZERO for _ in range(m)) for _ in range(m))
-            if comm != want:
-                return False, f"representation fails on bracket ({i},{j})"
+            a, b = rows[i], rows[j]
+            for r in range(m):
+                # row r of rho_i rho_j - rho_j rho_i - sum_k c^k_{ij} rho_k
+                acc = defaultdict(int)
+                for p, x in a[r].items():
+                    for col, y in b[p].items():
+                        acc[col] += x * y
+                for p, x in b[r].items():
+                    for col, y in a[p].items():
+                        acc[col] -= x * y
+                for k, ck in brackets[i, j]:
+                    for col, y in rows[k][r].items():
+                        acc[col] -= ck * y
+                if any(acc.values()):
+                    return False, f"representation fails on bracket ({i},{j})"
     return True, None
 
 
@@ -198,18 +209,6 @@ def _mat_mul(a, b):
                        for j in range(p)) for i in range(m))
 
 
-def _mat_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def _mat_scale(a, s):
-    return tuple(tuple(x * s for x in r) for r in a)
-
-
 def _invert(m):
     """Exact inverse read off the reduced rows of [m | I], or None when
     singular (some column of m has no pivot)."""
@@ -229,15 +228,17 @@ def derive_tensors(g: MetricLieAlgebra) -> StructureTensors:
     _require_valid(g)
     n = g.dim
     c, b = g.structure_constants, g.metric
-    f = {}
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                v = sum(c[m][i][j] * b[m][k] for m in range(n))
-                if v:
-                    f[(i, j, k)] = v
-    c_up = _invert(b)
-    return StructureTensors(f=f, c_up=c_up)
+    # sum over the nonzero c^m_{ij} against the nonzero b_{mk}, keyed in
+    # sorted (i, j, k) order
+    b_rows = [[(k, y) for k, y in enumerate(row) if y] for row in b]
+    acc = defaultdict(int)
+    for m, i, j in product(range(n), repeat=3):
+        x = c[m][i][j]
+        if x:
+            for k, y in b_rows[m]:
+                acc[i, j, k] += x * y
+    f = {key: acc[key] for key in sorted(acc) if acc[key]}
+    return StructureTensors(f=f, c_up=_invert(b))
 
 
 # ---------------------------------------------------------------------------

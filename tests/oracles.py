@@ -470,3 +470,37 @@ def lie_identity_first_failure(c, b):
         if sum(c[m][i][j] * b[m][k] + c[m][i][k] * b[j][m] for m in range(n)):
             return f"metric invariance fails at ({i},{j},{k})"
     return None
+
+
+def structure_tensor_dense(c, b):
+    """f_{ijk} = sum over m of c^m_{ij} b_{mk}, scanning every (i, j, k) in
+    increasing order and keeping the nonzero values, as ``derive_tensors``
+    keys its ``f``."""
+    n = len(c)
+    f = {}
+    for i, j, k in itertools.product(range(n), repeat=3):
+        v = sum(c[m][i][j] * b[m][k] for m in range(n))
+        if v:
+            f[(i, j, k)] = v
+    return f
+
+
+def mat_mul(a, b):
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(len(b[0]))]
+            for i in range(len(a))]
+
+
+def representation_first_failure(c, action):
+    """``check_representation``'s ``(ok, message)`` from dense matrix
+    products: the first pair i < j, in increasing order, at which
+    rho_i rho_j - rho_j rho_i differs from sum over k of c^k_{ij} rho_k.
+    ``action`` must already hold one square matrix per basis element."""
+    n, m = len(c), len(action[0])
+    for i in range(n):
+        for j in range(i + 1, n):
+            ab, ba = mat_mul(action[i], action[j]), mat_mul(action[j], action[i])
+            for r, s in itertools.product(range(m), repeat=2):
+                want = sum(c[k][i][j] * action[k][r][s] for k in range(n))
+                if ab[r][s] - ba[r][s] != want:
+                    return False, f"representation fails on bracket ({i},{j})"
+    return True, None

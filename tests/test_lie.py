@@ -246,6 +246,78 @@ def test_derived_tensors_are_totally_antisymmetric_and_inverse_metric_exact():
             assert s == (1 if i == j else 0)
 
 
+def sl3_from_matrix_units():
+    """sl3 with basis E_ij (i != j), E_11 - E_22, E_22 - E_33: structure
+    constants from commutators, the trace form as metric, and the
+    matrices themselves as the fundamental representation."""
+    def unit(i, j):
+        return [[Fraction(int((r, s) == (i, j))) for s in range(3)] for r in range(3)]
+
+    basis = [unit(i, j) for i in range(3) for j in range(3) if i != j]
+    basis += [[[x - y for x, y in zip(ra, rb)] for ra, rb in zip(unit(k, k), unit(k + 1, k + 1))]
+              for k in (0, 1)]
+    n = len(basis)
+    c = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        ab, ba = oracles.mat_mul(basis[i], basis[j]), oracles.mat_mul(basis[j], basis[i])
+        comm = [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(ab, ba)]
+        # coordinates of a traceless matrix: off-diagonal entries, then the
+        # diagonal (a, b - a, -b) as a (E_11 - E_22) + b (E_22 - E_33)
+        coords = [comm[r][s] for r in range(3) for s in range(3) if r != s]
+        for k, x in enumerate(coords + [comm[0][0], -comm[2][2]]):
+            c[k][i][j] = x
+    metric = [[sum(oracles.mat_mul(x, y)[r][r] for r in range(3)) for y in basis]
+              for x in basis]
+    fund = Representation(3, tuple(tuple(map(tuple, m)) for m in basis))
+    return MetricLieAlgebra(n, tuple(tuple(map(tuple, ck)) for ck in c),
+                            tuple(map(tuple, metric)),
+                            representations={"fundamental": fund}, name="sl3")
+
+
+def scaled_metric(g, s):
+    return MetricLieAlgebra(g.dim, g.structure_constants,
+                            tuple(tuple(s * x for x in r) for r in g.metric),
+                            representations=g.representations)
+
+
+ORACLE_ALGEBRAS = [SL2, abelian(1), abelian(3), scaled_metric(SL2, 3),
+                   sl3_from_matrix_units()]
+
+
+@pytest.mark.parametrize("g", ORACLE_ALGEBRAS, ids=lambda g: g.name or f"dim{g.dim}")
+def test_sparse_algebra_checks_match_the_dense_oracles(g):
+    assert check_lie(g) == (True, None)
+    t = derive_tensors(g)
+    want = oracles.structure_tensor_dense(g.structure_constants, g.metric)
+    assert list(t.f.items()) == list(want.items())
+    assert oracles.mat_mul(g.metric, t.c_up) == [[int(i == j) for j in range(g.dim)]
+                                                for i in range(g.dim)]
+    for rep in g.representations.values():
+        assert check_representation(g, rep) == (True, None)
+        assert oracles.representation_first_failure(g.structure_constants,
+                                                    rep.action) == (True, None)
+
+
+def test_broken_representations_fail_where_the_dense_oracle_does():
+    rng = random.Random(1409)
+    failures = set()
+    for g in (SL2, sl3_from_matrix_units()):
+        action = list(g.representations["fundamental"].action)
+        for _ in range(12):
+            broken = list(action)
+            if rng.random() < 0.5:
+                i, j = rng.sample(range(g.dim), 2)
+                broken[i], broken[j] = broken[j], broken[i]
+            else:
+                i = rng.randrange(g.dim)
+                s = Fraction(rng.choice((-2, 0, 3)), rng.choice((1, 2)))
+                broken[i] = tuple(tuple(s * x for x in r) for r in broken[i])
+            got = check_representation(g, Representation(len(action[0]), tuple(broken)))
+            assert got == oracles.representation_first_failure(g.structure_constants, broken)
+            failures.add(got)
+    assert len(failures) >= 4  # the first failing bracket varies
+
+
 def test_builtin_lookup():
     assert builtin_algebra("sl2").name == "sl2"
     assert builtin_algebra("abelian5").dim == 5

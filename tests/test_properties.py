@@ -1,11 +1,16 @@
-"""Property tests: arbitrary JSON on the stdin of the CLI verbs."""
+"""Property tests: arbitrary JSON on the stdin of the CLI verbs, JSON
+round trips, and canonical forms under relabeling."""
 
 import io
 import json
 
 import pytest
 
+import oracles
 from weightsys import cli
+from weightsys.algebra import DiagramVector, vector_from_json, vector_to_json
+from weightsys.diagrams import (canonicalize, diagram_from_json, diagram_to_json,
+                                enumerate_diagrams)
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -56,3 +61,37 @@ def test_any_json_on_stdin_exits_with_a_documented_status(cache, verb, payload):
     assert status in range(6)
     if status:
         assert set(out["error"]) == {"code", "message"}
+
+
+# Diagrams with every structural feature, and the classes of small pieces
+# (zero ones included), drawn under a random relabeling.
+_POPULATION = ([d for d, _ in oracles.corpus()]
+               + [d for t in (2, 4) for d in enumerate_diagrams("A", total=t)]
+               + [d for v, l in ((2, 2), (4, 0), (3, 1), (2, 4))
+                  for d in enumerate_diagrams("B", v=v, l=l)])
+_RELABELED = st.builds(oracles.relabel_randomly, st.sampled_from(_POPULATION),
+                       st.randoms(use_true_random=False))
+_COEFFS = st.fractions(max_denominator=12).filter(bool) | st.integers(-5, 5)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(relabeled=_RELABELED)
+def test_diagram_json_round_trip(relabeled):
+    d, _ = relabeled
+    assert diagram_from_json(diagram_to_json(d)) == d
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(terms=st.lists(st.tuples(_RELABELED, _COEFFS), max_size=4))
+def test_vector_json_round_trip(terms):
+    vec = DiagramVector((d, c) for (d, _), c in terms)
+    assert vector_from_json(json.loads(json.dumps(vector_to_json(vec)))) == vec
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(d=st.sampled_from(_POPULATION), rng=st.randoms(use_true_random=False))
+def test_canonical_form_is_invariant_under_relabeling(d, rng):
+    relabeled, parity = oracles.relabel_randomly(d, rng)
+    base, got = canonicalize(d), canonicalize(relabeled)
+    assert got.diagram == base.diagram
+    assert got.sign == base.sign * parity
