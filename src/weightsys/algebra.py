@@ -153,6 +153,18 @@ class DiagramVector:
         return f"DiagramVector({body or '0'})"
 
 
+def _terms(x):
+    """(diagram, coefficient) pairs of x: a lone Diagram as labeled, a
+    vector's stored terms as stored.  A weight system already respects
+    antisymmetry and the relations, and every structural map commutes with
+    relabeling and canonicalizes its output, so no canonical form is needed."""
+    if isinstance(x, Diagram):
+        return ((x, 1),)
+    if isinstance(x, DiagramVector):
+        return x._terms.items()
+    raise TypeError("expected a Diagram or DiagramVector")
+
+
 # ---------------------------------------------------------------------------
 # JSON
 
@@ -372,7 +384,7 @@ class QuotientBasis:
     def _coords(self, vec: DiagramVector) -> dict:
         coords = {}
         for d, c in vec._terms.items():
-            base = d.without_loops()
+            base = d.with_loops(0)
             i = self._index.get(base._key)
             if i is None:
                 raise DiagramError(
@@ -407,7 +419,7 @@ class QuotientBasis:
     def coordinates(self, vec: DiagramVector) -> list:
         """Coefficients of ``reduce(vec)`` over ``basis`` (loop-stripped)."""
         red = self.reduce(vec)
-        cols = {d.without_loops()._key: c for d, c in red._terms.items()}
+        cols = {d.with_loops(0)._key: c for d, c in red._terms.items()}
         return [cols.get(b._key, _ZERO) for b in self.basis]
 
     # --- serialization ---------------------------------------------------
@@ -492,7 +504,6 @@ def reduce_vector(vec: DiagramVector, cache_dir=None, max_steps=None) -> Diagram
     return out
 
 
-def equal_mod_relations(v1: DiagramVector, v2: DiagramVector, cache_dir=None,
-                        max_steps=None) -> bool:
+def equal_mod_relations(v1: DiagramVector, v2: DiagramVector, cache_dir=None) -> bool:
     """Whether two vectors agree modulo antisymmetry and the local relations."""
-    return not reduce_vector(v1 - v2, cache_dir=cache_dir, max_steps=max_steps)
+    return not reduce_vector(v1 - v2, cache_dir=cache_dir)

@@ -40,10 +40,6 @@ def basis_filename(key) -> str:
     return f"basis_A_total{key[1]}.json"
 
 
-def encode(payload: dict) -> bytes:
-    return (json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
 def load_basis(dirpath: str, key):
     """The stored payload for ``key``, or None if absent, unreadable, or
     written under different conventions."""
@@ -71,7 +67,8 @@ def save_basis(dirpath: str, key, payload: dict) -> str:
     fd, tmp = tempfile.mkstemp(dir=dirpath, prefix=".tmp-basis-")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(encode(payload))
+            fh.write((json.dumps(payload, sort_keys=True, separators=(",", ":"))
+                      + "\n").encode())
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -73,10 +73,6 @@ def _error(code, message):
     return {"error": {"code": code, "message": message}}
 
 
-def _read_stdin_json(stdin):
-    return json.loads(stdin.read())
-
-
 def _resolve_cache(ns) -> str:
     return ns.cache_dir or default_cache_dir()
 
@@ -109,7 +105,7 @@ def _cmd_basis(ns, stdin):
 
 
 def _cmd_reduce(ns, stdin):
-    vec = vector_from_json(_read_stdin_json(stdin))
+    vec = vector_from_json(json.loads(stdin.read()))
     red = reduce_vector(vec, cache_dir=_resolve_cache(ns),
                         max_steps=ns.max_steps)
     return {"terms": vector_to_json(red)}, EXIT_OK
@@ -117,13 +113,13 @@ def _cmd_reduce(ns, stdin):
 
 def _cmd_chi(ns, stdin):
     from .maps import chi
-    vec = vector_from_json(_read_stdin_json(stdin))
+    vec = vector_from_json(json.loads(stdin.read()))
     return {"terms": vector_to_json(chi(vec))}, EXIT_OK
 
 
 def _cmd_close(ns, stdin):
     from .maps import closure
-    vec = vector_from_json(_read_stdin_json(stdin))
+    vec = vector_from_json(json.loads(stdin.read()))
     out = closure(vec, **_given(pair_weight=ns.pair_weight))
     return {"terms": vector_to_json(out)}, EXIT_OK
 
@@ -136,13 +132,13 @@ def _two_vectors(obj):
 
 def _cmd_cap(ns, stdin):
     from .maps import cap
-    left, right = _two_vectors(_read_stdin_json(stdin))
+    left, right = _two_vectors(json.loads(stdin.read()))
     return {"terms": vector_to_json(cap(left, right))}, EXIT_OK
 
 
 def _cmd_connect_sum(ns, stdin):
     from .maps import connect_sum
-    left, right = _two_vectors(_read_stdin_json(stdin))
+    left, right = _two_vectors(json.loads(stdin.read()))
     return {"terms": vector_to_json(connect_sum(left, right))}, EXIT_OK
 
 
@@ -154,7 +150,7 @@ def _cmd_omega(ns, stdin):
 def _cmd_eval(ns, stdin):
     from .lie import (evaluate, evaluate_closed, resolve_algebra,
                       resolve_representation)
-    obj = _read_stdin_json(stdin)
+    obj = json.loads(stdin.read())
     if isinstance(obj, dict) and "space" in obj:
         vec = DiagramVector.single(diagram_from_json(obj))
     else:

@@ -113,11 +113,6 @@ class Diagram:
         if self.skeleton:
             yield from self.skeleton
 
-    def without_loops(self) -> "Diagram":
-        if self.free_loops == 0:
-            return self
-        return Diagram(self.space, self.triples, self.legs, self.skeleton, self.pairing, 0)
-
     def with_loops(self, k: int) -> "Diagram":
         if k == self.free_loops:
             return self
@@ -242,8 +237,9 @@ def _component_search(triples, legs, skeleton, partner):
     All half-edges are assumed relabeled 0..n-1, with ``partner[h]`` the
     partner of ``h``; the arguments are tuples, and equal arguments are
     answered from the cache (one entry per normalized component). Returns
-    ``(sig, sign, relabel, nstates, struts)`` where ``relabel[h]`` is the
-    canonical label of half-edge ``h``, ``sig`` is a flat integer tuple that
+    ``(sig, sign, edges, nstates, struts)`` where ``edges`` is the sorted
+    flat tuple ``(x0, y0, x1, y1, ...)``, x < y, of the component's edges
+    under the first minimal labeling, ``sig`` is a flat integer tuple that
     determines the component up to isomorphism, and ``sign`` is +1/-1/0.
 
     The labeling family searched: choose a rotation of the skeleton (the
@@ -399,7 +395,10 @@ def _component_search(triples, legs, skeleton, partner):
     signs = {state[3] for state in states}
     sign = 0 if len(signs) == 2 else signs.pop()
     struts = sum(1 for g in legs if partner[g] in legset and partner[g] > g)
-    return tuple(sig), sign, states[0][0], len(states), struts
+    lab = states[0][0]
+    edges = sorted((lab[h], lab[p]) if lab[h] < lab[p] else (lab[p], lab[h])
+                   for h, p in enumerate(partner) if h < p)
+    return tuple(sig), sign, tuple(itertools.chain.from_iterable(edges)), len(states), struts
 
 
 def _min_rotation(t):
@@ -416,8 +415,8 @@ def _canon_component(triples, legs, skeleton, hes, pmap):
     nlegs = tuple(sorted(norm[g] for g in legs))
     nskel = tuple(norm[h] for h in skeleton) if skeleton is not None else None
     npart = tuple(norm[pmap[h]] for h in hes)
-    sig, sign, rel, nstates, struts = _component_search(ntrip, nlegs, nskel, npart)
-    return (sig, sign, dict(zip(hes, rel)), len(ntrip), len(nlegs),
+    sig, sign, edges, nstates, struts = _component_search(ntrip, nlegs, nskel, npart)
+    return (sig, sign, edges, len(ntrip), len(nlegs),
             len(nskel) if nskel is not None else 0, nstates, struts)
 
 
@@ -428,7 +427,8 @@ def _split_components(d: Diagram):
     the skeleton circle (a synthetic empty one when an A-diagram has no
     skeleton half-edges; ``None`` in B-space) and ``floats`` is the list of
     the remaining components sorted by signature. Entries are tuples
-    ``(sig, sign, relabel, v, l, e, nstates, struts)``.
+    ``(sig, sign, edges, v, l, e, nstates, struts)``, ``edges`` as
+    :func:`_component_search` gives them.
     """
     pmap = d.partner_map
     triple_of = {h: t for t in d.triples for h in t}
@@ -471,7 +471,7 @@ def _split_components(d: Diagram):
             floats.append(_canon_component(ctrip, clegs, None, hes, pmap))
     if d.space == "A" and sk_comp is None:
         # bare circle: an empty skeleton component
-        sk_comp = ((0, 0, 0, 0), 1, {}, 0, 0, 0, 1, 0)
+        sk_comp = ((0, 0, 0, 0), 1, (), 0, 0, 0, 1, 0)
     floats.sort(key=lambda c: c[0])
     return sk_comp, floats
 
@@ -494,28 +494,26 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     e = ordered[0][5] if d.space == "A" else 0
     vtot = sum(c[3] for c in ordered)
     sign = 1
-    global_map = {}
+    pairing = []
     vbase = 0
     lbase = e + 3 * vtot
-    for sig, s, relabel, cv, cl, ce, _, _ in ordered:
+    for sig, s, edges, cv, cl, ce, _, _ in ordered:
         sign = sign * s
-        voff = e + 3 * vbase - ce  # mini vertex label x -> global x - ce + e + 3*vbase
+        # skeleton labels (only the circle component's) stay, the component's
+        # vertex and leg blocks move to theirs; the shift keeps x < y
+        voff = e + 3 * vbase - ce
         loff = lbase - ce - 3 * cv
-        for h, x in relabel.items():
-            if x < ce:
-                global_map[h] = x  # skeleton labels (only the circle component)
-            elif x < ce + 3 * cv:
-                global_map[h] = x + voff
-            else:
-                global_map[h] = x + loff
+        labels = iter([x if x < ce else x + voff if x < ce + 3 * cv else x + loff
+                       for x in edges])
+        pairing.extend(zip(labels, labels))
         vbase += cv
         lbase += cl
+    pairing.sort()
 
     triples = tuple((e + 3 * i, e + 3 * i + 1, e + 3 * i + 2) for i in range(vtot))
     ltot = sum(c[4] for c in ordered)
     legs = tuple(range(e + 3 * vtot, e + 3 * vtot + ltot))
     skeleton = tuple(range(e)) if d.space == "A" else None
-    pairing = sorted(tuple(sorted((global_map[a], global_map[b]))) for a, b in d.pairing)
     return CanonicalForm(Diagram(d.space, triples, legs, skeleton, tuple(pairing),
                                  d.free_loops), sign)
 
@@ -742,7 +740,7 @@ def enumerate_diagrams(space, v=None, l=None, e=None, total=None, max_steps=None
     else:
         splits = ((total - vv, vv, 0) for vv in range(total + 1))
     # each split is sorted, and the splits come in the order of sort_key
-    return [d for nsk, nv, nl in splits if (nsk + 3 * nv + nl) % 2 == 0
+    return [d for nsk, nv, nl in splits
             for d, nonzero in _enumerate_split_full(space, nsk, nv, nl, max_steps)
             if nonzero]
 

@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import DiagramVector, _rref
-from .diagrams import Diagram
+from .algebra import _rref, _terms
+from .diagrams import DEFAULT_MAX_STEPS, Diagram
 from .errors import LieAlgebraError, ResourceLimitError, SpaceMismatchError
 from .tensor import ContractionPlan, SparseTensor, contract_network, plan_contraction
 
@@ -63,9 +63,6 @@ class Representation:
 
     dim_V: int
     action: tuple  # dim matrices, each dim_V x dim_V
-
-    def matrix(self, i):
-        return self.action[i]
 
 
 @dataclass(frozen=True)
@@ -290,14 +287,20 @@ def abelian(dim: int) -> MetricLieAlgebra:
 
 
 def builtin_algebra(name: str) -> MetricLieAlgebra:
-    """Resolve a built-in algebra name: 'sl2' or 'abelian<k>'."""
+    """Resolve a built-in algebra name: 'sl2' or 'abelian<k>'.  An
+    'abelian<k>' whose k^3 dense structure constants (all scanned by
+    ``check_lie``) pass ``DEFAULT_MAX_STEPS`` raises ``ResourceLimitError``
+    before anything is built."""
     if name == "sl2":
         return sl2()
     if name.startswith("abelian"):
-        try:
-            return abelian(int(name[len("abelian"):] or "1"))
-        except ValueError:
-            pass
+        digits = name[len("abelian"):] or "1"
+        k = int(digits) if digits.isdecimal() else 0
+        if k ** 3 > DEFAULT_MAX_STEPS:
+            raise ResourceLimitError(
+                f"{name} has more than {DEFAULT_MAX_STEPS} structure constants")
+        if k:
+            return abelian(k)
     raise LieAlgebraError(f"unknown built-in algebra {name!r}")
 
 
@@ -509,17 +512,6 @@ def naive_cost(d: Diagram, dim_g: int) -> int:
     return dim_g ** len(d.pairing)
 
 
-def _terms(x):
-    """(diagram, coefficient) pairs of x: a lone Diagram as labeled, a
-    vector's stored terms as stored.  A weight system already respects
-    antisymmetry and the relations, so no canonical form is needed."""
-    if isinstance(x, Diagram):
-        return ((x, 1),)
-    if isinstance(x, DiagramVector):
-        return x._terms.items()
-    raise TypeError("expected a Diagram or DiagramVector")
-
-
 def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
                      rep: Representation | None, max_cost: int) -> Fraction:
     """Weight of x, each term's network planned and contracted as labeled."""
@@ -600,7 +592,7 @@ def evaluate_naive(x, g: MetricLieAlgebra,
                                 for j in range(rep.dim_V))
                           for i in range(rep.dim_V))
                 for h in d.skeleton:
-                    m = _mat_mul(m, rep.matrix(idx[h]))
+                    m = _mat_mul(m, rep.action[idx[h]])
                 w *= sum(m[i][i] for i in range(rep.dim_V))
             sub += w
         total += coeff * sub * Fraction(g.dim) ** d.free_loops

@@ -14,7 +14,8 @@
   from them.
 
 Every map expands its input term by term through one walk, ``_expand``,
-which checks each term's space once; the two products share one
+which checks each term's space once and takes a lone Diagram as labeled
+(no canonical search first); the two products share one
 side-by-side builder. Gluing two legs fuses their incident edges; chains
 of fused struts that close up entirely are recorded in ``free_loops``.
 """
@@ -25,10 +26,10 @@ import itertools
 import math
 from fractions import Fraction
 
-from .algebra import DiagramVector
+from .algebra import DiagramVector, _terms
 from .diagrams import (DEFAULT_MAX_STEPS, Diagram, _perfect_matchings, _require_non_negative,
                        empty_diagram)
-from .errors import DiagramError, ResourceLimitError, SpaceMismatchError
+from .errors import ResourceLimitError, SpaceMismatchError
 
 __all__ = [
     "strut", "theta", "wheel",
@@ -71,13 +72,10 @@ def wheel(k: int) -> Diagram:
 # the expansion walk and products
 
 
-def _as_vector(x) -> DiagramVector:
-    return x if isinstance(x, DiagramVector) else DiagramVector.single(x)
-
-
 def _checked_terms(x, space, message):
-    """The stored terms (d, c) of x, each checked to lie in ``space``."""
-    for d, c in _as_vector(x)._terms.items():
+    """The terms (d, c) of x, a lone Diagram as labeled, each checked to lie
+    in ``space``."""
+    for d, c in _terms(x):
         if d.space != space:
             raise SpaceMismatchError(message)
         yield d, c
@@ -155,16 +153,11 @@ def chi(x) -> DiagramVector:
 
 
 def _glue(d: Diagram, pairs) -> Diagram:
-    """Glue the given leg pairs of one diagram: each glued pair fuses its
-    two incident edges into one; chains closing entirely among glued legs
-    become free loops."""
+    """Glue the given disjoint pairs of legs of one diagram: each glued
+    pair fuses its two incident edges into one; chains closing entirely
+    among glued legs become free loops."""
     mate = {}
-    legset = set(d.legs)
     for x, y in pairs:
-        if x not in legset or y not in legset:
-            raise DiagramError("gluing is only defined on legs")
-        if x in mate or y in mate or x == y:
-            raise DiagramError("gluing pairs must be disjoint")
         mate[x] = y
         mate[y] = x
     pmap = d.partner_map
@@ -272,8 +265,7 @@ def exp_disjoint(x, vmax: int) -> DiagramVector:
     vmax internal vertices. Every term of x must have at least one vertex
     (otherwise the series would not terminate)."""
     _require_non_negative(vmax=vmax)
-    x = _as_vector(x)
-    if any(d.v == 0 for d in x._terms):
+    if any(d.v == 0 for d, _ in _terms(x)):
         raise ValueError("exp needs every term to carry internal vertices")
     out = term = DiagramVector.single(empty_diagram())
     k = 0

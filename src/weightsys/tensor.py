@@ -54,10 +54,6 @@ class SparseTensor:
         self.nums = {k: v.numerator * (self.den // v.denominator)
                      for k, v in self.data.items()}
 
-    @classmethod
-    def scalar(cls, value) -> "SparseTensor":
-        return cls((), {(): Fraction(value)})
-
     def item(self) -> Fraction:
         if self.shape:
             raise ValueError("tensor has free axes; not a scalar")
@@ -180,7 +176,7 @@ def contract_network(tensors, edges, plan: ContractionPlan) -> SparseTensor:
     """
     tensors = list(tensors)
     if not tensors:
-        return SparseTensor.scalar(1)
+        return SparseTensor((), {(): 1})
     # edge e labels both of its axes e; a free axis keeps its own (node, axis)
     labels = [[(i, p) for p in range(len(t.shape))] for i, t in enumerate(tensors)]
     for e, ((i, ai), (j, aj)) in enumerate(edges):

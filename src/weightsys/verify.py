@@ -18,8 +18,6 @@ from .algebra import (DiagramVector, _rref, equal_mod_relations,
 from .diagrams import (Diagram, _require_non_negative, empty_diagram,
                        enumerate_diagrams, validate)
 from .errors import GradingMismatchError, LieAlgebraError, ResourceLimitError
-from .lie import (DEFAULT_MAX_COST, evaluate, resolve_algebra,
-                  resolve_representation)
 from .maps import cap, chi, closure, connect_sum, disjoint_union, omega, strut, wheel
 
 # The one global sign fixed by this package's orientation conventions: the
@@ -68,7 +66,10 @@ def _flip_first_vertex(d: Diagram) -> Diagram:
 def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
                      max_cost: int | None = None) -> dict:
     """With no ``max_cost``, every contraction is bounded by
-    ``DEFAULT_MAX_COST`` as it stands when the suite runs."""
+    ``DEFAULT_MAX_COST`` as it stands when the suite runs.  Only this suite
+    evaluates weights, so only it loads the weight layer."""
+    from .lie import DEFAULT_MAX_COST, evaluate, resolve_algebra, resolve_representation
+
     _require_non_negative(max_total=max_total)
     if max_cost is None:
         max_cost = DEFAULT_MAX_COST

@@ -184,18 +184,31 @@ def test_canonical_search_on_random_layouts():
     assert brute >= 200
 
 
-def test_components_match_the_fixed_point_merge():
-    """Each component's relabel map covers exactly one component's half-edges,
+def test_components_match_the_fixed_point_merge(monkeypatch):
+    """Each component canonicalized covers exactly one component's half-edges,
     the circle's component among them, on the corpus and on random layouts
     (most of them disconnected, many with tadpoles)."""
+    calls = []
+    canon_component = diagrams._canon_component
+
+    def recorded(triples, legs, skeleton, hes, pmap):
+        calls.append((skeleton is not None, hes))
+        return canon_component(triples, legs, skeleton, hes, pmap)
+
+    monkeypatch.setattr(diagrams, "_canon_component", recorded)
     rng = random.Random(61)
     ds = [d for d, _ in oracles.corpus()] + [random_layout(rng) for _ in range(300)]
     for d in ds:
+        calls.clear()
         sk_comp, floats = diagrams._split_components(d)
-        found = [c[2].keys() for c in floats]
+        found = [hes for on_circle, hes in calls if not on_circle]
+        assert len(found) == len(floats), d
+        circle = [hes for on_circle, hes in calls if on_circle]
         if d.skeleton:
-            assert set(d.skeleton) <= sk_comp[2].keys(), d
-            found.append(sk_comp[2].keys())
+            assert len(circle) == 1 and set(d.skeleton) <= set(circle[0]), d
+            found.append(circle[0])
+        else:
+            assert not circle, d
         assert len(found) == len(set(map(frozenset, found))), d
         assert set(map(frozenset, found)) == oracles.components_naive(d), d
 

@@ -78,6 +78,21 @@ def test_a_call_loads_the_core_and_the_layers_its_verb_runs(tmp_path, verb):
     assert loaded_modules(json.dumps(argv), stdin) == (0, CORE | {"weightsys.cli"} | layers)
 
 
+# suite -> (its options, the layers it loads beyond the core): only the
+# relations suite evaluates weights
+SUITES = {
+    "wheeling": ([], {"weightsys.verify", "weightsys.maps"}),
+    "closure-omega": (["--vmax", "2"], {"weightsys.verify", "weightsys.maps"}),
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_a_verify_suite_loads_the_layers_it_runs(tmp_path, suite):
+    options, layers = SUITES[suite]
+    argv = ["verify", suite, *options, "--cache-dir", str(tmp_path)]
+    assert loaded_modules(json.dumps(argv), "") == (0, CORE | {"weightsys.cli"} | layers)
+
+
 def test_every_public_name_resolves():
     names = {}
     exec("from weightsys import *", names)

@@ -5,6 +5,7 @@ package's own term-by-term expansion, against the independent brute-force
 oracle, and against hand-computed scalar values.
 """
 
+import io
 import itertools
 import random
 from fractions import Fraction
@@ -17,7 +18,7 @@ from weightsys.diagrams import (bare_circle, canonicalize, enumerate_diagrams,
                                 validate)
 from weightsys.errors import (GradingMismatchError, LieAlgebraError,
                               ResourceLimitError, SpaceMismatchError)
-from weightsys import algebra, diagrams, lie, verify
+from weightsys import algebra, cli, diagrams, lie, verify
 from weightsys.lie import (MetricLieAlgebra, Representation, abelian,
                            builtin_algebra, check_lie, check_representation,
                            contraction_plan, derive_tensors, evaluate,
@@ -325,6 +326,25 @@ def test_builtin_lookup():
         builtin_algebra("so3000x")
 
 
+def test_an_abelian_name_past_the_work_budget_is_refused_before_building(monkeypatch):
+    # abelian<k> has k^3 structure constants: 126^3 is the first cube past
+    # DEFAULT_MAX_STEPS (2,000,000); nothing may be built for it
+    def refused(dim):
+        raise AssertionError(f"built abelian({dim})")
+
+    monkeypatch.setattr(lie, "abelian", refused)
+    for name in ("abelian126", "abelian1000000"):
+        with pytest.raises(ResourceLimitError, match=f"^{name} has more than 2000000 "):
+            builtin_algebra(name)
+    # the CLI exits 4, also for a k with more digits than the interpreter converts
+    for name in ("abelian126", "abelian1000000", "abelian" + "9" * 5000):
+        out, status = cli._respond(["eval", "--algebra", name],
+                                   io.StringIO('{"space": "B"}'))
+        assert (status, out["error"]["code"]) == (4, "resource-cutoff")
+    with pytest.raises(LieAlgebraError, match="unknown built-in algebra"):
+        builtin_algebra("abelian0")
+
+
 def test_default_representation_is_fundamental_else_first_by_name():
     triv = abelian(3).representations["trivial"]
 
@@ -557,7 +577,7 @@ def test_verify_relations_is_bounded(monkeypatch):
 
     assert cutoffs(verify_relations(max_total=2, max_cost=0))
     # with no bound given, run_suite applies the default one
-    monkeypatch.setattr(verify, "DEFAULT_MAX_COST", 0)
+    monkeypatch.setattr(lie, "DEFAULT_MAX_COST", 0)
     assert cutoffs(verify.run_suite("relations", max_total=2))
 
 

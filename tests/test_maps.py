@@ -184,6 +184,21 @@ def test_chi_preserves_loops_and_mismatched_space_raises():
         chi(V(a_chord()))
 
 
+def test_a_lone_zero_diagram_from_the_wrong_space_raises():
+    # a two-tadpole dumbbell beside the bare circle: zero by antisymmetry,
+    # but still a circle-space diagram
+    dumbbell = validate("A", internal=[(0, 1, 2), (3, 4, 5)], skeleton=[],
+                        pairing=[(0, 1), (2, 3), (4, 5)])
+    assert canonicalize(dumbbell).sign == 0
+    for apply, message in ((chi, "symmetrization starts from leg-space diagrams"),
+                           (closure, "closure acts on leg-space diagrams"),
+                           (lambda x: cap(x, S), "capping acts on leg-space diagrams"),
+                           (lambda x: disjoint_union(S, x),
+                            "disjoint union is a leg-space product")):
+        with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+            apply(dumbbell)
+
+
 # ---------------------------------------------------------------------------
 # closures
 

@@ -11,6 +11,7 @@ from weightsys import cli
 from weightsys.algebra import DiagramVector, vector_from_json, vector_to_json
 from weightsys.diagrams import (canonicalize, diagram_from_json, diagram_to_json,
                                 enumerate_diagrams)
+from weightsys.maps import cap, chi, closure, connect_sum, disjoint_union, exp_disjoint
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -95,3 +96,31 @@ def test_canonical_form_is_invariant_under_relabeling(d, rng):
     base, got = canonicalize(d), canonicalize(relabeled)
     assert got.diagram == base.diagram
     assert got.sign == base.sign * parity
+
+
+# Each map, with a fixed vector on the other side of a product, and the
+# corpus diagrams of its space (those with vertices for exp_disjoint).
+_LEGS = [d for d, _ in oracles.corpus() if d.space == "B"]
+_CIRCLE = [d for d, _ in oracles.corpus() if d.space == "A"]
+_STRUT = DiagramVector.single(oracles.strut())
+_W2 = DiagramVector.single(oracles.wheel(2))
+_CHORD = DiagramVector.single(oracles.chord())
+_MAPS = {
+    "chi": (chi, _LEGS),
+    "closure": (lambda x: closure(x, pair_weight=2), _LEGS),
+    "cap-from": (lambda x: cap(x, disjoint_union(_W2, _W2)), _LEGS),
+    "cap-into": (lambda x: cap(_W2, x), _LEGS),
+    "disjoint_union-left": (lambda x: disjoint_union(x, _STRUT), _LEGS),
+    "disjoint_union-right": (lambda x: disjoint_union(_W2, x), _LEGS),
+    "connect_sum-left": (lambda x: connect_sum(x, _CHORD), _CIRCLE),
+    "connect_sum-right": (lambda x: connect_sum(_CHORD, x), _CIRCLE),
+    "exp_disjoint": (lambda x: exp_disjoint(x, 6), [d for d in _LEGS if d.v]),
+}
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(name=st.sampled_from(sorted(_MAPS)), rng=st.randoms(use_true_random=False))
+def test_a_map_takes_a_lone_diagram_as_its_one_term_vector(name, rng):
+    apply, pool = _MAPS[name]
+    d, _ = oracles.relabel_randomly(rng.choice(pool), rng)
+    assert apply(d) == apply(DiagramVector.single(d))
