@@ -36,8 +36,8 @@ __version__ = "0.1.0"
 _LAZY = {name: module for module, names in (
     ("lie", "MetricLieAlgebra Representation StructureTensors abelian "
             "builtin_algebra check_lie check_representation contraction_plan "
-            "derive_tensors evaluate evaluate_closed evaluate_naive "
-            "lie_algebra_from_json lie_algebra_to_json naive_cost sl2"),
+            "derive_tensors evaluate evaluate_closed lie_algebra_from_json "
+            "lie_algebra_to_json sl2"),
     ("maps", "cap chi closure connect_sum disjoint_union exp_disjoint "
              "modified_bernoulli omega strut theta wheel wheels_vector"),
     ("tensor", "ContractionPlan SparseTensor contract_network plan_contraction"),

@@ -23,6 +23,7 @@ each part is reduced with loops stripped, and loops are reattached.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from . import cache as cache_mod
@@ -34,7 +35,7 @@ from .diagrams import (
     diagram_to_json,
     enumerate_diagrams,
 )
-from .errors import DiagramError, GradingMismatchError
+from .errors import DiagramError, GradingMismatchError, ResourceLimitError
 
 __all__ = [
     "DiagramVector",
@@ -169,17 +170,28 @@ def _terms(x):
 # JSON
 
 
-def _coeff_from_json(x) -> Fraction:
-    if isinstance(x, bool) or isinstance(x, float):
-        raise DiagramError(f"coefficients must be exact rationals, got {x!r}")
-    if isinstance(x, int):
+def _rational(x, error) -> Fraction:
+    """An exact rational read from JSON: an integer, a Fraction, or a
+    string such as '3', '-2/5', '0.5' or '1e3'.  Floats, booleans, other
+    types and malformed strings raise ``error``.  A string whose exponent,
+    or whose digits, pass the interpreter's integer conversion limit
+    raises ``ResourceLimitError``, the exponent before any arithmetic."""
+    if isinstance(x, (bool, float)) or not isinstance(x, (int, str, Fraction)):
+        raise error(f"expected an exact rational (an integer or a 'p/q' string), got {x!r}")
+    if not isinstance(x, str):
         return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DiagramError(f"bad rational literal {x!r}") from exc
-    raise DiagramError(f"coefficients must be exact rationals, got {x!r}")
+    limit = sys.get_int_max_str_digits()
+    try:
+        _, e, exp = x.lower().partition("e")
+        if e and limit and abs(int(exp)) >= limit:
+            raise ResourceLimitError(
+                f"a rational literal's exponent names more than {limit} digits")
+        return Fraction(x)
+    except (ValueError, ZeroDivisionError) as exc:
+        if "integer string conversion" in str(exc):
+            raise ResourceLimitError(
+                f"a rational literal has more than {limit} digits") from None
+        raise error(f"bad rational literal {x!r}") from None
 
 
 def vector_from_json(obj) -> DiagramVector:
@@ -193,7 +205,8 @@ def vector_from_json(obj) -> DiagramVector:
     for entry in obj:
         if not isinstance(entry, dict) or "coeff" not in entry or "diagram" not in entry:
             raise DiagramError("vector entries need 'coeff' and 'diagram' fields")
-        items.append((diagram_from_json(entry["diagram"]), _coeff_from_json(entry["coeff"])))
+        items.append((diagram_from_json(entry["diagram"]),
+                      _rational(entry["coeff"], DiagramError)))
     return DiagramVector(items)
 
 
@@ -436,8 +449,10 @@ class QuotientBasis:
     @classmethod
     def from_payload(cls, payload: dict) -> "QuotientBasis":
         diagrams = [diagram_from_json(o) for o in payload["diagrams"]]
-        pivots = {int(c): {int(cc): Fraction(vv) for cc, vv in row.items()}
+        pivots = {int(c): {int(cc): _rational(vv, ValueError) for cc, vv in row.items()}
                   for c, row in payload["pivots"].items()}
+        if not all(0 <= i < len(diagrams) for c, row in pivots.items() for i in (c, *row)):
+            raise ValueError("a pivot indexes no diagram of the piece")
         return cls(payload["space"], payload["grading"], diagrams, pivots)
 
 
@@ -462,7 +477,7 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
             try:
                 _basis_memo[key] = QuotientBasis.from_payload(payload)
                 return _basis_memo[key]
-            except (KeyError, TypeError, ValueError, AttributeError, ZeroDivisionError):
+            except (KeyError, TypeError, ValueError, AttributeError, ResourceLimitError):
                 pass  # an undecodable payload is a miss: recomputed and overwritten
     if space == "B":
         diagrams = enumerate_diagrams("B", v=v, l=l, max_steps=max_steps)

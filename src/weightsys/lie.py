@@ -24,7 +24,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .algebra import _rref, _terms
+from .algebra import _rational, _rref, _terms
 from .diagrams import DEFAULT_MAX_STEPS, Diagram
 from .errors import LieAlgebraError, ResourceLimitError, SpaceMismatchError
 from .tensor import ContractionPlan, SparseTensor, contract_network, plan_contraction
@@ -35,26 +35,11 @@ _ONE = Fraction(1)
 DEFAULT_MAX_COST = 50_000_000
 
 
-def _fraction(x):
-    """Exact scalar from JSON-ish input; floats are refused outright."""
-    if isinstance(x, bool) or isinstance(x, float):
-        raise LieAlgebraError(
-            "only exact rationals are accepted (integers or 'p/q' strings)")
-    if isinstance(x, (int, Fraction)):
-        return Fraction(x)
-    if isinstance(x, str):
-        try:
-            return Fraction(x)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise LieAlgebraError(f"bad rational literal {x!r}") from exc
-    raise LieAlgebraError(f"bad rational value {x!r}")
-
-
 def _matrix(rows, n, m, what):
     if not (isinstance(rows, (list, tuple)) and len(rows) == n
             and all(isinstance(r, (list, tuple)) and len(r) == m for r in rows)):
         raise LieAlgebraError(f"{what} must be {n}x{m}")
-    return tuple(tuple(_fraction(x) for x in r) for r in rows)
+    return tuple(tuple(_rational(x, LieAlgebraError) for x in r) for r in rows)
 
 
 @dataclass(frozen=True)
@@ -198,12 +183,6 @@ def _require_valid(g: MetricLieAlgebra, rep: Representation | None = None):
         ok, detail = check_representation(g, rep)
     if not ok:
         raise LieAlgebraError(detail)
-
-
-def _mat_mul(a, b):
-    m, n, p = len(a), len(b), len(b[0])
-    return tuple(tuple(sum(a[i][k] * b[k][j] for k in range(n))
-                       for j in range(p)) for i in range(m))
 
 
 def _invert(m):
@@ -507,11 +486,6 @@ def contraction_plan(d: Diagram, dims) -> ContractionPlan:
     return plan_contraction(shapes, edges)
 
 
-def naive_cost(d: Diagram, dim_g: int) -> int:
-    """Index assignments enumerated by term-by-term expansion."""
-    return dim_g ** len(d.pairing)
-
-
 def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
                      rep: Representation | None, max_cost: int) -> Fraction:
     """Weight of x, each term's network planned and contracted as labeled."""
@@ -550,50 +524,3 @@ def evaluate_closed(x, g: MetricLieAlgebra, *,
                     max_cost: int = DEFAULT_MAX_COST) -> Fraction:
     """Weight of a closed leg-space diagram or vector against g alone."""
     return _evaluate_vector(x, "B", g, None, max_cost)
-
-
-def evaluate_naive(x, g: MetricLieAlgebra,
-                   rep: Representation | None = None) -> Fraction:
-    """Term-by-term expansion over all edge index assignments.
-
-    Deliberately naive; exists so the planned contraction has an in-package
-    cross-check, mirroring the independent test oracle.
-    """
-    tensors = _node_tensors(g, rep).tensors
-    nonzero_pairs = [(i, j, v) for i, row in enumerate(tensors.c_up)
-                     for j, v in enumerate(row) if v]
-    total = _ZERO
-    for d, coeff in _terms(x):
-        if d.l:
-            raise SpaceMismatchError("weights are defined for legless diagrams")
-        if d.space == "A" and rep is None:
-            raise LieAlgebraError("circle-space evaluation needs a representation")
-        edges = list(d.pairing)
-        sub = _ZERO
-        for combo in product(nonzero_pairs, repeat=len(edges)):
-            idx = {}
-            w = _ONE
-            for (h1, h2), (a, b, bw) in zip(edges, combo):
-                idx[h1] = a
-                idx[h2] = b
-                w *= bw
-            for t in d.triples:
-                fv = tensors.f.get((idx[t[0]], idx[t[1]], idx[t[2]]))
-                if not fv:
-                    w = _ZERO
-                    break
-                w *= fv
-            if not w:
-                continue
-            if d.space == "A":
-                # An empty skeleton leaves the identity, whose trace already
-                # contributes the bare-circle factor dim_V.
-                m = tuple(tuple(_ONE if i == j else _ZERO
-                                for j in range(rep.dim_V))
-                          for i in range(rep.dim_V))
-                for h in d.skeleton:
-                    m = _mat_mul(m, rep.action[idx[h]])
-                w *= sum(m[i][i] for i in range(rep.dim_V))
-            sub += w
-        total += coeff * sub * Fraction(g.dim) ** d.free_loops
-    return total

@@ -136,14 +136,17 @@ def chi(x) -> DiagramVector:
     """Average over all orders of planting the legs on a circle.
 
     A diagram with l legs maps to 1/l! times the sum of the circle-space
-    diagrams whose skeleton is one permutation of those legs. Grading is
-    preserved: (v, l) lands in total v + l. With no legs the result is the
-    diagram floating beside a bare circle.
+    diagrams whose skeleton is one permutation of those legs; as the circle
+    has no base point, the (l-1)! orders that keep the first leg first, each
+    weighted 1/(l-1)!, give the same sum. Grading is preserved: (v, l)
+    lands in total v + l. With no legs the result is the diagram floating
+    beside a bare circle.
     """
     def planted(d):
-        w = Fraction(1, math.factorial(d.l))
-        return ((Diagram._new("A", d.triples, (), perm, d.pairing, d.free_loops), w)
-                for perm in itertools.permutations(d.legs))
+        first, rest = d.legs[:1], d.legs[1:]
+        w = Fraction(1, math.factorial(len(rest)))
+        return ((Diagram._new("A", d.triples, (), first + perm, d.pairing, d.free_loops), w)
+                for perm in itertools.permutations(rest))
 
     return _expand(x, "B", "symmetrization starts from leg-space diagrams", planted)
 

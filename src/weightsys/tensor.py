@@ -46,7 +46,7 @@ class SparseTensor:
         self.shape = tuple(int(s) for s in shape)
         self.data = {}
         if data:
-            for k, v in (data.items() if isinstance(data, dict) else data):
+            for k, v in data.items():
                 v = Fraction(v)
                 if v:
                     self.data[tuple(k)] = v

@@ -30,7 +30,7 @@ class _Report:
     def __init__(self, suite):
         self.data = {"suite": suite, "pass": True, "checks": []}
 
-    def run(self, name, fn, **extra):
+    def run(self, name, fn):
         t0 = time.perf_counter()
         entry = {"name": name}
         try:
@@ -43,11 +43,9 @@ class _Report:
         entry["seconds"] = round(time.perf_counter() - t0, 3)
         if detail:
             entry.update(detail)
-        entry.update(extra)
         if not entry["pass"]:
             self.data["pass"] = False
         self.data["checks"].append(entry)
-        return entry
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +133,7 @@ def verify_chi_iso(max_total: int = 4, cache_dir=None) -> dict:
                 piece = quotient_basis("B", v=v, l=n - v, cache_dir=cache_dir)
                 dim_legs += piece.dim
                 for d in piece.basis:
-                    coords = a_basis.coordinates(chi(DiagramVector.single(d)))
+                    coords = a_basis.coordinates(chi(d))
                     rows.append({i: c for i, c in enumerate(coords) if c})
             rank = len(_rref(rows))
             entry = {"total": n, "dim_legs": dim_legs,

@@ -28,7 +28,7 @@ from weightsys.algebra import (
 )
 from weightsys.diagrams import canonicalize, enumerate_diagrams, validate
 from weightsys.errors import (DiagramError, GradingMismatchError,
-                              SpaceMismatchError)
+                              ResourceLimitError, SpaceMismatchError)
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +98,20 @@ def test_vector_json_rejects_inexact_coefficients():
     assert vector_from_json(d).coefficient(oracles.strut()) == Fraction(1, 2)
     with pytest.raises(DiagramError, match="array"):
         vector_from_json({"vectors": []})
+
+
+def test_vector_json_refuses_an_exponent_past_the_digit_limit():
+    # 10^5000 would have more digits than the interpreter converts: refused
+    # before any arithmetic, as 1e1000000000 would otherwise take hours
+    d = vector_to_json(DiagramVector.single(oracles.strut()))
+    for literal in ("1e5000", "1e-5000", "1E+5000"):
+        d[0]["coeff"] = literal
+        with pytest.raises(ResourceLimitError):
+            vector_from_json(d)
+    for literal, value in (("0.5", Fraction(1, 2)), ("1e3", 1000), ("4/2", 2),
+                           ("25e-2", Fraction(1, 4))):
+        d[0]["coeff"] = literal
+        assert vector_from_json(d).coefficient(oracles.strut()) == value
 
 
 # ---------------------------------------------------------------------------

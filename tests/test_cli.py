@@ -327,8 +327,10 @@ def test_cold_and_warm_cache_outputs_are_byte_identical(tmp_path):
     lambda p: p.update(diagrams=[7]),
     lambda p: p.update(pivots=[]),
     lambda p: p.update(pivots={"0": {"0": "1/0"}}),
+    lambda p: p.update(pivots={"0": {"0": "1e5000"}}),
+    lambda p: p.update(pivots={"1": {"1": "1"}}),
 ], ids=["no-diagrams", "diagram-not-object", "pivots-not-object",
-        "zero-denominator"])
+        "zero-denominator", "exponent-past-digit-limit", "pivot-out-of-range"])
 def test_undecodable_cache_file_is_recomputed_and_rewritten(tmp_path, corrupt):
     args = ["basis", "--space", "B", "--v", "2", "--l", "0"]
     cold = run_cli(args, cache=tmp_path)
@@ -343,6 +345,25 @@ def test_undecodable_cache_file_is_recomputed_and_rewritten(tmp_path, corrupt):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout == cold.stdout
     assert path.read_bytes() == good
+
+
+def test_cache_file_whose_pivot_row_indexes_no_diagram_is_a_miss(tmp_path):
+    args = ["basis", "--space", "B", "--v", "2", "--l", "2"]
+    cold = run_cli(args, cache=tmp_path)
+    path = tmp_path / "basis_B_v2_l2.json"
+    good = path.read_bytes()
+    payload = json.loads(good)
+    first = json.dumps([{"coeff": "1", "diagram": payload["diagrams"][0]}])
+    cold_reduced = run_cli(["reduce"], stdin_text=first, cache=tmp_path)
+    assert cold.returncode == cold_reduced.returncode == 0
+    assert json.loads(cold.stdout)["dimension"] == 2
+    payload["pivots"] = {"0": {"0": "1", "99": "1"}}
+    for call, want in ((["reduce"], cold_reduced), (args, cold)):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_cli(call, stdin_text=first, cache=tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == want.stdout
+        assert path.read_bytes() == good
 
 
 def test_cache_dir_flag_overrides_environment(tmp_path):
@@ -453,6 +474,20 @@ def test_unwritable_cache_directory_is_a_validation_error(tmp_path):
     assert str(cache) in error["message"]
     assert proc.stderr == ""
     assert [p.name for p in tmp_path.iterdir()] == ["file"]
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e-5000"])
+def test_algebra_file_with_an_exponent_past_the_digit_limit_is_a_resource_cutoff(
+        tmp_path, literal):
+    blob = lie_algebra_to_json(sl2())
+    blob["metric"][0][0] = literal
+    path = tmp_path / "algebra.json"
+    path.write_text(json.dumps(blob), encoding="utf-8")
+    proc = run_cli(["eval", "--algebra", str(path)],
+                   stdin_text=json.dumps(chord_json()), cache=tmp_path)
+    assert proc.returncode == 4, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
+    assert proc.stderr == ""
 
 
 def test_algebra_file_that_is_not_utf8_is_malformed_json(tmp_path):

@@ -3,6 +3,9 @@ round trips, and canonical forms under relabeling."""
 
 import io
 import json
+from fractions import Fraction
+from itertools import permutations
+from math import factorial
 
 import pytest
 
@@ -10,7 +13,7 @@ import oracles
 from weightsys import cli
 from weightsys.algebra import DiagramVector, vector_from_json, vector_to_json
 from weightsys.diagrams import (canonicalize, diagram_from_json, diagram_to_json,
-                                enumerate_diagrams)
+                                enumerate_diagrams, validate)
 from weightsys.maps import cap, chi, closure, connect_sum, disjoint_union, exp_disjoint
 
 pytest.importorskip("hypothesis")
@@ -124,3 +127,25 @@ def test_a_map_takes_a_lone_diagram_as_its_one_term_vector(name, rng):
     apply, pool = _MAPS[name]
     d, _ = oracles.relabel_randomly(rng.choice(pool), rng)
     assert apply(d) == apply(DiagramVector.single(d))
+
+
+# chi by its definition: 1/l! times the sum over all l! leg orders, on leg
+# diagrams of at most six legs (720 orders), each drawn relabeled
+_FEW_LEGS = _LEGS + [d for v, l in ((0, 2), (0, 4), (0, 6), (1, 3), (2, 2), (2, 4),
+                                     (3, 3), (4, 2))
+                     for d in enumerate_diagrams("B", v=v, l=l)]
+
+
+def _chi_by_definition(d):
+    w = Fraction(1, factorial(d.l))
+    return DiagramVector((validate("A", internal=d.triples, skeleton=order,
+                                   pairing=d.pairing, free_loops=d.free_loops), w)
+                         for order in permutations(d.legs))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=st.sampled_from(_FEW_LEGS), rng=st.randoms(use_true_random=False))
+def test_chi_equals_its_average_over_all_leg_orders(d, rng):
+    relabeled, _ = oracles.relabel_randomly(d, rng)
+    assert relabeled.l <= 6
+    assert chi(relabeled) == _chi_by_definition(relabeled)
