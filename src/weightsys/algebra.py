@@ -29,6 +29,9 @@ from fractions import Fraction
 from . import cache as cache_mod
 from .diagrams import (
     Diagram,
+    _canonical_and_automorphisms,
+    _edge_image,
+    _orbit_firsts,
     _require_piece,
     canonicalize,
     diagram_from_json,
@@ -239,7 +242,9 @@ def ihx_generators(diagrams) -> list:
     internal edge is taken once, from its lower-indexed vertex: read from
     w, the same rule gives the same three diagrams with the same signs
     (swap the roles of u and w, then exchange k and p, which reverses both
-    vertices). Duplicates are removed by normal form.
+    vertices). An automorphism of the base diagram maps an edge's vector
+    to +/- that of the image edge, so one edge per orbit is taken.
+    Duplicates are removed by normal form.
     """
     return _distinct(vec for d in diagrams for vec in _ihx_vectors(d))
 
@@ -253,37 +258,36 @@ def _relation(base, d2, d3) -> DiagramVector:
 
 
 def _ihx_vectors(d):
-    """The edge-rewrite vectors based at d, one per internal edge between
-    two vertices, zeros and repeats included."""
+    """The edge-rewrite vectors based at d, one per orbit of internal edges
+    between two vertices under d's automorphisms, zeros and repeats
+    included."""
     pmap = d.partner_map
-    where = {}
-    for i, t in enumerate(d.triples):
-        for j, h in enumerate(t):
-            where[h] = (i, j)
-    base = None
-    for i, t in enumerate(d.triples):
-        for j in range(3):
-            k = t[j]
-            p = pmap[k]
-            if p not in where:
-                continue
-            w, js = where[p]
-            if w <= i:
-                continue
-            a, b = t[(j + 1) % 3], t[(j + 2) % 3]
-            tw = d.triples[w]
-            c, dd = tw[(js + 1) % 3], tw[(js + 2) % 3]
-            trip2 = list(d.triples)
-            trip2[i] = (a, c, k)
-            trip2[w] = (p, b, dd)
-            trip3 = list(d.triples)
-            trip3[i] = (b, c, k)
-            trip3[w] = (p, a, dd)
-            base = base or canonicalize(d)
-            yield _relation(
-                base,
-                Diagram._new(d.space, trip2, d.legs, d.skeleton, d.pairing, d.free_loops),
-                Diagram._new(d.space, trip3, d.legs, d.skeleton, d.pairing, d.free_loops))
+    where = {h: (i, j) for i, t in enumerate(d.triples) for j, h in enumerate(t)}
+    ends = {}  # each internal edge (x < y) -> its half-edge at the lower vertex
+    for k, (i, _) in where.items():
+        p = pmap[k]
+        if p in where and where[p][0] > i:
+            ends[(k, p) if k < p else (p, k)] = k
+    if not ends:
+        return
+    base, perms = _canonical_and_automorphisms(d)
+    for edge in _orbit_firsts(ends, perms, _edge_image):
+        k = ends[edge]
+        p = pmap[k]
+        (i, j), (w, js) = where[k], where[p]
+        t, tw = d.triples[i], d.triples[w]
+        a, b = t[(j + 1) % 3], t[(j + 2) % 3]
+        c, dd = tw[(js + 1) % 3], tw[(js + 2) % 3]
+        trip2 = list(d.triples)
+        trip2[i] = (a, c, k)
+        trip2[w] = (p, b, dd)
+        trip3 = list(d.triples)
+        trip3[i] = (b, c, k)
+        trip3[w] = (p, a, dd)
+        yield _relation(
+            base,
+            Diagram._new(d.space, trip2, d.legs, d.skeleton, d.pairing, d.free_loops),
+            Diagram._new(d.space, trip3, d.legs, d.skeleton, d.pairing, d.free_loops))
 
 
 def stu_generators(diagrams) -> list:
@@ -294,34 +298,37 @@ def stu_generators(diagrams) -> list:
     remaining half-edges on the circle at p's position, in order (ha, hb)
     for the first resolution and (hb, ha) for the second. The relation is
     S - T + U = 0 with S the vertex form, T the in-order planting, U the
-    swapped planting.
+    swapped planting. An automorphism of the base diagram maps h's vector
+    to +/- that of its image, so one h per orbit is taken.
     """
     return _distinct(vec for d in diagrams for vec in _stu_vectors(d))
 
 
 def _stu_vectors(d):
-    """The skeleton-resolution vectors based at d, zeros and repeats included."""
+    """The skeleton-resolution vectors based at d, one per orbit of vertex
+    half-edges on the circle under d's automorphisms, zeros and repeats
+    included."""
     if d.space != "A":
         raise GradingMismatchError("skeleton-resolution relations need A-space diagrams")
     pmap = d.partner_map
     skpos = {h: idx for idx, h in enumerate(d.skeleton)}
-    base = None
-    for i, t in enumerate(d.triples):
-        for j in range(3):
-            h = t[j]
-            p = pmap[h]
-            if p not in skpos:
-                continue
-            ha, hb = t[(j + 1) % 3], t[(j + 2) % 3]
-            idx = skpos[p]
-            trips = d.triples[:i] + d.triples[i + 1:]
-            pairing = tuple(pr for pr in d.pairing if h not in pr)
-            sk = d.skeleton
-            skT = sk[:idx] + (ha, hb) + sk[idx + 1:]
-            skU = sk[:idx] + (hb, ha) + sk[idx + 1:]
-            base = base or canonicalize(d)
-            yield _relation(base, Diagram._new("A", trips, (), skT, pairing, d.free_loops),
-                            Diagram._new("A", trips, (), skU, pairing, d.free_loops))
+    hooked = {h: (i, j) for i, t in enumerate(d.triples) for j, h in enumerate(t)
+              if pmap[h] in skpos}
+    if not hooked:
+        return
+    base, perms = _canonical_and_automorphisms(d)
+    for h in _orbit_firsts(hooked, perms, lambda perm, x: perm.get(x, x)):
+        i, j = hooked[h]
+        t = d.triples[i]
+        ha, hb = t[(j + 1) % 3], t[(j + 2) % 3]
+        idx = skpos[pmap[h]]
+        trips = d.triples[:i] + d.triples[i + 1:]
+        pairing = tuple(pr for pr in d.pairing if h not in pr)
+        sk = d.skeleton
+        skT = sk[:idx] + (ha, hb) + sk[idx + 1:]
+        skU = sk[:idx] + (hb, ha) + sk[idx + 1:]
+        yield _relation(base, Diagram._new("A", trips, (), skT, pairing, d.free_loops),
+                        Diagram._new("A", trips, (), skU, pairing, d.free_loops))
 
 
 # ---------------------------------------------------------------------------

@@ -237,10 +237,13 @@ def _component_search(triples, legs, skeleton, partner):
     All half-edges are assumed relabeled 0..n-1, with ``partner[h]`` the
     partner of ``h``; the arguments are tuples, and equal arguments are
     answered from the cache (one entry per normalized component). Returns
-    ``(sig, sign, edges, nstates, struts)`` where ``edges`` is the sorted
+    ``(sig, sign, edges, auts, struts)`` where ``edges`` is the sorted
     flat tuple ``(x0, y0, x1, y1, ...)``, x < y, of the component's edges
     under the first minimal labeling, ``sig`` is a flat integer tuple that
-    determines the component up to isomorphism, and ``sign`` is +1/-1/0.
+    determines the component up to isomorphism, ``sign`` is +1/-1/0, and
+    ``auts`` is one flat tuple of the n-entry permutations lab0⁻¹ ∘ lab_i
+    of the half-edges, one for each minimal labeling lab_i after the first
+    lab0: automorphisms of the component.
 
     The labeling family searched: choose a rotation of the skeleton (the
     circle is oriented, so no reflections), an order in which to place the
@@ -263,11 +266,13 @@ def _component_search(triples, legs, skeleton, partner):
     The rule drops only candidates that cannot tie the minimum, so the
     surviving states at every depth, and their order, are those of the
     exhaustive scan. States never merge (a child's labels extend its
-    parent's), so none is deduplicated. ``nstates`` is still the number of
-    minimal labelings: the automorphism group of the component (allowing
-    vertex reflections) acts simply transitively on them, except that the
-    search assigns leg labels by one forced rule per state, so
-    ``|Aut| = nstates * 2^struts * struts!``.
+    parent's), so none is deduplicated. The final states are the minimal
+    labelings, ``nstates = 1 + len(auts) // n`` of them: the automorphism
+    group of the component (allowing vertex reflections) acts simply
+    transitively on them, except that the search assigns leg labels by one
+    forced rule per state, so ``|Aut| = nstates * 2^struts * struts!`` and
+    ``auts`` holds every automorphism but the identity and the strut flips
+    and swaps.
     """
     n = len(partner)
     v = len(triples)
@@ -398,7 +403,11 @@ def _component_search(triples, legs, skeleton, partner):
     lab = states[0][0]
     edges = sorted((lab[h], lab[p]) if lab[h] < lab[p] else (lab[p], lab[h])
                    for h, p in enumerate(partner) if h < p)
-    return tuple(sig), sign, tuple(itertools.chain.from_iterable(edges)), len(states), struts
+    half_edge = [0] * n  # label -> half-edge under the first minimal labeling
+    for h, x in enumerate(lab):
+        half_edge[x] = h
+    auts = tuple(half_edge[x] for state in states[1:] for x in state[0])
+    return tuple(sig), sign, tuple(itertools.chain.from_iterable(edges)), auts, struts
 
 
 def _min_rotation(t):
@@ -409,15 +418,16 @@ def _min_rotation(t):
 def _canon_component(triples, legs, skeleton, hes, pmap):
     """Canonicalize one component, given its sorted half-edges ``hes``
     (original ids); the search runs on the structure normalized by
-    rank-relabeling them."""
+    rank-relabeling them, so its automorphisms permute ranks into
+    ``hes``."""
     norm = {h: i for i, h in enumerate(hes)}
     ntrip = tuple(sorted(_min_rotation((norm[a], norm[b], norm[c])) for a, b, c in triples))
     nlegs = tuple(sorted(norm[g] for g in legs))
     nskel = tuple(norm[h] for h in skeleton) if skeleton is not None else None
     npart = tuple(norm[pmap[h]] for h in hes)
-    sig, sign, edges, nstates, struts = _component_search(ntrip, nlegs, nskel, npart)
+    sig, sign, edges, auts, struts = _component_search(ntrip, nlegs, nskel, npart)
     return (sig, sign, edges, len(ntrip), len(nlegs),
-            len(nskel) if nskel is not None else 0, nstates, struts)
+            len(nskel) if nskel is not None else 0, auts, struts, hes)
 
 
 def _split_components(d: Diagram):
@@ -427,8 +437,9 @@ def _split_components(d: Diagram):
     the skeleton circle (a synthetic empty one when an A-diagram has no
     skeleton half-edges; ``None`` in B-space) and ``floats`` is the list of
     the remaining components sorted by signature. Entries are tuples
-    ``(sig, sign, edges, v, l, e, nstates, struts)``, ``edges`` as
-    :func:`_component_search` gives them.
+    ``(sig, sign, edges, v, l, e, auts, struts, hes)``, ``edges`` and
+    ``auts`` as :func:`_component_search` gives them and ``hes`` the
+    component's sorted half-edges.
     """
     pmap = d.partner_map
     triple_of = {h: t for t in d.triples for h in t}
@@ -471,7 +482,7 @@ def _split_components(d: Diagram):
             floats.append(_canon_component(ctrip, clegs, None, hes, pmap))
     if d.space == "A" and sk_comp is None:
         # bare circle: an empty skeleton component
-        sk_comp = ((0, 0, 0, 0), 1, (), 0, 0, 0, 1, 0)
+        sk_comp = ((0, 0, 0, 0), 1, (), 0, 0, 0, (), 0, ())
     floats.sort(key=lambda c: c[0])
     return sk_comp, floats
 
@@ -488,7 +499,12 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     answer depends on ``d`` alone; only the per-component search is
     memoized.
     """
-    sk_comp, comps = _split_components(d)
+    return _canonical_form(d, _split_components(d))
+
+
+def _canonical_form(d, split) -> CanonicalForm:
+    """The canonical form of ``d`` from its split into components."""
+    sk_comp, comps = split
     ordered = ([sk_comp] if sk_comp is not None else []) + comps
 
     e = ordered[0][5] if d.space == "A" else 0
@@ -497,7 +513,7 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     pairing = []
     vbase = 0
     lbase = e + 3 * vtot
-    for sig, s, edges, cv, cl, ce, _, _ in ordered:
+    for sig, s, edges, cv, cl, ce, _, _, _ in ordered:
         sign = sign * s
         # skeleton labels (only the circle component's) stay, the component's
         # vertex and leg blocks move to theirs; the shift keeps x < y
@@ -554,7 +570,8 @@ def automorphism_count(d: Diagram) -> int:
     sk_comp, comps = _split_components(d)
     order = 1
     for c in ([sk_comp] if sk_comp is not None else []) + comps:
-        nstates, struts = c[6], c[7]
+        auts, struts, hes = c[6], c[7], c[8]
+        nstates = 1 + len(auts) // max(len(hes), 1)
         order *= nstates * (2 ** struts) * math.factorial(struts)
     # identical floating components are interchangeable
     run = 1
@@ -565,6 +582,59 @@ def automorphism_count(d: Diagram) -> int:
             order *= math.factorial(run)
             run = 1
     return order
+
+
+def _automorphisms(d: Diagram, split=None) -> list:
+    """Automorphisms of ``d``, each a dict from the half-edges of one
+    component to their images (the half-edges it leaves out are fixed):
+    every symmetry but the identity that the canonical search finds in a
+    component, vertex reflections included. Strut flips and swaps of
+    identical components are left out, so they generate a subgroup of the
+    group :func:`automorphism_count` counts: one item kept per orbit of it
+    is at least one per orbit of the full group. ``split`` is
+    ``_split_components(d)`` when known."""
+    sk_comp, comps = split or _split_components(d)
+    perms = []
+    for c in ([sk_comp] if sk_comp is not None else []) + comps:
+        auts, hes = c[6], c[8]
+        n = max(len(hes), 1)  # the bare circle has no half-edges
+        for k in range(0, len(auts), n):
+            perms.append({h: hes[x] for h, x in zip(hes, auts[k:k + n])})
+    return perms
+
+
+def _canonical_and_automorphisms(d: Diagram):
+    """``canonicalize(d)`` and ``_automorphisms(d)``, from one split of d."""
+    split = _split_components(d)
+    return _canonical_form(d, split), _automorphisms(d, split)
+
+
+def _orbit_firsts(items, perms, act) -> list:
+    """The first item of each orbit under the group that ``perms``
+    generate, in the order of ``items``; ``act(perm, item)`` is an item.
+    Each orbit is closed under ``perms`` from its first item."""
+    seen = set()
+    firsts = []
+    for x in items:
+        if x in seen:
+            continue
+        firsts.append(x)
+        seen.add(x)
+        todo = [x]
+        while todo:
+            y = todo.pop()
+            for p in perms:
+                z = act(p, y)
+                if z not in seen:
+                    seen.add(z)
+                    todo.append(z)
+    return firsts
+
+
+def _edge_image(p, edge):
+    """The image under ``p`` of the edge ``(x, y)``, x < y."""
+    x, y = p.get(edge[0], edge[0]), p.get(edge[1], edge[1])
+    return (x, y) if x < y else (y, x)
 
 
 # ---------------------------------------------------------------------------
@@ -592,21 +662,28 @@ def _perfect_matchings(hes):
 
 
 def _insertions(d):
-    """The children of the canonical ``d`` one vertex up: for each free end
-    g (a leg, or a skeleton point, whose removal keeps the circle order of
-    the others) partnered with z, and each other edge (x, y), remove g and
+    """The children of the canonical ``d`` one vertex up: for a free end g
+    (a leg, or a skeleton point, whose removal keeps the circle order of
+    the others) partnered with z, and another edge (x, y), remove g and
     (x, y) and add a vertex (n, n + 1, n + 2) paired with x, y and z, n
-    being the first label that d does not use."""
+    being the first label that d does not use. An automorphism of d maps
+    the child of (g, (x, y)) onto the child of their images, up to the
+    order of x and y, so one (g, (x, y)) per orbit is built."""
     n = 3 * d.v + d.l + d.e
     triples = d.triples + ((n, n + 1, n + 2),)
-    for g in d.skeleton if d.space == "A" else d.legs:
-        z = d.partner_map[g]
-        rest = [p for p in d.pairing if g not in p]
+    items = [(g, edge) for g in (d.skeleton if d.space == "A" else d.legs)
+             for edge in d.pairing if g not in edge]
+
+    def image(p, item):
+        g, edge = item
+        return p.get(g, g), _edge_image(p, edge)
+
+    for g, (x, y) in _orbit_firsts(items, _automorphisms(d), image):
+        pairing = (*(e for e in d.pairing if e != (x, y) and g not in e),
+                   (n, x), (n + 1, y), (n + 2, d.partner_map[g]))
         legs = tuple(h for h in d.legs if h != g)
         skeleton = None if d.skeleton is None else tuple(h for h in d.skeleton if h != g)
-        for i, (x, y) in enumerate(rest):
-            pairing = (*rest[:i], *rest[i + 1:], (n, x), (n + 1, y), (n + 2, z))
-            yield Diagram(d.space, triples, legs, skeleton, pairing, 0)
+        yield Diagram(d.space, triples, legs, skeleton, pairing, 0)
 
 
 def _with_theta(d):

@@ -220,6 +220,66 @@ def brute_isomorphism_signs(d1: Diagram, d2: Diagram) -> set:
     return signs
 
 
+def brute_automorphisms(d: Diagram) -> set:
+    """Every structure-preserving map of d's half-edges onto themselves,
+    each as the tuple of images of the sorted half-edges.
+
+    As in :func:`brute_isomorphism_signs`, a map rotates the skeleton,
+    sends each vertex triple onto a triple in any of its six orders and
+    each leg onto a leg, and must send edges onto edges. The choices are
+    tried one vertex, then one leg, at a time, and a partial map is dropped
+    once an edge with both ends mapped lands on a non-edge; vertices go in
+    breadth-first order, so that each one after the first of its component
+    meets a mapped edge. Only for small diagrams.
+    """
+    partner = d.partner_map
+    vertex_of = {h: i for i, t in enumerate(d.triples) for h in t}
+    order = []
+    for root in range(d.v):
+        if root in order:
+            continue
+        k = len(order)
+        order.append(root)
+        while k < len(order):
+            for h in d.triples[order[k]]:
+                w = vertex_of.get(partner[h])
+                if w is not None and w not in order:
+                    order.append(w)
+            k += 1
+    hes = sorted(d.half_edges())
+    found = set()
+
+    def fits(phi, new):
+        return all(partner[h] not in phi or partner[phi[h]] == phi[partner[h]] for h in new)
+
+    def place(phi, k, free_vertices, free_legs):
+        if k < d.v:
+            t = d.triples[order[k]]
+            for w in free_vertices:
+                for image in itertools.permutations(d.triples[w]):
+                    phi.update(zip(t, image))
+                    if fits(phi, t):
+                        place(phi, k + 1, free_vertices - {w}, free_legs)
+                for h in t:
+                    del phi[h]
+        elif k < d.v + d.l:
+            g = d.legs[k - d.v]
+            for g2 in free_legs:
+                phi[g] = g2
+                if fits(phi, (g,)):
+                    place(phi, k + 1, free_vertices, free_legs - {g2})
+                del phi[g]
+        else:
+            found.add(tuple(phi[h] for h in hes))
+
+    e = d.e
+    for r in range(e) if e else (0,):
+        phi = {d.skeleton[p]: d.skeleton[(p + r) % e] for p in range(e)}
+        if fits(phi, list(phi)):
+            place(phi, 0, frozenset(range(d.v)), frozenset(d.legs))
+    return found
+
+
 # ---------------------------------------------------------------------------
 # brute-force enumeration: all matchings of a fixed slot layout
 

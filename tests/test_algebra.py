@@ -161,44 +161,141 @@ def _rewrite_from(d, i, j):
                           (rewired(b, c, a, dd), 1)])
 
 
+def _resolve_from(d, i, j):
+    """The skeleton-resolution vector read from slot j of vertex i, whose
+    half-edge h there meets the circle at p: S - T + U, with T and U the
+    vertex's other two half-edges planted at p in order and swapped."""
+    t = d.triples[i]
+    h, ha, hb = t[j], t[(j + 1) % 3], t[(j + 2) % 3]
+    at = d.skeleton.index(d.partner_map[h])
+
+    def planted(x, y):
+        return validate("A", internal=d.triples[:i] + d.triples[i + 1:],
+                        skeleton=d.skeleton[:at] + (x, y) + d.skeleton[at + 1:],
+                        pairing=[pr for pr in d.pairing if h not in pr],
+                        free_loops=d.free_loops)
+
+    return DiagramVector([(d, 1), (planted(ha, hb), -1), (planted(hb, ha), 1)])
+
+
+def _relation_pieces():
+    """Every piece of B total <= 8 and of A total <= 6."""
+    pieces = [enumerate_diagrams("B", v=v, l=l) for v in range(9) for l in range(9 - v)]
+    return pieces + [enumerate_diagrams("A", total=t) for t in range(7)]
+
+
+def _internal_edges(d):
+    """(low end, high end) of each edge between two vertices, as (vertex,
+    slot), in the order of the low ends."""
+    where = {h: (i, j) for i, t in enumerate(d.triples) for j, h in enumerate(t)}
+    return sorted(sorted((where[a], where[b])) for a, b in d.pairing
+                  if a in where and b in where and where[a][0] != where[b][0])
+
+
+def _component_automorphisms(d):
+    """The oracle's automorphisms of each connected component of d, as
+    dicts that fix the rest: the group whose orbits the relation generators
+    take (swaps of identical components left out)."""
+    perms = []
+    for part in oracles.components_naive(d):
+        on_circle = bool(d.skeleton) and d.skeleton[0] in part
+        sub = validate(d.space, internal=[t for t in d.triples if t[0] in part],
+                       legs=[g for g in d.legs if g in part],
+                       skeleton=d.skeleton if on_circle else (() if d.space == "A" else None),
+                       pairing=[pr for pr in d.pairing if pr[0] in part])
+        perms += [dict(zip(sorted(part), image))
+                  for image in oracles.brute_automorphisms(sub)]
+    return perms
+
+
+def _orbit_heads(items, perms, act):
+    """Each item's orbit under the group that perms generate, named by its
+    first item: closure by search, in the order of items."""
+    head = {}
+    for x in items:
+        if x in head:
+            continue
+        head[x], todo = x, [x]
+        while todo:
+            y = todo.pop()
+            for p in perms:
+                z = act(p, y)
+                if z not in head:
+                    head[z] = x
+                    todo.append(z)
+    return head
+
+
+def _edge_heads(d):
+    """Each internal edge (x < y) mapped to the first edge of its orbit."""
+    pmap = d.partner_map
+    edges = [tuple(sorted((d.triples[i][j], pmap[d.triples[i][j]])))
+             for (i, j), _ in _internal_edges(d)]
+    return _orbit_heads(edges, _component_automorphisms(d),
+                        lambda p, e: tuple(sorted(p.get(h, h) for h in e)))
+
+
 def test_each_internal_edge_gives_the_same_relation_from_either_end():
     """Read from its higher-indexed vertex, an edge gives the vector that
-    its lower-indexed vertex gives, so one relation per edge loses none."""
-    pieces = [enumerate_diagrams("B", v=v, l=l) for v in range(9) for l in range(9 - v)]
-    pieces += [enumerate_diagrams("A", total=t) for t in range(7)]
-    edges = 0
-    for d in (d for piece in pieces for d in piece):
-        where = {h: (i, j) for i, t in enumerate(d.triples) for j, h in enumerate(t)}
-        ends = sorted(sorted((where[a], where[b])) for a, b in d.pairing
-                      if a in where and b in where and where[a][0] != where[b][0])
-        for low, high in ends:
-            assert _rewrite_from(d, *high) == _rewrite_from(d, *low), d
-        assert list(algebra._ihx_vectors(d)) == [_rewrite_from(d, *low) for low, _ in ends]
-        edges += len(ends)
-    assert edges > 500
+    its lower-indexed vertex gives, so one relation per edge loses none;
+    and an automorphism maps an edge's vector to +/- that of the image
+    edge, so one per orbit (the oracle's, per component) loses none either.
+    ``_ihx_vectors`` gives exactly the first edge's vector of each orbit."""
+    edges = orbits = 0
+    for d in (d for piece in _relation_pieces() for d in piece):
+        pmap = d.partner_map
+        head = _edge_heads(d)
+        kept = {}
+        for low, high in _internal_edges(d):
+            vec = _rewrite_from(d, *low)
+            assert _rewrite_from(d, *high) == vec, d
+            k = d.triples[low[0]][low[1]]
+            edge = tuple(sorted((k, pmap[k])))
+            if head[edge] == edge:
+                kept[edge] = vec
+            else:
+                assert vec in (kept[head[edge]], -kept[head[edge]]), d
+        assert list(algebra._ihx_vectors(d)) == list(kept.values()), d
+        edges += len(head)
+        orbits += len(kept)
+    assert edges > 500 and orbits < edges
 
 
 def test_edge_rewrites_canonicalize_each_base_diagram_once(monkeypatch):
-    """Per base diagram: its own canonical form once, and the two rewritten
-    diagrams of each internal edge between distinct vertices."""
+    """Per base diagram: one split into canonicalized components, for its
+    canonical form and its automorphisms together, and the two rewritten
+    diagrams of one internal edge per orbit."""
+    ds = enumerate_diagrams("B", v=6, l=0)
+    orbits = [len(set(_edge_heads(d).values())) for d in ds]
     calls = []
 
-    def recording(d, real=algebra.canonicalize):
+    def recording(d, real=diagrams._split_components):
         calls.append(d)
         return real(d)
 
-    ds = enumerate_diagrams("B", v=6, l=0)
-    monkeypatch.setattr(algebra, "canonicalize", recording)
+    monkeypatch.setattr(diagrams, "_split_components", recording)
     ihx_generators(ds)
     total = len(calls)
-    for d in ds:
-        vertex = {h: i for i, t in enumerate(d.triples) for h in t}
-        edges = sum(1 for a, b in d.pairing if vertex[a] != vertex[b])
+    for d, n in zip(ds, orbits):
         calls.clear()
         list(algebra._ihx_vectors(d))
-        assert calls[0] is d and len(calls) == 1 + 2 * edges, d
-        total -= 1 + 2 * edges
+        assert calls[0] is d and len(calls) == 1 + 2 * n, d
+        total -= 1 + 2 * n
     assert total == 0
+
+
+def test_generators_are_the_distinct_vectors_of_every_edge():
+    """Taking one edge (or one vertex half-edge on the circle) per orbit
+    drops only repeats: on every piece up to B total 8 and A total 6 the
+    generators are, in order, the distinct vectors of all of them."""
+    for piece in _relation_pieces():
+        every = [_rewrite_from(d, *low) for d in piece for low, _ in _internal_edges(d)]
+        assert ihx_generators(piece) == algebra._distinct(every)
+        if piece and piece[0].space == "A":
+            every = [_resolve_from(d, i, j) for d in piece
+                     for i, t in enumerate(d.triples) for j, h in enumerate(t)
+                     if d.partner_map[h] in d.skeleton]
+            assert stu_generators(piece) == algebra._distinct(every)
 
 
 def test_generators_reduce_to_zero():

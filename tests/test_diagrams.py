@@ -385,6 +385,24 @@ def test_matching_counts_and_orbit_sums():
         assert total == leaves, (space, nsk, nv, nl)
 
 
+def test_automorphisms_are_the_oracles_and_count_the_group():
+    """Every permutation the canonical search returns is a structure-
+    preserving half-edge map that the oracle finds too, and the oracle's
+    maps number ``automorphism_count``, on the corpus and on every class
+    (zero ones included) of the brute-force gradings."""
+    ds = [d for d, _ in oracles.corpus()]
+    ds += [d for grading in BRUTE_GRADINGS for d, _ in _enumerate_split_full(*grading)]
+    found = 0
+    for d in ds:
+        want = oracles.brute_automorphisms(d)
+        hes = sorted(d.half_edges())
+        got = {tuple(p.get(h, h) for h in hes) for p in diagrams._automorphisms(d)}
+        assert got <= want, d
+        assert len(want) == automorphism_count(d), d
+        found += len(got)
+    assert found > 200
+
+
 def test_closed_circle_pieces_are_the_closed_leg_pieces(monkeypatch):
     """The closed circle split is read off the closed leg piece; each class
     must still be its own canonical form, with the same zero flag."""
@@ -407,7 +425,8 @@ def test_enumeration_resource_limit():
 
 def test_cold_enumeration_canonicalizes_per_class_not_per_labeling(monkeypatch):
     """B(8, 0) has 32 classes from 11,888 labeled matchings; built from the
-    classes below it, a cold enumeration canonicalizes a few thousand."""
+    classes below it, one child per orbit of each parent's automorphisms,
+    a cold enumeration canonicalizes about a thousand."""
     monkeypatch.setattr(diagrams, "_enum_memo", {})
     calls = []
 
@@ -417,7 +436,7 @@ def test_cold_enumeration_canonicalizes_per_class_not_per_labeling(monkeypatch):
 
     monkeypatch.setattr(diagrams, "canonicalize", counted)
     assert len(_enumerate_split_full("B", 0, 8, 0)) == 32
-    assert 0 < len(calls) <= 3000
+    assert 0 < len(calls) <= 1200
 
 
 def test_enumeration_budget_does_not_depend_on_the_memo(monkeypatch):

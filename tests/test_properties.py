@@ -1,5 +1,5 @@
 """Property tests: arbitrary JSON on the stdin of the CLI verbs, JSON
-round trips, and canonical forms under relabeling."""
+round trips, canonical forms under relabeling, and the linearity of vectors."""
 
 import io
 import json
@@ -99,6 +99,31 @@ def test_canonical_form_is_invariant_under_relabeling(d, rng):
     base, got = canonicalize(d), canonicalize(relabeled)
     assert got.diagram == base.diagram
     assert got.sign == base.sign * parity
+
+
+def _with_vertex_reversed(d, i):
+    triples = list(d.triples)
+    triples[i] = triples[i][::-1]
+    return validate(d.space, internal=triples, legs=d.legs, skeleton=d.skeleton,
+                    pairing=d.pairing, free_loops=d.free_loops)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(first=_RELABELED, second=_RELABELED, a=_COEFFS, b=_COEFFS,
+       rng=st.randoms(use_true_random=False))
+def test_a_vector_is_linear_in_its_terms(first, second, a, b, rng):
+    """A vector is the combination of its terms' vectors; relabeling a term
+    (times the sign of the vertex reversals the relabeling makes) leaves it
+    unchanged, and reversing one vertex of a term negates that term."""
+    (d1, _), (d2, _) = first, second
+    vec = DiagramVector([(d1, a), (d2, b)])
+    assert vec == a * DiagramVector.single(d1) + b * DiagramVector.single(d2)
+    relabeled, parity = oracles.relabel_randomly(d1, rng)
+    assert DiagramVector([(relabeled, parity * a), (d2, b)]) == vec
+    if d1.v:
+        reversed_ = _with_vertex_reversed(d1, rng.randrange(d1.v))
+        assert DiagramVector.single(reversed_, a) == -DiagramVector.single(d1, a)
+        assert DiagramVector([(reversed_, -a), (d2, b)]) == vec
 
 
 # Each map, with a fixed vector on the other side of a product, and the
