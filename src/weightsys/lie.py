@@ -477,12 +477,19 @@ def _plan(d: Diagram, dim_g: int, dim_V: int):
 
 
 def contraction_plan(d: Diagram, dims) -> ContractionPlan:
-    """Plan the contraction of one diagram's network.
+    """Plan the contraction of one diagram's network, as evaluation does.
 
-    ``dims`` is (dim_g,) for closed evaluation or (dim_g, dim_V) when the
-    diagram sits on the circle.
+    ``dims`` is exactly (dim_g,) for a leg-space diagram and (dim_g, dim_V)
+    for a circle-space one, with positive integers; anything else raises
+    ValueError.
     """
-    shapes, edges, _ = _network(d, dims[0], dims[1] if len(dims) > 1 else 1)
+    dims = tuple(dims)
+    want = 2 if d.space == "A" else 1
+    if len(dims) != want or not all(type(x) is int and x > 0 for x in dims):
+        shape = "(dim_g, dim_V)" if want == 2 else "(dim_g,)"
+        raise ValueError(f"a {d.space}-space diagram is planned with dims "
+                         f"{shape}, not {dims!r}")
+    shapes, edges, _ = _network(d, dims[0], dims[1] if want == 2 else 1)
     return plan_contraction(shapes, edges)
 
 

@@ -5,16 +5,23 @@ Tensors are dictionaries from integer multi-indices to Fractions; a
 axis of one tensor to one axis of another (or of the same tensor).
 Contracting the network sums over all edge indices.
 
-One representation serves both halves.  The planner sees a set of nodes
-as an integer bitmask and an edge as the mask of its two nodes; it
-chooses the pairwise merge order by exhaustive subset dynamic programming
-when the network has at most ``DP_WIDTH`` nodes, greedy
-minimum-intermediate-size otherwise.  The reported cost is the sum of the
-sizes (index-space products) of every intermediate tensor, which is also
-what the resource guard in the evaluator checks against.  The executor
-gives edge e the label e on both of its axes, traces each node's
-self-edges once, and then merges tensors pairwise over the labels they
-share, so a merged tensor never carries a label twice.
+The planner reads only the network's shape: each edge's node pair and
+dimension, and each node's free size (the product of its axes in no
+edge).  Plans are memoized on that shape, so networks that differ only
+in which axes an edge joins share one plan.  A set of nodes is an
+integer bitmask; edge b is bit ``1 << b`` and a node's free axes are one
+more bit.  Each node holds the XOR of its edges' bits, so the XOR over a
+node set holds exactly the edges that cross it, and the size of the
+tensor merged from the set is the product over dimensions d of d to the
+popcount of its crossing edges of dimension d.  The merge order comes
+from exhaustive subset dynamic programming when the network has at most
+``DP_WIDTH`` nodes, greedy minimum-intermediate-size otherwise.  The
+reported cost is the sum of the sizes (index-space products) of every
+intermediate tensor, which is also what the resource guard in the
+evaluator checks against.  The executor gives edge e the label e on both
+of its axes, traces each node's self-edges once, and then merges tensors
+pairwise over the labels they share, so a merged tensor never carries a
+label twice.
 
 Values are Fractions at the API and integers inside.  A tensor keeps,
 beside its Fraction entries, their numerators over one common
@@ -29,6 +36,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm, prod
 from operator import itemgetter
 
@@ -93,36 +101,57 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
 
     Exhaustive subset dynamic programming when there are at most
     ``DP_WIDTH`` nodes, greedy minimum-result-size otherwise.  Both are
-    deterministic.
+    deterministic.  A plan reads only each edge's node pair and dimension
+    and each node's free size, so it is memoized on those.
     """
-    n = len(node_axes)
-    if n == 0:
-        return ContractionPlan((), 0)
-    # Each edge is (mask of its nodes, dimension).  A node's free axes are
-    # one more edge, to an outside bit that no node set holds, so the size
-    # of the tensor merged from ``mask`` is the product over the edges with
-    # exactly one end in it.
-    free = [dict(enumerate(shape)) for shape in node_axes]
+    free = [list(shape) for shape in node_axes]  # an edge's axes become 1
     bonds = []
     for (i, ai), (j, aj) in edges:
-        bonds.append(((1 << i) | (1 << j), node_axes[i][ai]))
-        free[i].pop(ai, None)
-        free[j].pop(aj, None)
-    bonds += [((1 << i) | (1 << n), prod(axes.values()))
-              for i, axes in enumerate(free) if axes]
+        bonds.append((min(i, j), max(i, j), node_axes[i][ai]))
+        free[i][ai] = free[j][aj] = 1
+    return _plan_shape(tuple(sorted(bonds)), tuple(map(prod, free)))
+
+
+@lru_cache(maxsize=4096)
+def _plan_shape(bonds, free) -> ContractionPlan:
+    """The plan of a network of sorted (i, j, dimension) bonds whose node i
+    has free axes of total size ``free[i]``."""
+    n = len(free)
+    if n == 0:
+        return ContractionPlan((), 0)
+    # Bond b is bit 1 << b, and node i's free axes are one more bond, to an
+    # outside node n (left out at size 1).  A node's crossing mask is the XOR
+    # of its bonds' bits (a self-edge cancels), so the XOR over a node set
+    # holds exactly the bonds with one end in it, and the size of the tensor
+    # merged from the set is the product over dimensions d of
+    # d ** popcount(mask & bonds of dimension d).
+    outside = tuple((i, n, d) for i, d in enumerate(free) if d != 1)
+    cross = [0] * (n + 1)
+    of_dim: dict = {}
+    for b, (i, j, d) in enumerate(bonds + outside):
+        cross[i] ^= 1 << b
+        cross[j] ^= 1 << b
+        of_dim[d] = of_dim.get(d, 0) | 1 << b
+    dims = tuple(of_dim.items())
 
     def size(mask):
-        return prod(d for e, d in bonds if e & mask and e & ~mask)
+        out = 1
+        for d, m in dims:
+            out *= d ** (mask & m).bit_count()
+        return out
 
     if n <= DP_WIDTH:
         # best[s]: cheapest cost of merging s; split[s]: the part of s that
-        # holds its lowest node.  Masks grow, so every part is done first.
+        # holds its lowest node; cut[s]: the crossing mask of s.  Masks
+        # grow, so every part is done first.
         full = (1 << n) - 1
         best = [0] * (full + 1)
         split = [0] * (full + 1)
+        cut = [0] * (full + 1)
         for s in range(1, full + 1):
             low = s & -s
             rest = sub = s ^ low
+            cut[s] = cut[rest] ^ cross[low.bit_length() - 1]
             if not rest:
                 continue
             top = None
@@ -131,7 +160,7 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
                 c = best[low | sub] + best[rest ^ sub]
                 if top is None or c < top:
                     top, split[s] = c, low | sub
-            best[s] = top + size(s)
+            best[s] = top + size(cut[s])
         order = []
 
         def emit(s):
@@ -145,25 +174,18 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
         return ContractionPlan(tuple(order), best[full])
 
     # greedy: repeatedly merge the pair with the smallest result size,
-    # preferring connected pairs; deterministic tie-break by node ids.  Two
-    # live groups are fixed by their union, so each union is ranked once.
-    groups = {i: 1 << i for i in range(n)}
-    known = {}
-
-    def rank(i, j):
-        gi, gj = groups[i], groups[j]
-        if gi | gj not in known:
-            known[gi | gj] = (not any(e & gi and e & gj for e, _ in bonds),
-                              size(gi | gj))
-        return known[gi | gj] + (i, j)
-
+    # preferring connected pairs (whose crossing masks share a bond);
+    # deterministic tie-break by node ids.  cut[i]: the crossing mask of
+    # the live group kept as node i.
+    cut = dict(enumerate(cross[:n]))
     order = []
     cost = 0
-    while len(groups) > 1:
-        alive = sorted(groups)
-        _, s, i, j = min(rank(i, j) for x, i in enumerate(alive) for j in alive[x + 1:])
+    while len(cut) > 1:
+        alive = sorted(cut)
+        _, s, i, j = min((not cut[i] & cut[j], size(cut[i] ^ cut[j]), i, j)
+                         for x, i in enumerate(alive) for j in alive[x + 1:])
         cost += s
-        groups[i] |= groups.pop(j)
+        cut[i] ^= cut.pop(j)
         order.append((i, j))
     return ContractionPlan(tuple(order), cost)
 

@@ -513,6 +513,71 @@ def min_merge_cost_bruteforce(shapes, edges):
     return best([frozenset((i,)) for i in range(len(shapes))])
 
 
+def plan_by_bond_scan(node_axes, edges, dp_width=8):
+    """``(order, cost)`` of the planner as it was first written: an edge is
+    (mask of its two nodes, dimension), a node's free axes one more edge to
+    an outside bit, and a node set's size the product over the edges with
+    exactly one end in it, rescanned for every set.  Exhaustive subset DP
+    at most ``dp_width`` nodes, greedy minimum result size above."""
+    n = len(node_axes)
+    if n == 0:
+        return (), 0
+    free = [dict(enumerate(shape)) for shape in node_axes]
+    bonds = []
+    for (i, ai), (j, aj) in edges:
+        bonds.append(((1 << i) | (1 << j), node_axes[i][ai]))
+        free[i].pop(ai, None)
+        free[j].pop(aj, None)
+    bonds += [((1 << i) | (1 << n), math.prod(axes.values()))
+              for i, axes in enumerate(free) if axes]
+
+    def size(mask):
+        return math.prod(d for e, d in bonds if e & mask and e & ~mask)
+
+    order = []
+    if n <= dp_width:
+        full = (1 << n) - 1
+        best = [0] * (full + 1)
+        split = [0] * (full + 1)
+        for s in range(1, full + 1):
+            low = s & -s
+            rest = sub = s ^ low
+            if not rest:
+                continue
+            top = None
+            while sub:
+                sub = (sub - 1) & rest
+                c = best[low | sub] + best[rest ^ sub]
+                if top is None or c < top:
+                    top, split[s] = c, low | sub
+            best[s] = top + size(s)
+
+        def emit(s):
+            if not s & (s - 1):
+                return s.bit_length() - 1
+            i, j = emit(split[s]), emit(s ^ split[s])
+            order.append((i, j))
+            return i
+
+        emit(full)
+        return tuple(order), best[full]
+    groups = {i: 1 << i for i in range(n)}
+    cost = 0
+    while len(groups) > 1:
+        alive = sorted(groups)
+        ranks = []
+        for x, i in enumerate(alive):
+            for j in alive[x + 1:]:
+                gi, gj = groups[i], groups[j]
+                apart = not any(e & gi and e & gj for e, _ in bonds)
+                ranks.append((apart, size(gi | gj), i, j))
+        _, s, i, j = min(ranks)
+        cost += s
+        groups[i] |= groups.pop(j)
+        order.append((i, j))
+    return tuple(order), cost
+
+
 # ---------------------------------------------------------------------------
 # Lie-algebra identities, scanned densely
 

@@ -19,7 +19,7 @@ from weightsys.diagrams import (bare_circle, canonicalize, enumerate_diagrams,
                                 validate)
 from weightsys.errors import (GradingMismatchError, LieAlgebraError,
                               ResourceLimitError, SpaceMismatchError)
-from weightsys import algebra, cli, diagrams, lie, verify
+from weightsys import algebra, cli, diagrams, lie, tensor, verify
 from weightsys.lie import (MetricLieAlgebra, Representation, abelian,
                            builtin_algebra, check_lie, check_representation,
                            contraction_plan, derive_tensors, evaluate,
@@ -515,8 +515,27 @@ def test_repeated_labeled_diagram_is_planned_once(monkeypatch):
     assert evaluate(d, SL2, FUND) == w
     assert len(calls) == 1
     # the memo keys the network as labeled: a flipped vertex plans anew
-    assert evaluate(verify._flip_first_vertex(d), SL2, FUND) == -w
+    flipped = verify._flip_first_vertex(d)
+    tensor._plan_shape.cache_clear()
+    assert evaluate(flipped, SL2, FUND) == -w
     assert len(calls) == 2
+    # but its bonds join the same nodes, so tensor's memo plans it once
+    lie._plan.cache_clear()
+    assert evaluate(d, SL2, FUND) == w
+    assert tensor._plan_shape.cache_info()[:2] == (1, 1)  # hits, misses
+    # the same bonds with a free axis on node 0 are another network
+    shapes, edges, _ = lie._network(d, 3, 2)
+    tensor.plan_contraction([shapes[0] + (5,)] + shapes[1:], edges)
+    assert tensor._plan_shape.cache_info()[:2] == (1, 2)
+
+
+def test_a_plan_needs_the_dims_of_its_space():
+    plan = contraction_plan(a_theta(), (3, 2))
+    assert plan == lie._plan(a_theta(), 3, 2)[2]  # the plan evaluation uses
+    for d, dims in ((cube(), ()), (cube(), (3, 2, 7)), (cube(), (3, 2)),
+                    (a_theta(), (3,)), (a_theta(), (3, 2, 7)), (cube(), (0,))):
+        with pytest.raises(ValueError):
+            contraction_plan(d, dims)
 
 
 def test_repeated_term_builds_its_network_once(monkeypatch):

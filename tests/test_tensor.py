@@ -43,6 +43,11 @@ def test_planned_contraction_matches_brute_force_on_random_networks():
         n = 1 + trial % 11
         shapes, datas, edges = random_network(rng, n)
         plan = plan_contraction(shapes, edges)
+        # the same plan as the bond-scan reference, closed and with the
+        # axes of the last edge left free
+        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges)
+        opened = plan_contraction(shapes, edges[:-1])
+        assert (opened.order, opened.cost) == oracles.plan_by_bond_scan(shapes, edges[:-1])
         assert len(plan.order) == n - 1
         assert {i for pair in plan.order for i in pair} | {0} == set(range(n))
         tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
