@@ -472,28 +472,32 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
 
     In-memory results are memoized per process. With ``cache_dir`` set, a
     versioned JSON copy is loaded if compatible, else computed and saved.
+    A copy is compatible only if it names this piece and each of its
+    diagrams lies in it.
     """
     _require_piece(space, v=v, l=l, total=total)
     key = ("B", v, l) if space == "B" else ("A", total)
+    grading = {"v": v, "l": l} if space == "B" else {"total": total}
     qb = _basis_memo.get(key)
     if qb is not None:
         return qb
     if cache_dir:
         payload = cache_mod.load_basis(cache_dir, key)
-        if payload is not None and payload.get("space") == space:
+        if (payload is not None and payload.get("space") == space
+                and payload.get("grading") == grading):
             try:
-                _basis_memo[key] = QuotientBasis.from_payload(payload)
-                return _basis_memo[key]
+                qb = QuotientBasis.from_payload(payload)
             except (KeyError, TypeError, ValueError, AttributeError, ResourceLimitError):
                 pass  # an undecodable payload is a miss: recomputed and overwritten
+            if qb is not None and all(d.grading_key() == (*key, 0) for d in qb.diagrams):
+                _basis_memo[key] = qb
+                return qb
     if space == "B":
         diagrams = enumerate_diagrams("B", v=v, l=l, max_steps=max_steps)
         gens = ihx_generators(diagrams)
-        grading = {"v": v, "l": l}
     else:
         diagrams = enumerate_diagrams("A", total=total, max_steps=max_steps)
         gens = ihx_generators(diagrams) + stu_generators(diagrams)
-        grading = {"total": total}
     index = {d._key: i for i, d in enumerate(diagrams)}
     rows = []
     for g in gens:

@@ -232,25 +232,27 @@ _INFL_OFF = 2  # ... a leg partner
 
 @lru_cache(maxsize=None)
 def _component_search(triples, legs, skeleton, partner):
-    """Lexicographically minimal labeling of one connected component.
+    """Every lexicographically minimal labeling of one connected component.
 
     All half-edges are assumed relabeled 0..n-1, with ``partner[h]`` the
     partner of ``h``; the arguments are tuples, and equal arguments are
     answered from the cache (one entry per normalized component). Returns
-    ``(sig, sign, edges, auts, struts)`` where ``edges`` is the sorted
-    flat tuple ``(x0, y0, x1, y1, ...)``, x < y, of the component's edges
-    under the first minimal labeling, ``sig`` is a flat integer tuple that
-    determines the component up to isomorphism, ``sign`` is +1/-1/0, and
-    ``auts`` is one flat tuple of the n-entry permutations lab0⁻¹ ∘ lab_i
-    of the half-edges, one for each minimal labeling lab_i after the first
-    lab0: automorphisms of the component.
+    ``(sig, sign, edges, labs)`` where ``sig`` is a flat integer tuple that
+    determines the component up to isomorphism, starting ``(v, l, e, n)``,
+    ``sign`` is +1/-1/0, ``labs`` is one flat tuple of the minimal
+    labelings, each the n labels of the half-edges in order, the first
+    labeling first, and ``edges`` is the sorted flat tuple
+    ``(x0, y0, x1, y1, ...)``, x < y, of the edges under the first one.
 
     The labeling family searched: choose a rotation of the skeleton (the
     circle is oriented, so no reflections), an order in which to place the
     internal vertices and, for each, one of the six rewritings of its
     triple (three rotations keep the orientation, three reversals flip the
-    sign); legs are ordered canonically afterwards. At each stage only the
-    choices extending the minimal partial signature survive.
+    sign); each leg then takes the next label in the order of its
+    partner's label, which the vertex chunks have fixed, so every state
+    ties on the legs. At each stage only the choices extending the minimal
+    partial signature survive. A strut (two legs paired) is answered at
+    once: both of its labelings are minimal.
 
     Forced vertex: a placed label is *open* while its partner half-edge
     sits on an unplaced vertex. A chunk entry is a placed label (necessarily
@@ -267,13 +269,12 @@ def _component_search(triples, legs, skeleton, partner):
     surviving states at every depth, and their order, are those of the
     exhaustive scan. States never merge (a child's labels extend its
     parent's), so none is deduplicated. The final states are the minimal
-    labelings, ``nstates = 1 + len(auts) // n`` of them: the automorphism
-    group of the component (allowing vertex reflections) acts simply
-    transitively on them, except that the search assigns leg labels by one
-    forced rule per state, so ``|Aut| = nstates * 2^struts * struts!`` and
-    ``auts`` holds every automorphism but the identity and the strut flips
-    and swaps.
+    labelings, and the automorphism group of the component (vertex
+    reflections allowed) acts simply transitively on them: lab0⁻¹ ∘ lab_i
+    runs over the group.
     """
+    if not triples and skeleton is None:  # a strut, flipped or not
+        return (0, 2, 0, 2), 1, (0, 1), (0, 1, 1, 0)
     n = len(partner)
     v = len(triples)
     l = len(legs)
@@ -351,37 +352,12 @@ def _component_search(triples, legs, skeleton, partner):
             opn2 = [x for x in opn if x not in closed] + opened
             states.append((lab2, inv + trip, opn2, sgn * s))
 
-    # legs: ordered by the canonical label of their partner; leg-leg pairs
-    # (struts) are mutually interchangeable and come last.
-    if l:
-        best = None
-        chosen = []
-        for state in states:
-            lab = state[0]
-            ext = sorted(lab[partner[g]] for g in legs if partner[g] not in legset)
-            struts = sum(1 for g in legs if partner[g] in legset and partner[g] > g)
-            chunk = (len(ext), *ext, struts)
-            if best is None or chunk < best:
-                best = chunk
-                chosen = [state]
-            elif chunk == best:
-                chosen.append(state)
-        sig.extend(best)
-        legbase = e + 3 * v
-        states = []
-        for lab, inv, opn, sgn in chosen:
-            lab2 = lab.copy()
-            i = legbase
-            for g in sorted((g for g in legs if partner[g] not in legset),
-                            key=lambda x: lab[partner[x]]):
-                lab2[g] = i
-                i += 1
-            for g in sorted(legs):
-                if partner[g] in legset and partner[g] > g:
-                    lab2[g] = i
-                    lab2[partner[g]] = i + 1
-                    i += 2
-            states.append((lab2, inv, opn, sgn))
+    # legs: in the order of their partners' labels, which the vertex chunks
+    # fixed, so the states tie here and the sig needs no leg chunk
+    legbase = e + 3 * v
+    for lab, *_ in states:
+        for i, g in enumerate(sorted(legs, key=lambda g: lab[partner[g]]), legbase):
+            lab[g] = i
 
     if e:
         best = None
@@ -399,15 +375,11 @@ def _component_search(triples, legs, skeleton, partner):
 
     signs = {state[3] for state in states}
     sign = 0 if len(signs) == 2 else signs.pop()
-    struts = sum(1 for g in legs if partner[g] in legset and partner[g] > g)
     lab = states[0][0]
     edges = sorted((lab[h], lab[p]) if lab[h] < lab[p] else (lab[p], lab[h])
                    for h, p in enumerate(partner) if h < p)
-    half_edge = [0] * n  # label -> half-edge under the first minimal labeling
-    for h, x in enumerate(lab):
-        half_edge[x] = h
-    auts = tuple(half_edge[x] for state in states[1:] for x in state[0])
-    return tuple(sig), sign, tuple(itertools.chain.from_iterable(edges)), auts, struts
+    labs = tuple(x for state in states for x in state[0])
+    return tuple(sig), sign, tuple(itertools.chain.from_iterable(edges)), labs
 
 
 def _min_rotation(t):
@@ -418,36 +390,32 @@ def _min_rotation(t):
 def _canon_component(triples, legs, skeleton, hes, pmap):
     """Canonicalize one component, given its sorted half-edges ``hes``
     (original ids); the search runs on the structure normalized by
-    rank-relabeling them, so its automorphisms permute ranks into
-    ``hes``."""
+    rank-relabeling them, so its labelings give the label of each of
+    ``hes`` in turn."""
     norm = {h: i for i, h in enumerate(hes)}
     ntrip = tuple(sorted(_min_rotation((norm[a], norm[b], norm[c])) for a, b, c in triples))
     nlegs = tuple(sorted(norm[g] for g in legs))
     nskel = tuple(norm[h] for h in skeleton) if skeleton is not None else None
     npart = tuple(norm[pmap[h]] for h in hes)
-    sig, sign, edges, auts, struts = _component_search(ntrip, nlegs, nskel, npart)
-    return (sig, sign, edges, len(ntrip), len(nlegs),
-            len(nskel) if nskel is not None else 0, auts, struts, hes)
+    return (*_component_search(ntrip, nlegs, nskel, npart), hes)
 
 
 def _split_components(d: Diagram):
     """Connected components of ``d``, each canonicalized on its own.
 
-    Returns ``(sk_comp, floats)`` where ``sk_comp`` is the component holding
-    the skeleton circle (a synthetic empty one when an A-diagram has no
-    skeleton half-edges; ``None`` in B-space) and ``floats`` is the list of
-    the remaining components sorted by signature. Entries are tuples
-    ``(sig, sign, edges, v, l, e, auts, struts, hes)``, ``edges`` and
-    ``auts`` as :func:`_component_search` gives them and ``hes`` the
-    component's sorted half-edges.
+    Returns the list of components: the one holding the skeleton circle
+    first, if there is a circle point, then the others sorted by signature.
+    Entries are tuples ``(sig, sign, edges, labs, hes)``, the first four as
+    :func:`_component_search` gives them and ``hes`` the component's sorted
+    half-edges. Only the circle's component has ``sig[2]`` (its points)
+    nonzero, so equal signatures are consecutive floating components.
     """
     pmap = d.partner_map
     triple_of = {h: t for t in d.triples for h in t}
     skeleton = d.skeleton or ()
     skset = set(skeleton)
     seen = set()
-    floats = []
-    sk_comp = None
+    circle, floats = [], []
     # every half-edge is paired, so each walk collects one component, and
     # the walks start in order of the components' smallest half-edges
     for start in sorted(pmap):
@@ -477,14 +445,10 @@ def _split_components(d: Diagram):
                     stack.append(x)
         hes.sort()
         if on_circle:
-            sk_comp = _canon_component(ctrip, clegs, skeleton, hes, pmap)
+            circle.append(_canon_component(ctrip, clegs, skeleton, hes, pmap))
         else:
             floats.append(_canon_component(ctrip, clegs, None, hes, pmap))
-    if d.space == "A" and sk_comp is None:
-        # bare circle: an empty skeleton component
-        sk_comp = ((0, 0, 0, 0), 1, (), 0, 0, 0, (), 0, ())
-    floats.sort(key=lambda c: c[0])
-    return sk_comp, floats
+    return circle + sorted(floats, key=lambda c: c[0])
 
 
 def canonicalize(d: Diagram) -> CanonicalForm:
@@ -502,18 +466,15 @@ def canonicalize(d: Diagram) -> CanonicalForm:
     return _canonical_form(d, _split_components(d))
 
 
-def _canonical_form(d, split) -> CanonicalForm:
+def _canonical_form(d, comps) -> CanonicalForm:
     """The canonical form of ``d`` from its split into components."""
-    sk_comp, comps = split
-    ordered = ([sk_comp] if sk_comp is not None else []) + comps
-
-    e = ordered[0][5] if d.space == "A" else 0
-    vtot = sum(c[3] for c in ordered)
+    e = d.e
     sign = 1
     pairing = []
     vbase = 0
-    lbase = e + 3 * vtot
-    for sig, s, edges, cv, cl, ce, _, _, _ in ordered:
+    lbase = e + 3 * d.v
+    for sig, s, edges, _, _ in comps:
+        cv, cl, ce = sig[:3]
         sign = sign * s
         # skeleton labels (only the circle component's) stay, the component's
         # vertex and leg blocks move to theirs; the shift keeps x < y
@@ -526,9 +487,8 @@ def _canonical_form(d, split) -> CanonicalForm:
         lbase += cl
     pairing.sort()
 
-    triples = tuple((e + 3 * i, e + 3 * i + 1, e + 3 * i + 2) for i in range(vtot))
-    ltot = sum(c[4] for c in ordered)
-    legs = tuple(range(e + 3 * vtot, e + 3 * vtot + ltot))
+    triples = tuple((e + 3 * i, e + 3 * i + 1, e + 3 * i + 2) for i in range(d.v))
+    legs = tuple(range(e + 3 * d.v, e + 3 * d.v + d.l))
     skeleton = tuple(range(e)) if d.space == "A" else None
     return CanonicalForm(Diagram(d.space, triples, legs, skeleton, tuple(pairing),
                                  d.free_loops), sign)
@@ -563,50 +523,45 @@ def automorphism_count(d: Diagram) -> int:
     reflections), permutations of legs, permutations of whole components,
     and rotations of the skeleton circle. This is exactly the stabilizer
     relevant to orbit counting of pairings on a fixed slot layout, whose
-    full group has order ``v! * 6^v * l! * max(e, 1)``.
+    full group has order ``v! * 6^v * l! * max(e, 1)``. It is the product
+    of each component's number of minimal labelings and of k! for each run
+    of k identical components, the k-th of a run counting k.
     """
-    import math
-
-    sk_comp, comps = _split_components(d)
-    order = 1
-    for c in ([sk_comp] if sk_comp is not None else []) + comps:
-        auts, struts, hes = c[6], c[7], c[8]
-        nstates = 1 + len(auts) // max(len(hes), 1)
-        order *= nstates * (2 ** struts) * math.factorial(struts)
-    # identical floating components are interchangeable
-    run = 1
-    for i in range(1, len(comps) + 1):
-        if i < len(comps) and comps[i][0] == comps[i - 1][0]:
-            run += 1
-        else:
-            order *= math.factorial(run)
-            run = 1
+    comps = _split_components(d)
+    order = run = 1
+    for i, (sig, _, _, labs, hes) in enumerate(comps):
+        run = run + 1 if i and sig == comps[i - 1][0] else 1
+        order *= len(labs) // len(hes) * run
     return order
 
 
-def _automorphisms(d: Diagram, split=None) -> list:
-    """Automorphisms of ``d``, each a dict from the half-edges of one
-    component to their images (the half-edges it leaves out are fixed):
-    every symmetry but the identity that the canonical search finds in a
-    component, vertex reflections included. Strut flips and swaps of
-    identical components are left out, so they generate a subgroup of the
-    group :func:`automorphism_count` counts: one item kept per orbit of it
-    is at least one per orbit of the full group. ``split`` is
-    ``_split_components(d)`` when known."""
-    sk_comp, comps = split or _split_components(d)
+def _automorphisms(d: Diagram, comps=None) -> list:
+    """Generators of the automorphism group of ``d`` that
+    :func:`automorphism_count` counts, each a dict from the half-edges it
+    moves to their images: for each component and each minimal labeling
+    lab_i after the first lab0, lab0⁻¹ ∘ lab_i (vertex reflections
+    included); and for each component identical to the one before it, the
+    exchange of the two that sends the half-edge labeled x in one to the
+    half-edge labeled x in the other. ``comps`` is ``_split_components(d)``
+    when known."""
     perms = []
-    for c in ([sk_comp] if sk_comp is not None else []) + comps:
-        auts, hes = c[6], c[8]
-        n = max(len(hes), 1)  # the bare circle has no half-edges
-        for k in range(0, len(auts), n):
-            perms.append({h: hes[x] for h, x in zip(hes, auts[k:k + n])})
+    prev_sig = prev_at = None
+    for sig, _, _, labs, hes in comps or _split_components(d):
+        n = len(hes)
+        at = dict(zip(labs, hes))  # label -> half-edge under lab0
+        for k in range(n, len(labs), n):
+            perms.append({h: at[x] for h, x in zip(hes, labs[k:k + n])})
+        if sig == prev_sig:
+            perms.append({**{at[x]: prev_at[x] for x in at},
+                          **{prev_at[x]: at[x] for x in at}})
+        prev_sig, prev_at = sig, at
     return perms
 
 
 def _canonical_and_automorphisms(d: Diagram):
     """``canonicalize(d)`` and ``_automorphisms(d)``, from one split of d."""
-    split = _split_components(d)
-    return _canonical_form(d, split), _automorphisms(d, split)
+    comps = _split_components(d)
+    return _canonical_form(d, comps), _automorphisms(d, comps)
 
 
 def _orbit_firsts(items, perms, act) -> list:

@@ -17,7 +17,9 @@ edge is raised; the edge then joins the two slots directly.
 from __future__ import annotations
 
 import json
+import math
 import os
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -498,6 +500,7 @@ def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
     """Weight of x, each term's network planned and contracted as labeled."""
     nodes = _node_tensors(g, rep)
     dim_V = rep.dim_V if rep else 1
+    limit = sys.get_int_max_str_digits()
     total = _ZERO
     for d, coeff in _terms(x):
         if d.space != space:
@@ -507,6 +510,9 @@ def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
             raise SpaceMismatchError("closed evaluation needs all legs closed off"
                                      if space == "B" else
                                      "weights are defined for legless diagrams")
+        if d.free_loops and limit and g.dim > 1 and d.free_loops >= limit / math.log10(g.dim):
+            raise ResourceLimitError(
+                f"dim g to the power of the free-loop count has more than {limit} digits")
         # with no circle point the circle's trace is that of the identity
         value = Fraction(dim_V) if space == "A" and not d.skeleton else _ONE
         if d.pairing:

@@ -6,6 +6,7 @@ relation (ladder = +/-2 tetrahedron), so dimension 2; the circle space in
 total grading 4 has 9 classes and dimension 5; and so on.
 """
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -193,18 +194,35 @@ def _internal_edges(d):
 
 
 def _component_automorphisms(d):
-    """The oracle's automorphisms of each connected component of d, as
-    dicts that fix the rest: the group whose orbits the relation generators
-    take (swaps of identical components left out)."""
+    """Generators of the automorphism group of d, as dicts that fix the
+    rest: the oracle's automorphisms of each connected component, and for
+    each pair of isomorphic components off the circle one oracle
+    automorphism of the two that exchanges them."""
+
+    def part_of(part, skeleton):
+        return validate(d.space, internal=[t for t in d.triples if t[0] in part],
+                        legs=[g for g in d.legs if g in part],
+                        skeleton=skeleton if d.space == "A" else None,
+                        pairing=[pr for pr in d.pairing if pr[0] in part])
+
     perms = []
+    floating = []
     for part in oracles.components_naive(d):
         on_circle = bool(d.skeleton) and d.skeleton[0] in part
-        sub = validate(d.space, internal=[t for t in d.triples if t[0] in part],
-                       legs=[g for g in d.legs if g in part],
-                       skeleton=d.skeleton if on_circle else (() if d.space == "A" else None),
-                       pairing=[pr for pr in d.pairing if pr[0] in part])
+        sub = part_of(part, d.skeleton if on_circle else ())
         perms += [dict(zip(sorted(part), image))
                   for image in oracles.brute_automorphisms(sub)]
+        if not on_circle:
+            floating.append((part, sub.grading_key()))
+    for (p1, key1), (p2, key2) in itertools.combinations(floating, 2):
+        if key1 != key2:
+            continue
+        both = sorted(p1 | p2)
+        low = both.index(min(p1))
+        for image in oracles.brute_automorphisms(part_of(p1 | p2, ())):
+            if image[low] in p2:
+                perms.append(dict(zip(both, image)))
+                break
     return perms
 
 

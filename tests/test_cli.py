@@ -15,7 +15,7 @@ import pytest
 import oracles
 import weightsys
 from weightsys.algebra import DiagramVector, vector_from_json, vector_to_json
-from weightsys.diagrams import diagram_to_json, validate
+from weightsys.diagrams import diagram_to_json, enumerate_diagrams, validate
 from weightsys.lie import lie_algebra_to_json, sl2
 from weightsys.maps import cap, chi, closure, connect_sum, omega
 
@@ -38,11 +38,11 @@ def cli_env(cache=None, extra_env=None):
     return env
 
 
-def run_cli(args, stdin_text="", cache=None, extra_env=None):
+def run_cli(args, stdin_text="", cache=None, extra_env=None, timeout=None):
     proc = subprocess.run([sys.executable, "-m", "weightsys.cli", *args],
                           input=stdin_text, capture_output=True, text=True,
                           env=cli_env(cache, extra_env),
-                          cwd=os.path.dirname(__file__))
+                          cwd=os.path.dirname(__file__), timeout=timeout)
     return proc
 
 
@@ -329,8 +329,11 @@ def test_cold_and_warm_cache_outputs_are_byte_identical(tmp_path):
     lambda p: p.update(pivots={"0": {"0": "1/0"}}),
     lambda p: p.update(pivots={"0": {"0": "1e5000"}}),
     lambda p: p.update(pivots={"1": {"1": "1"}}),
+    lambda p: p.update(grading={"l": 0, "v": 4}),
+    lambda p: p.update(diagrams=[diagram_to_json(d) for d in enumerate_diagrams("B", v=4, l=0)]),
 ], ids=["no-diagrams", "diagram-not-object", "pivots-not-object",
-        "zero-denominator", "exponent-past-digit-limit", "pivot-out-of-range"])
+        "zero-denominator", "exponent-past-digit-limit", "pivot-out-of-range",
+        "other-grading", "other-piece-diagrams"])
 def test_undecodable_cache_file_is_recomputed_and_rewritten(tmp_path, corrupt):
     args = ["basis", "--space", "B", "--v", "2", "--l", "0"]
     cold = run_cli(args, cache=tmp_path)
@@ -503,11 +506,13 @@ def test_algebra_file_that_is_not_utf8_is_malformed_json(tmp_path):
 @pytest.mark.parametrize("payload", [
     '{"space": "B", "free_loops": 10000}',  # the weight 3^10000 has 4,772 digits
     '{"space": "B", "free_loops": ' + "1" * 5000 + "}",
-], ids=["written", "read"])
+    # refused before 3^100000000 is computed, which would take minutes
+    '{"space": "B", "free_loops": 100000000}',
+], ids=["written", "read", "power"])
 def test_number_past_the_interpreter_digit_limit_is_a_resource_cutoff(tmp_path,
                                                                       payload):
     proc = run_cli(["eval", "--algebra", "sl2"], stdin_text=payload,
-                   cache=tmp_path)
+                   cache=tmp_path, timeout=10)
     assert proc.returncode == 4, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
     assert proc.stderr == ""
