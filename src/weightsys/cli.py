@@ -37,8 +37,8 @@ import json
 import os
 import sys
 
-from .algebra import (DiagramVector, quotient_basis, reduce_vector,
-                      vector_from_json, vector_to_json)
+from .algebra import (_terms, quotient_basis, reduce_vector, vector_from_json,
+                      vector_to_json)
 from .cache import default_cache_dir
 from .diagrams import (DEFAULT_MAX_STEPS, diagram_from_json, diagram_to_json,
                        enumerate_diagrams)
@@ -152,18 +152,18 @@ def _cmd_eval(ns, stdin):
                       resolve_representation)
     obj = json.loads(stdin.read())
     if isinstance(obj, dict) and "space" in obj:
-        vec = DiagramVector.single(diagram_from_json(obj))
+        x = diagram_from_json(obj)  # as labeled, as the library evaluates it
     else:
-        vec = vector_from_json(obj)
-    spaces = {d.space for d, _ in vec.items()}
+        x = vector_from_json(obj)
+    spaces = {d.space for d, _ in _terms(x)}
     if len(spaces) > 1:
         raise SpaceMismatchError("cannot evaluate a mixed-space vector")
     g = resolve_algebra(ns.algebra)
     kwargs = _given(max_cost=ns.max_cost)
-    if spaces == {"B"}:
-        value = evaluate_closed(vec, g, **kwargs)
+    if spaces <= {"B"}:  # the zero vector is worth 0 in either space
+        value = evaluate_closed(x, g, **kwargs)
     else:
-        value = evaluate(vec, g, resolve_representation(g, ns.rep), **kwargs)
+        value = evaluate(x, g, resolve_representation(g, ns.rep), **kwargs)
     return {"value": str(value)}, EXIT_OK
 
 

@@ -598,8 +598,8 @@ def _edge_image(p, edge):
 
 # Default bound on the work of one enumeration, in steps: one step is one
 # half-edge of one candidate diagram (see ``_enumerate_split_full``). Every
-# split of total grading 10 fits: B(10, 0) charges 467,266 steps, and
-# A(1, 9), the costliest, 1,268,742.
+# split of total grading 10 fits: B(10, 0) charges 467,266 steps, A(1, 9)
+# what B(9, 1) does, 402,160, and A(3, 7), the costliest, 1,015,626.
 DEFAULT_MAX_STEPS = 2_000_000
 
 
@@ -680,11 +680,15 @@ def _enumerate_split_full(space, nsk, nv, nl, max_steps=None):
     Every split, memoized or not, is charged its candidate count times its
     half-edge count against ``max_steps`` (``DEFAULT_MAX_STEPS`` when None),
     and ``ResourceLimitError`` is raised before the work that would pass it.
-    A closed A layout is the bare circle beside each class of the closed B
-    layout, so it is read off that enumeration."""
-    if space == "A" and nsk == 0:
-        return [(Diagram("A", d.triples, d.legs, (), d.pairing, 0), nonzero)
-                for d, nonzero in _enumerate_split_full("B", 0, nv, 0, max_steps)]
+    A circle with at most two points carries no order (their rotations are
+    all their permutations), so such an A split is the B split with as many
+    legs, its legs planted on the circle in order and canonicalized: the
+    classes, zero flags and step charges are the B split's. A split with
+    three or more points is built from splits with as many or more, so no
+    split is built twice."""
+    if space == "A" and nsk <= 2:
+        return _classes(Diagram("A", d.triples, (), d.legs, d.pairing, 0)
+                        for d, _ in _enumerate_split_full("B", 0, nv, nsk, max_steps))
     free = nsk + nl
     if (free + 3 * nv) % 2:
         return []

@@ -491,8 +491,7 @@ def contraction_plan(d: Diagram, dims) -> ContractionPlan:
         shape = "(dim_g, dim_V)" if want == 2 else "(dim_g,)"
         raise ValueError(f"a {d.space}-space diagram is planned with dims "
                          f"{shape}, not {dims!r}")
-    shapes, edges, _ = _network(d, dims[0], dims[1] if want == 2 else 1)
-    return plan_contraction(shapes, edges)
+    return _plan(d, dims[0], dims[1] if want == 2 else 1)[2]
 
 
 def _evaluate_vector(x, space: str, g: MetricLieAlgebra,

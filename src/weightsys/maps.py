@@ -15,9 +15,11 @@
 
 Every map expands its input term by term through one walk, ``_expand``,
 which checks each term's space once and takes a lone Diagram as labeled
-(no canonical search first); the two products share one
-side-by-side builder. Gluing two legs fuses their incident edges; chains
-of fused struts that close up entirely are recorded in ``free_loops``.
+(no canonical search first), and for ``closure`` and ``cap`` counts the
+work first, outputs times half-edges, against ``DEFAULT_MAX_STEPS``; the
+two products share one side-by-side builder. Gluing two legs fuses their
+incident edges; chains of fused struts that close up entirely are
+recorded in ``free_loops``.
 """
 
 from __future__ import annotations
@@ -81,13 +83,17 @@ def _checked_terms(x, space, message):
         yield d, c
 
 
-def _expand(x, space, message, expand) -> DiagramVector:
+def _expand(x, space, message, expand, steps=None) -> DiagramVector:
     """Sum of c * w * e over the stored terms (d, c) of x and the outputs
     (e, w) of ``expand(d)``. A bilinear map expands each term of x into a
-    walk over the terms of y."""
-    return DiagramVector((e, c * w)
-                         for d, c in _checked_terms(x, space, message)
-                         for e, w in expand(d))
+    walk over the terms of y. With ``steps``, the work ``steps(d)`` of
+    every term is counted first, and ``ResourceLimitError`` is raised
+    before anything is built when the sum passes ``DEFAULT_MAX_STEPS``."""
+    terms = list(_checked_terms(x, space, message))
+    if steps is not None and sum(steps(d) for d, _ in terms) > DEFAULT_MAX_STEPS:
+        raise ResourceLimitError(
+            f"expansion exceeded {DEFAULT_MAX_STEPS} steps (outputs x half-edges)")
+    return DiagramVector((e, c * w) for d, c in terms for e, w in expand(d))
 
 
 def _side_by_side(a: Diagram, b: Diagram) -> Diagram:
@@ -155,6 +161,18 @@ def chi(x) -> DiagramVector:
 # gluing
 
 
+def _outputs_times_half_edges(factors, half_edges: int) -> int:
+    """The product of ``factors``, the outputs of one expansion, times
+    ``half_edges``, each output's size; the product stops once it passes
+    ``DEFAULT_MAX_STEPS``, so a huge count costs nothing."""
+    count = 1
+    for k in factors:
+        count *= k
+        if count > DEFAULT_MAX_STEPS:
+            break
+    return count * half_edges
+
+
 def _glue(d: Diagram, pairs) -> Diagram:
     """Glue the given disjoint pairs of legs of one diagram: each glued
     pair fuses its two incident edges into one; chains closing entirely
@@ -198,7 +216,9 @@ def closure(x, pair_weight=1) -> DiagramVector:
 
     Each perfect matching of the legs contributes the glued diagram with
     coefficient pair_weight^(pairs). Diagrams with an odd number of legs
-    contribute nothing.
+    contribute nothing. A term with l legs is charged its (l-1)!!
+    matchings times its half-edges, and ``ResourceLimitError`` is raised
+    before any gluing when the charge passes ``DEFAULT_MAX_STEPS``.
     """
     w = Fraction(pair_weight)
 
@@ -208,7 +228,12 @@ def closure(x, pair_weight=1) -> DiagramVector:
         f = w ** (d.l // 2)
         return ((_glue(d, m), f) for m in _perfect_matchings(d.legs))
 
-    return _expand(x, "B", "closure acts on leg-space diagrams", glued)
+    return _expand(x, "B", "closure acts on leg-space diagrams", glued, _closure_steps)
+
+
+def _closure_steps(d: Diagram) -> int:
+    """The (l-1)!! matchings of d's l legs times its half-edges; 0 for odd l."""
+    return 0 if d.l % 2 else _outputs_times_half_edges(range(d.l - 1, 0, -2), 3 * d.v + d.l)
 
 
 def cap(x, y) -> DiagramVector:
@@ -216,7 +241,10 @@ def cap(x, y) -> DiagramVector:
 
     For each pair of terms C (with j legs) and D (with k legs), sum over
     all j-element injections of C's legs into D's legs, gluing matched
-    pairs; k - j legs survive. Terms with j > k contribute zero.
+    pairs; k - j legs survive. Terms with j > k contribute zero. A pair is
+    charged its k!/(k-j)! injections times its half-edges, and
+    ``ResourceLimitError`` is raised before any gluing when the charge
+    passes ``DEFAULT_MAX_STEPS``.
     """
     message = "capping acts on leg-space diagrams"
 
@@ -226,7 +254,18 @@ def cap(x, y) -> DiagramVector:
             for image in itertools.permutations(d.legs, c.l):
                 yield _glue(u, list(zip(u.legs[d.l:], image))), cd
 
-    return _expand(x, "B", message, capped)
+    def steps(c):
+        return sum(_cap_steps(c, d) for d, _ in _checked_terms(y, "B", message))
+
+    return _expand(x, "B", message, capped, steps)
+
+
+def _cap_steps(c: Diagram, d: Diagram) -> int:
+    """The k!/(k-j)! injections of c's j legs into d's k legs times the
+    half-edges of the pair; 0 when j > k."""
+    if c.l > d.l:
+        return 0
+    return _outputs_times_half_edges(range(d.l, d.l - c.l, -1), 3 * (c.v + d.v) + c.l + d.l)
 
 
 # ---------------------------------------------------------------------------

@@ -172,6 +172,21 @@ def test_omega_past_the_default_budget_is_a_prompt_resource_cutoff(tmp_path):
     assert proc.stderr == ""
 
 
+def test_close_and_cap_past_the_default_budget_are_prompt_resource_cutoffs(tmp_path):
+    # 19!! matchings of 20 legs, and 20!/8! injections of 12 legs into 20
+    def struts(legs):
+        return [{"coeff": "1", "diagram": {
+            "space": "B", "legs": list(range(legs)),
+            "pairing": [[g, g + 1] for g in range(0, legs, 2)]}}]
+
+    for verb, payload in (("close", struts(20)),
+                          ("cap", {"left": struts(12), "right": struts(20)})):
+        proc = run_cli([verb], stdin_text=json.dumps(payload), cache=tmp_path, timeout=10)
+        assert proc.returncode == 4, proc.stdout + proc.stderr
+        assert json.loads(proc.stdout)["error"]["code"] == "resource-cutoff"
+        assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("args", [
     ["enumerate", "--space", "B", "--v", "-2", "--l", "0"],
     ["enumerate", "--space", "B", "--v", "2", "--l", "-2"],
@@ -287,6 +302,31 @@ def test_eval_closed_diagram_and_vector_forms(tmp_path):
     proc = run_cli(["eval", "--algebra", "sl2"], stdin_text=json.dumps(vec),
                    cache=tmp_path)
     assert json.loads(proc.stdout) == {"value": "24"}
+
+
+def test_eval_of_a_zero_diagram_agrees_with_the_library(tmp_path):
+    # The tripod is zero by antisymmetry but has legs, which closed
+    # evaluation refuses, as evaluate_closed does.
+    tripod = {"space": "B", "internal": [[0, 1, 2]], "legs": [3, 4, 5],
+              "pairing": [[0, 3], [1, 4], [2, 5]]}
+    proc = run_cli(["eval", "--algebra", "sl2"], stdin_text=json.dumps(tripod),
+                   cache=tmp_path)
+    assert proc.returncode == 5, proc.stdout
+    assert json.loads(proc.stdout)["error"]["code"] == "validation"
+
+    # The dumbbell is closed and zero by antisymmetry: alone or as a
+    # one-term vector it is worth 0, with no representation to ask for.
+    dumbbell = {"space": "B", "internal": [[0, 1, 2], [3, 4, 5]],
+                "pairing": [[0, 1], [3, 4], [2, 5]]}
+    algebra = lie_algebra_to_json(sl2())
+    del algebra["representations"]
+    path = tmp_path / "sl2.json"
+    path.write_text(json.dumps(algebra), encoding="utf-8")
+    for payload in (dumbbell, [{"coeff": "1", "diagram": dumbbell}]):
+        proc = run_cli(["eval", "--algebra", str(path)], stdin_text=json.dumps(payload),
+                       cache=tmp_path)
+        assert proc.returncode == 0, proc.stdout
+        assert json.loads(proc.stdout) == {"value": "0"}
 
 
 def test_eval_with_algebra_file_and_named_rep(tmp_path):

@@ -420,8 +420,11 @@ def test_automorphisms_are_the_oracles_and_count_the_group():
 
 
 def test_closed_circle_pieces_are_the_closed_leg_pieces(monkeypatch):
-    """The closed circle split is read off the closed leg piece; each class
-    must still be its own canonical form, with the same zero flag."""
+    """A circle split with e <= 2 points is read off the leg piece with e
+    legs: the closed one beside a bare circle, and with one or two points
+    the leg classes planted on the circle, which canonicalize to the circle
+    classes with the same zero flags, since one or two points carry no
+    circle order."""
     for v in range(7):
         closed = [(Diagram("A", d.triples, d.legs, (), d.pairing, 0), nonzero)
                   for d, nonzero in _enumerate_split_full("B", 0, v, 0)]
@@ -429,6 +432,15 @@ def test_closed_circle_pieces_are_the_closed_leg_pieces(monkeypatch):
         for d, nonzero in closed:
             cf = canonicalize(d)
             assert cf.diagram == d and (cf.sign != 0) == bool(nonzero), d
+    for e in range(3):
+        for v in range(8):
+            planted = {}
+            for d, nonzero in _enumerate_split_full("B", 0, v, e):
+                cf = canonicalize(Diagram("A", d.triples, (), d.legs, d.pairing, 0))
+                assert (cf.sign != 0) == bool(nonzero), d
+                planted[cf.diagram] = nonzero
+            assert _enumerate_split_full("A", e, v, 0) == sorted(
+                planted.items(), key=lambda pair: pair[0].sort_key()), (e, v)
     monkeypatch.setattr(diagrams, "_enum_memo", {})
     with pytest.raises(ResourceLimitError):
         enumerate_diagrams("A", e=0, v=8, max_steps=10)
@@ -442,29 +454,36 @@ def test_enumeration_resource_limit():
 def test_cold_enumeration_canonicalizes_per_class_not_per_labeling(monkeypatch):
     """B(8, 0) has 32 classes from 11,888 labeled matchings; built from the
     classes below it, one child per orbit of each parent's automorphisms,
-    a cold enumeration canonicalizes fewer than eight hundred."""
-    monkeypatch.setattr(diagrams, "_enum_memo", {})
-    calls = []
+    a cold enumeration canonicalizes fewer than eight hundred. A(1, 7), read
+    off the leg split B(7, 1), canonicalizes fewer than seven hundred."""
+    for split, classes, bound in ((("B", 0, 8, 0), 32, 800), (("A", 1, 7, 0), 26, 700)):
+        monkeypatch.setattr(diagrams, "_enum_memo", {})
+        calls = []
 
-    def counted(d, real=diagrams.canonicalize):
-        calls.append(d)
-        return real(d)
+        def counted(d, real=diagrams.canonicalize):
+            calls.append(d)
+            return real(d)
 
-    monkeypatch.setattr(diagrams, "canonicalize", counted)
-    assert len(_enumerate_split_full("B", 0, 8, 0)) == 32
-    assert 0 < len(calls) <= 800
+        monkeypatch.setattr(diagrams, "canonicalize", counted)
+        assert len(_enumerate_split_full(*split)) == classes
+        monkeypatch.undo()
+        assert 0 < len(calls) <= bound, split
 
 
 def test_enumeration_budget_does_not_depend_on_the_memo(monkeypatch):
     """B(8, 0) and the splits below it charge 47,262 steps (candidates x
-    half-edges), cold or warm: one step less raises either way."""
-    for warm in (False, True):
-        monkeypatch.setattr(diagrams, "_enum_memo", {})
-        if warm:
-            _enumerate_split_full("B", 0, 8, 0)
-        with pytest.raises(ResourceLimitError):
-            _enumerate_split_full("B", 0, 8, 0, max_steps=47_261)
-        assert len(_enumerate_split_full("B", 0, 8, 0, max_steps=47_262)) == 32
+    half-edges), cold or warm: one step less raises either way. A(1, 7) and
+    A(2, 6) charge what B(7, 1) and B(6, 2), which they are read off, do."""
+    for split, steps, classes in ((("B", 0, 8, 0), 47_262, 32),
+                                  (("A", 1, 7, 0), 40_056, 26),
+                                  (("A", 2, 6, 0), 24_414, 35)):
+        for warm in (False, True):
+            monkeypatch.setattr(diagrams, "_enum_memo", {})
+            if warm:
+                _enumerate_split_full(*split)
+            with pytest.raises(ResourceLimitError):
+                _enumerate_split_full(*split, max_steps=steps - 1)
+            assert len(_enumerate_split_full(*split, max_steps=steps)) == classes
 
 
 def test_units():

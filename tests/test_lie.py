@@ -556,6 +556,8 @@ def test_cost_bound_holds_on_a_memoized_plan():
     lie._plan.cache_clear()
     d = cube()
     cost = contraction_plan(d, (3,)).cost
+    assert lie._plan.cache_info()[:2] == (0, 1)  # planned through the same memo
+    lie._plan.cache_clear()
     for _ in range(2):  # the miss, then the hit
         with pytest.raises(ResourceLimitError):
             evaluate_closed(d, SL2, max_cost=cost - 1)

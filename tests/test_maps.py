@@ -369,6 +369,34 @@ def test_omega_counts_its_half_edges_before_building_a_wheel(monkeypatch):
         omega(10 ** 20)
 
 
+def struts(legs):
+    """legs / 2 struts side by side."""
+    return validate("B", legs=list(range(legs)),
+                    pairing=[(g, g + 1) for g in range(0, legs, 2)])
+
+
+def test_closure_and_cap_count_their_work_before_gluing(monkeypatch):
+    # closure charges (l-1)!! matchings times half-edges per term, cap
+    # k!/(k-j)! injections times half-edges per pair: 14 legs close within
+    # the budget and 16 do not; 6 legs cap into 8 within it and into 10 not
+    assert maps._closure_steps(struts(14)) == 135_135 * 14 <= DEFAULT_MAX_STEPS
+    assert maps._closure_steps(struts(16)) > DEFAULT_MAX_STEPS
+    assert maps._cap_steps(struts(6), struts(8)) == 20_160 * 14 <= DEFAULT_MAX_STEPS
+    assert maps._cap_steps(struts(6), struts(10)) > DEFAULT_MAX_STEPS
+    assert maps._closure_steps(wheel(3)) == 0 == maps._cap_steps(struts(4), struts(2))
+    # verify closure-omega at vmax 10 stays within the budget
+    assert sum(maps._closure_steps(d) for d, _ in omega(10).items()) == 282_584
+
+    def no_glue(d, pairs):
+        raise AssertionError("a gluing was built past the budget")
+
+    monkeypatch.setattr(maps, "_glue", no_glue)
+    with pytest.raises(ResourceLimitError, match="expansion exceeded"):
+        closure(struts(16))
+    with pytest.raises(ResourceLimitError, match="expansion exceeded"):
+        cap(struts(6), V(struts(10)) + V(struts(2)))
+
+
 def test_exp_disjoint_truncates_by_vertices():
     e = exp_disjoint(W2, 4)
     assert e == ONE + W2 + F(1, 2) * du(W2, W2)
