@@ -232,7 +232,7 @@ def _distinct(vectors) -> list:
     return out
 
 
-def ihx_generators(diagrams) -> list:
+def ihx_generators(diagrams, floating=False) -> list:
     """Edge-rewrite relation vectors based at each given diagram.
 
     For an edge joining internal vertices u and w (half-edges k at u, p at
@@ -245,8 +245,13 @@ def ihx_generators(diagrams) -> list:
     vertices). An automorphism of the base diagram maps an edge's vector
     to +/- that of the image edge, so one edge per orbit is taken.
     Duplicates are removed by normal form.
+
+    With ``floating``, only the edges of components that meet no skeleton
+    point are taken: on a component that meets the skeleton, the relation
+    is a combination of skeleton-resolution relations of the same piece
+    (Bar-Natan, Topology 1995, Thm 6), which circle-space bases generate.
     """
-    return _distinct(vec for d in diagrams for vec in _ihx_vectors(d))
+    return _distinct(vec for d in diagrams for vec in _ihx_vectors(d, floating))
 
 
 def _relation(base, d2, d3) -> DiagramVector:
@@ -257,16 +262,18 @@ def _relation(base, d2, d3) -> DiagramVector:
         ((base, one), (canonicalize(d2), -one), (canonicalize(d3), one))))
 
 
-def _ihx_vectors(d):
+def _ihx_vectors(d, floating=False):
     """The edge-rewrite vectors based at d, one per orbit of internal edges
     between two vertices under d's automorphisms, zeros and repeats
-    included."""
+    included.  With ``floating``, only the edges of components that meet
+    no skeleton point."""
     pmap = d.partner_map
     where = {h: (i, j) for i, t in enumerate(d.triples) for j, h in enumerate(t)}
+    anchored = _skeleton_reach(d, where) if floating else ()
     ends = {}  # each internal edge (x < y) -> its half-edge at the lower vertex
     for k, (i, _) in where.items():
         p = pmap[k]
-        if p in where and where[p][0] > i:
+        if p in where and where[p][0] > i and i not in anchored:
             ends[(k, p) if k < p else (p, k)] = k
     if not ends:
         return
@@ -288,6 +295,21 @@ def _ihx_vectors(d):
             base,
             Diagram._new(d.space, trip2, d.legs, d.skeleton, d.pairing, d.free_loops),
             Diagram._new(d.space, trip3, d.legs, d.skeleton, d.pairing, d.free_loops))
+
+
+def _skeleton_reach(d, where) -> set:
+    """The vertices of d joined to a skeleton point by a path of edges;
+    ``where`` maps each vertex half-edge to (vertex, position)."""
+    pmap = d.partner_map
+    reach = {where[pmap[h]][0] for h in d.skeleton or () if pmap[h] in where}
+    stack = list(reach)
+    while stack:
+        for h in d.triples[stack.pop()]:
+            w = where.get(pmap[h])
+            if w is not None and w[0] not in reach:
+                reach.add(w[0])
+                stack.append(w[0])
+    return reach
 
 
 def stu_generators(diagrams) -> list:
@@ -497,7 +519,7 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
         gens = ihx_generators(diagrams)
     else:
         diagrams = enumerate_diagrams("A", total=total, max_steps=max_steps)
-        gens = ihx_generators(diagrams) + stu_generators(diagrams)
+        gens = ihx_generators(diagrams, floating=True) + stu_generators(diagrams)
     index = {d._key: i for i, d in enumerate(diagrams)}
     rows = []
     for g in gens:

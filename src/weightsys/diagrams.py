@@ -260,10 +260,13 @@ def _component_search(triples, legs, skeleton, partner):
     if a state has open labels and m is the smallest, only the chunks
     starting with m can be minimal, and those come from m's partner's
     vertex rewritten to put that partner first (one rotation, one
-    reversal). All unplaced vertices are scanned only when a state has no
-    open label: at depth 0 without a skeleton, and never again inside one
-    component. Each state keeps its own sorted open labels, since the
-    skeleton rotations open different positions.
+    reversal). Unless the vertex has a self-edge, their chunks are
+    (m, y, z) and (m, z, y), with y and z the entries of its other two
+    half-edges, read once for both. All unplaced vertices are scanned
+    only when a state has no open label: at depth 0 without a skeleton,
+    and never again inside one component. Each state keeps its own
+    sorted open labels, since the skeleton rotations open different
+    positions.
 
     The rule drops only candidates that cannot tie the minimum, so the
     surviving states at every depth, and their order, are those of the
@@ -289,6 +292,20 @@ def _component_search(triples, legs, skeleton, partner):
         reps.append((((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
                      ((c, b, a), -1), ((b, a, c), -1), ((a, c, b), -1)))
         where[a], where[b], where[c] = (vi, 0), (vi, 1), (vi, 2)
+    # far[h]: h's chunk entry while its partner is unplaced and off h's
+    # vertex; looped[vi]: vertex vi has a self-edge
+    far = [inf_l if partner[h] in legset else inf_v for h in range(n)]
+    looped = [any(partner[h] in t for h in t) for t in triples]
+
+    def chunk_of(trip, lab, base):
+        out = []
+        for h in trip:
+            p = partner[h]
+            pl = lab[p]
+            if pl is None:
+                pl = base + trip.index(p) if p in trip else far[h]
+            out.append(pl)
+        return tuple(out)
 
     # a state: (label of each half-edge or None, half-edge of each label,
     # sorted open labels, sign)
@@ -311,30 +328,29 @@ def _component_search(triples, legs, skeleton, partner):
         chosen = []
         for state in states:
             lab, inv, opn, _ = state
-            if opn:
-                vi, j = where[partner[inv[opn[0]]]]
-                cands = (reps[vi][j], reps[vi][5 - j])
+            if not opn:
+                scored = [(chunk_of(trip, lab, base), trip, s)
+                          for t, vreps in zip(triples, reps) if lab[t[0]] is None
+                          for trip, s in vreps]
             else:
-                cands = [rep for t, vreps in zip(triples, reps) if lab[t[0]] is None
-                         for rep in vreps]
-            for trip, s in cands:
-                cs = []
-                for h in trip:
-                    p = partner[h]
-                    pl = lab[p]
-                    if pl is None:
-                        if p == trip[0]:
-                            pl = base
-                        elif p == trip[1]:
-                            pl = base + 1
-                        elif p == trip[2]:
-                            pl = base + 2
-                        elif p in legset:
-                            pl = inf_l
-                        else:
-                            pl = inf_v
-                    cs.append(pl)
-                chunk = (cs[0], cs[1], cs[2])
+                m = opn[0]
+                vi, j = where[partner[inv[m]]]
+                forced = reps[vi][j], reps[vi][5 - j]
+                if looped[vi]:
+                    scored = [(chunk_of(trip, lab, base), trip, s) for trip, s in forced]
+                else:
+                    # both rewritings open with m's partner, whose entry is
+                    # m, and differ only in the order of the other two
+                    (trip, s), (rtrip, rs) = forced
+                    y, z = trip[1], trip[2]
+                    ly = lab[partner[y]]
+                    lz = lab[partner[z]]
+                    if ly is None:
+                        ly = far[y]
+                    if lz is None:
+                        lz = far[z]
+                    scored = (((m, ly, lz), trip, s), ((m, lz, ly), rtrip, rs))
+            for chunk, trip, s in scored:
                 if best is None or chunk < best:
                     best = chunk
                     chosen = [(state, trip, s)]

@@ -21,10 +21,10 @@ import math
 import os
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .algebra import _rational, _rref, _terms
 from .diagrams import DEFAULT_MAX_STEPS, Diagram
@@ -44,27 +44,77 @@ def _matrix(rows, n, m, what):
     return tuple(tuple(_rational(x, LieAlgebraError) for x in r) for r in rows)
 
 
-@dataclass(frozen=True)
-class Representation:
+class _Value:
+    """An immutable value: its fields are set once, by ``__init__``.  It
+    compares and hashes by the fields named in ``_compared``, and its hash
+    is computed on first use and kept, as the memo keys of evaluation hash
+    an algebra on every call."""
+
+    __slots__ = ("_hash",)
+    _compared: tuple = ()
+
+    def _init(self, **fields):
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _key(self):
+        return tuple(getattr(self, name) for name in self._compared)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key() == other._key()
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._init(_hash=hash(self._key()))
+            return self._hash
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __reduce__(self):  # copy and pickle call the constructor
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={x!r}" for name, x in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+
+class Representation(_Value):
     """A Lie-algebra representation: one square matrix per basis element."""
 
-    dim_V: int
-    action: tuple  # dim matrices, each dim_V x dim_V
+    __slots__ = ("dim_V", "action")
+    _compared = __slots__
+
+    def __init__(self, dim_V: int, action: tuple):
+        # action: dim matrices, each dim_V x dim_V
+        self._init(dim_V=dim_V, action=action)
 
 
-@dataclass(frozen=True)
-class MetricLieAlgebra:
-    """Structure constants c^k_{ij}, an invariant metric, and named reps."""
+class MetricLieAlgebra(_Value):
+    """Structure constants c^k_{ij}, an invariant metric, and named reps.
+    Equality and hash read the first three fields only."""
 
-    dim: int
-    structure_constants: tuple  # c[k][i][j]
-    metric: tuple               # b[i][j]
-    representations: dict = field(default_factory=dict, compare=False)
-    name: str = field(default="", compare=False)
+    __slots__ = ("dim", "structure_constants", "metric", "representations", "name")
+    _compared = ("dim", "structure_constants", "metric")
+
+    def __init__(self, dim: int, structure_constants: tuple, metric: tuple,
+                 representations: dict | None = None, name: str = ""):
+        # structure_constants: c[k][i][j]; metric: b[i][j]
+        self._init(dim=dim, structure_constants=structure_constants, metric=metric,
+                   representations={} if representations is None else representations,
+                   name=name)
 
 
-@dataclass(frozen=True)
-class StructureTensors:
+class StructureTensors(NamedTuple):
     """The covariant bracket tensor and the inverse metric."""
 
     f: dict      # (i, j, k) -> Fraction, totally antisymmetric

@@ -16,12 +16,17 @@ tensor merged from the set is the product over dimensions d of d to the
 popcount of its crossing edges of dimension d.  The merge order comes
 from exhaustive subset dynamic programming when the network has at most
 ``DP_WIDTH`` nodes, greedy minimum-intermediate-size otherwise.  The
-reported cost is the sum of the sizes (index-space products) of every
-intermediate tensor, which is also what the resource guard in the
-evaluator checks against.  The executor gives edge e the label e on both
-of its axes, traces each node's self-edges once, and then merges tensors
-pairwise over the labels they share, so a merged tensor never carries a
-label twice.
+dynamic program walks a split table built once per node count, which
+lists every node set with its splits in a fixed order, so a plan only
+adds costs; the first cheapest split wins.  The greedy planner scores
+each pair of nodes once into a heap and, after a merge, scores only the
+pairs of the merged node again, so it pops the pair a full rescan would
+choose, ties broken by node ids.  The reported cost is the sum of the
+sizes (index-space products) of every intermediate tensor, which is also
+what the resource guard in the evaluator checks against.  The executor
+gives edge e the label e on both of its axes, traces each node's
+self-edges once, and then merges tensors pairwise over the labels they
+share, so a merged tensor never carries a label twice.
 
 Values are Fractions at the API and integers inside.  A tensor keeps,
 beside its Fraction entries, their numerators over one common
@@ -34,11 +39,12 @@ and only the final result is divided back into Fractions.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from math import lcm, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 _ZERO = Fraction(0)
 
@@ -75,8 +81,7 @@ class SparseTensor:
         return f"SparseTensor(shape={self.shape}, nnz={len(self.data)})"
 
 
-@dataclass(frozen=True)
-class ContractionPlan:
+class ContractionPlan(NamedTuple):
     """A pairwise merge order over network node ids plus its cost estimate.
 
     ``order`` lists (i, j) merges; the merge result keeps id ``i``.  ``cost``
@@ -112,6 +117,28 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     return _plan_shape(tuple(sorted(bonds)), tuple(map(prod, free)))
 
 
+@lru_cache(maxsize=None)
+def _split_table(n):
+    """The exact DP's schedule for n nodes: ``(s, rest, low, splits)`` per
+    node set s of at least two nodes, in increasing order of s.  ``low`` is
+    the index of s's lowest node and ``rest`` is s without it; ``splits``
+    lists the pairs (part holding the lowest node, the other part), in
+    descending order of the part's other nodes as a submask of ``rest``.
+    One table per n <= ``DP_WIDTH``, built on first use."""
+    table = []
+    for s in range(1, 1 << n):
+        low = s & -s
+        rest = sub = s ^ low
+        if not rest:
+            continue
+        splits = []
+        while sub:
+            sub = (sub - 1) & rest
+            splits.append((low | sub, rest ^ sub))
+        table.append((s, rest, low.bit_length() - 1, tuple(splits)))
+    return tuple(table)
+
+
 @lru_cache(maxsize=4096)
 def _plan_shape(bonds, free) -> ContractionPlan:
     """The plan of a network of sorted (i, j, dimension) bonds whose node i
@@ -124,7 +151,7 @@ def _plan_shape(bonds, free) -> ContractionPlan:
     # of its bonds' bits (a self-edge cancels), so the XOR over a node set
     # holds exactly the bonds with one end in it, and the size of the tensor
     # merged from the set is the product over dimensions d of
-    # d ** popcount(mask & bonds of dimension d).
+    # d ** popcount(mask & bonds of dimension d), read from a list of powers.
     outside = tuple((i, n, d) for i, d in enumerate(free) if d != 1)
     cross = [0] * (n + 1)
     of_dim: dict = {}
@@ -132,34 +159,33 @@ def _plan_shape(bonds, free) -> ContractionPlan:
         cross[i] ^= 1 << b
         cross[j] ^= 1 << b
         of_dim[d] = of_dim.get(d, 0) | 1 << b
-    dims = tuple(of_dim.items())
+    dims = tuple((m, [d ** k for k in range(m.bit_count() + 1)])
+                 for d, m in of_dim.items())
 
     def size(mask):
         out = 1
-        for d, m in dims:
-            out *= d ** (mask & m).bit_count()
+        for m, power in dims:
+            out *= power[(mask & m).bit_count()]
         return out
 
     if n <= DP_WIDTH:
         # best[s]: cheapest cost of merging s; split[s]: the part of s that
-        # holds its lowest node; cut[s]: the crossing mask of s.  Masks
-        # grow, so every part is done first.
+        # holds its lowest node, the first of the cheapest splits in the
+        # table's order; cut[s]: the crossing mask of s.  Sets grow, so
+        # every part is done first.
         full = (1 << n) - 1
         best = [0] * (full + 1)
         split = [0] * (full + 1)
         cut = [0] * (full + 1)
-        for s in range(1, full + 1):
-            low = s & -s
-            rest = sub = s ^ low
-            cut[s] = cut[rest] ^ cross[low.bit_length() - 1]
-            if not rest:
-                continue
+        for i in range(n):
+            cut[1 << i] = cross[i]
+        for s, rest, low, splits in _split_table(n):
+            cut[s] = cut[rest] ^ cross[low]
             top = None
-            while sub:
-                sub = (sub - 1) & rest
-                c = best[low | sub] + best[rest ^ sub]
+            for part, other in splits:
+                c = best[part] + best[other]
                 if top is None or c < top:
-                    top, split[s] = c, low | sub
+                    top, split[s] = c, part
             best[s] = top + size(cut[s])
         order = []
 
@@ -176,17 +202,33 @@ def _plan_shape(bonds, free) -> ContractionPlan:
     # greedy: repeatedly merge the pair with the smallest result size,
     # preferring connected pairs (whose crossing masks share a bond);
     # deterministic tie-break by node ids.  cut[i]: the crossing mask of
-    # the live group kept as node i.
+    # the live group kept as node i.  Every pair is scored once into a
+    # heap, with the stamps its nodes had then; a merge into i bumps i's
+    # stamp, retires j's and scores i's pairs again, and a popped pair
+    # with a stamp that is no longer its node's is skipped, so the first
+    # pair kept is the least over all live pairs.
     cut = dict(enumerate(cross[:n]))
+    stamp = [0] * n
+    heap = [(not cut[i] & cut[j], size(cut[i] ^ cut[j]), i, j, 0, 0)
+            for i in range(n) for j in range(i + 1, n)]
+    heapify(heap)
     order = []
     cost = 0
     while len(cut) > 1:
-        alive = sorted(cut)
-        _, s, i, j = min((not cut[i] & cut[j], size(cut[i] ^ cut[j]), i, j)
-                         for x, i in enumerate(alive) for j in alive[x + 1:])
+        _, s, i, j, si, sj = heappop(heap)
+        if stamp[i] != si or stamp[j] != sj:
+            continue
         cost += s
-        cut[i] ^= cut.pop(j)
+        ci = cut[i] ^ cut.pop(j)
+        cut[i] = ci
+        stamp[i] += 1
+        stamp[j] = -1
         order.append((i, j))
+        for k, ck in cut.items():
+            if k != i:
+                a, b = (i, k) if i < k else (k, i)
+                heappush(heap, (not ci & ck, size(ci ^ ck), a, b,
+                                stamp[a], stamp[b]))
     return ContractionPlan(tuple(order), cost)
 
 

@@ -505,6 +505,21 @@ def test_every_relation_generator_reduces_to_zero(space, kwargs):
         assert not qb.reduce(g)
 
 
+def test_circle_bases_need_the_edge_rewrites_of_floating_components_only(monkeypatch):
+    """A circle-space basis takes edge rewrites only on components that
+    meet no skeleton point; skeleton resolutions imply the rest, so its
+    pivots are those of every relation."""
+    monkeypatch.setattr(algebra, "_basis_memo", {})
+    for total in range(0, 10, 2):
+        qb = quotient_basis("A", total=total)
+        index = {d._key: i for i, d in enumerate(qb.diagrams)}
+        every = ihx_generators(qb.diagrams) + stu_generators(qb.diagrams)
+        assert qb.pivots == algebra._rref(
+            [{index[d._key]: c for d, c in g._terms.items()} for g in every]), total
+    kept = ihx_generators(qb.diagrams, floating=True)
+    assert 0 < len(kept) < len(ihx_generators(qb.diagrams))
+
+
 def test_reduce_is_idempotent_and_linear_on_random_vectors():
     rng = random.Random(23)
     qb = quotient_basis("A", total=6)

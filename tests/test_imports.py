@@ -20,9 +20,12 @@ PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(weightsys.__file_
 CORE = {"weightsys", "weightsys.errors", "weightsys.diagrams", "weightsys.algebra",
         "weightsys.cache"}
 LAYERS = {"weightsys.lie", "weightsys.tensor", "weightsys.maps", "weightsys.verify"}
+# Standard modules no call needs, each several milliseconds of start-up
+# (``dataclasses`` imports ``inspect``): any call that loads one fails.
+UNNEEDED = ("dataclasses", "inspect")
 
 # Imports the package (and, with arguments, runs one call through cli.main),
-# then prints the exit status and the weightsys modules loaded.
+# then prints the exit status and the weightsys and UNNEEDED modules loaded.
 CHILD = """
 import io, json, sys
 import weightsys
@@ -30,8 +33,9 @@ status = None
 if len(sys.argv) > 1:
     from weightsys import cli
     status = cli.main(json.loads(sys.argv[1]), io.StringIO(sys.argv[2]), io.StringIO())
-print(json.dumps([status, sorted(m for m in sys.modules if m.startswith("weightsys"))]))
-"""
+print(json.dumps([status, sorted(m for m in sys.modules
+                                 if m.startswith("weightsys") or m in %r)]))
+""" % (UNNEEDED,)
 
 
 def loaded_modules(*call):

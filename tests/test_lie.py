@@ -6,8 +6,10 @@ expansion over hard-coded sl2 constants) and against hand-computed scalar
 values.
 """
 
+import copy
 import io
 import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -197,6 +199,38 @@ def test_structure_tensors_are_derived_once_per_algebra(monkeypatch):
         evaluate_closed(oracles.theta_closed(), SL2)
     assert verify_relations(max_total=4)["pass"]
     assert calls == [SL2]
+
+
+def test_equal_algebras_built_apart_share_one_memo_entry():
+    # equality and hash read the structure constants and the metric only,
+    # so a copy that differs in name or representations is the same key
+    lie._node_tensors.cache_clear()
+    rebuilt = [sl2(), lie_algebra_from_json(lie_algebra_to_json(SL2)),
+               MetricLieAlgebra(SL2.dim, SL2.structure_constants, SL2.metric, name="other"),
+               MetricLieAlgebra(SL2.dim, *(fresh_copy(x) for x in (
+                   SL2.structure_constants, SL2.metric)), representations={})]
+    for g in rebuilt:
+        assert g is not SL2 and g == SL2 and hash(g) == hash(SL2)
+        assert evaluate_closed(oracles.theta_closed(), g) == -12
+    fund = Representation(FUND.dim_V, fresh_copy(FUND.action))
+    assert fund is not FUND and fund == FUND and hash(fund) == hash(FUND)
+    for g, rep in zip(rebuilt, (FUND, fund, fund, FUND)):
+        assert evaluate(a_theta(), g, rep) == -12
+    assert lie._node_tensors.cache_info().currsize == 2
+    assert scaled_metric(SL2, 3) != SL2 and Representation(2, FUND.action[::-1]) != FUND
+    assert SL2 != (SL2.dim, SL2.structure_constants, SL2.metric) and SL2 != FUND
+    with pytest.raises(AttributeError):
+        SL2.metric = scaled_metric(SL2, 3).metric
+    for x in (SL2, FUND):
+        for twin in (copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert twin == x and repr(twin) == repr(x)
+
+
+def fresh_copy(rows):
+    """Nested tuples of Fractions rebuilt from their text, sharing no object."""
+    if isinstance(rows, Fraction):
+        return Fraction(str(rows))
+    return tuple(fresh_copy(r) for r in rows)
 
 
 def test_json_loader_names_the_failing_representation():

@@ -101,3 +101,30 @@ def test_free_axis_result_over_mixed_denominators_matches_brute_force():
         value = oracles.network_value_bruteforce(
             shapes + [(2,), (2,)], datas + [{(a,): 1}, {(b,): 1}], closed)
         assert out.data.get((a, b), 0) == value
+
+
+def tie_heavy_shape(rng, n):
+    """Node shapes and edges of n nodes with 1-4 axes of one dimension,
+    wired by a random matching of most axes (self-edges and parallel
+    edges occur), so many merges and splits cost the same."""
+    d = rng.choice((2, 2, 3))
+    arity = [rng.randint(1, 4) for _ in range(n)]
+    slots = [(i, a) for i in range(n) for a in range(arity[i])]
+    rng.shuffle(slots)
+    keep = len(slots) - rng.choice((0, 0, 2))  # sometimes two free axes
+    edges = [(slots[k], slots[k + 1]) for k in range(0, keep - 1, 2)]
+    return [(d,) * k for k in arity], edges
+
+
+def test_plans_match_the_bond_scan_on_tie_heavy_networks():
+    # 2-14 nodes: 105 networks take the exact DP and 90 the greedy plan
+    rng = random.Random(2014)
+    seen = {"self": 0, "parallel": 0}
+    for trial in range(195):
+        shapes, edges = tie_heavy_shape(rng, 2 + trial % 13)
+        plan = plan_contraction(shapes, edges)
+        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges), (shapes, edges)
+        pairs = [tuple(sorted((i, j))) for (i, _), (j, _) in edges]
+        seen["self"] += any(i == j for i, j in pairs)
+        seen["parallel"] += len(set(pairs)) < len(pairs)
+    assert seen["self"] >= 40 and seen["parallel"] >= 60, seen
