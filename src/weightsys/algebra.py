@@ -256,10 +256,13 @@ def ihx_generators(diagrams, floating=False) -> list:
 
 def _relation(base, d2, d3) -> DiagramVector:
     """base - d2 + d3, where base is the canonical form of the based
-    diagram, found once for all of its relations."""
+    diagram, found once for all of its relations. A term given as None is
+    known to have a tadpole, so it is zero by antisymmetry and is not
+    canonicalized."""
     one = Fraction(1)
     return DiagramVector(_raw=_combine(
-        ((base, one), (canonicalize(d2), -one), (canonicalize(d3), one))))
+        ((base, one), *((canonicalize(d), c) for d, c in ((d2, -one), (d3, one))
+                        if d is not None))))
 
 
 def _ihx_vectors(d, floating=False):
@@ -285,16 +288,19 @@ def _ihx_vectors(d, floating=False):
         t, tw = d.triples[i], d.triples[w]
         a, b = t[(j + 1) % 3], t[(j + 2) % 3]
         c, dd = tw[(js + 1) % 3], tw[(js + 2) % 3]
-        trip2 = list(d.triples)
-        trip2[i] = (a, c, k)
-        trip2[w] = (p, b, dd)
-        trip3 = list(d.triples)
-        trip3[i] = (b, c, k)
-        trip3[w] = (p, a, dd)
-        yield _relation(
-            base,
-            Diagram._new(d.space, trip2, d.legs, d.skeleton, d.pairing, d.free_loops),
-            Diagram._new(d.space, trip3, d.legs, d.skeleton, d.pairing, d.free_loops))
+        terms = []
+        # a rewired vertex has a self-edge when two of its new neighbours
+        # are partners: (a, c, k) when a and c are, (p, b, dd) when b and dd
+        for x, y in ((a, b), (b, a)):
+            if pmap[x] == c or pmap[y] == dd:
+                terms.append(None)
+                continue
+            trips = list(d.triples)
+            trips[i] = (x, c, k)
+            trips[w] = (p, y, dd)
+            terms.append(Diagram._new(d.space, trips, d.legs, d.skeleton, d.pairing,
+                                      d.free_loops))
+        yield _relation(base, *terms)
 
 
 def _skeleton_reach(d, where) -> set:

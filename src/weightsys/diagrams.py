@@ -639,22 +639,97 @@ def _insertions(d):
     (x, y) and add a vertex (n, n + 1, n + 2) paired with x, y and z, n
     being the first label that d does not use. An automorphism of d maps
     the child of (g, (x, y)) onto the child of their images, up to the
-    order of x and y, so one (g, (x, y)) per orbit is built."""
+    order of x and y, so one (g, (x, y)) per orbit is built.
+
+    A child is dropped before it is built when :func:`_outscored` finds a
+    valid deletion of it that scores above its own: the deletion of the new
+    vertex at n + 2 (McKay's canonical-parent test, *Isomorph-free
+    exhaustive generation*, J. Algorithms 1998). The score reads the
+    child's graph, patched from d's: d's vertices, the new vertex, then
+    d's free ends, g's unseen."""
     n = 3 * d.v + d.l + d.e
+    v = d.v
     triples = d.triples + ((n, n + 1, n + 2),)
-    items = [(g, edge) for g in (d.skeleton if d.space == "A" else d.legs)
-             for edge in d.pairing if g not in edge]
+    ends = d.skeleton if d.space == "A" else d.legs
+    items = [(g, edge) for g in ends for edge in d.pairing if g not in edge]
+    pmap = d.partner_map
+    # the nodes of a child: d's vertices, the new vertex v, d's free ends
+    node = [0] * n
+    for i, t in enumerate(d.triples):
+        node[t[0]] = node[t[1]] = node[t[2]] = i
+    for k, h in enumerate(ends, v + 1):
+        node[h] = k
+    pnode = [node[pmap[h]] for h in range(n)]
 
     def image(p, item):
         g, edge = item
         return p.get(g, g), _edge_image(p, edge)
 
     for g, (x, y) in _orbit_firsts(items, _automorphisms(d), image):
+        z = pmap[g]
+        pn = pnode.copy()
+        pn[x] = pn[y] = pn[z] = v
+        nbs = [[pn[a], pn[b], pn[c]] for a, b, c in d.triples]
+        nbs.append([node[x], node[y], node[z]])
+        # a free end sees itself, its partner and, on the circle, its
+        # neighbours there; g keeps its place, and nothing sees it
+        if d.space == "A":
+            ring = [h for h in ends if h != g]
+            enbs = [(node[h], pn[h], node[ring[k - 1]], node[ring[k + 1 - len(ring)]])
+                    for k, h in enumerate(ring)]
+            enbs.insert(ends.index(g), (node[g],) * 4)
+        else:
+            enbs = [(node[h], pn[h], node[h], node[h]) for h in ends]
+        if _outscored(nbs, enbs):
+            continue
         pairing = (*(e for e in d.pairing if e != (x, y) and g not in e),
-                   (n, x), (n + 1, y), (n + 2, d.partner_map[g]))
+                   (n, x), (n + 1, y), (n + 2, z))
         legs = tuple(h for h in d.legs if h != g)
         skeleton = None if d.skeleton is None else tuple(h for h in d.skeleton if h != g)
         yield Diagram(d.space, triples, legs, skeleton, pairing, 0)
+
+
+def _outscored(nbs, enbs):
+    """Whether a valid deletion of a child scores above its own, the
+    deletion of its last vertex at the third half-edge (see
+    :func:`_enumerate_split_full`). Nodes are numbered vertices first;
+    ``nbs[w]`` lists the partner nodes of vertex w's half-edges and
+    ``enbs[k]`` the four nodes free end ``len(nbs) + k`` sees: itself,
+    its partner, and the points before and after it on the circle (itself
+    twice for a leg)."""
+    # the valid deletions, as (vertex, partner node of the free end, the
+    # two partner nodes paired), the child's own last; a deletion whose two
+    # partners sit on one vertex would leave the parent a tadpole
+    dels = [(w, nb[j], nb[j - 2], nb[j - 1]) for w, nb in enumerate(nbs) for j in range(3)
+            if nb[j - 2] != nb[j - 1]]
+    own = dels.pop()
+    # colour refinement on the unoriented graph of vertices and free ends;
+    # the score of a deletion is its colours after each round in turn, and
+    # the deletions tied with the child's own go on to the next round
+    col = [0] * len(nbs) + [1] * len(enbs)
+    for _ in range(3):
+        col = ([hash((col[w], *sorted([col[a], col[b], col[c]])))
+                for w, (a, b, c) in enumerate(nbs)]
+               + [hash((col[u], col[p], col[q], col[r])) for u, p, q, r in enbs])
+        w, z, a, b = own
+        cw = col[w]
+        top = (col[z], *sorted([col[a], col[b]]))
+        tied = []
+        for m in dels:
+            w, z, a, b = m
+            if col[w] != cw:
+                if col[w] > cw:
+                    return True
+                continue
+            s = (col[z], *sorted([col[a], col[b]]))
+            if s > top:
+                return True
+            if s == top:
+                tied.append(m)
+        if not tied:
+            return False
+        dels = tied
+    return False
 
 
 def _with_theta(d):
@@ -692,6 +767,28 @@ def _enumerate_split_full(space, nsk, nv, nl, max_steps=None):
     and deleting w, pairing x with y and giving the third neighbour a new
     free end leaves a tadpole-free parent; a diagram with no such w is a
     smaller one beside a theta.
+
+    Most children are dropped before they are canonicalized (McKay,
+    *Isomorph-free exhaustive generation*, J. Algorithms 1998). A
+    *deletion* (w, z) of a child, w a vertex and z one of its half-edges,
+    removes w, pairs the partners x', y' of w's other two half-edges and
+    gives z's partner a new free end (in A, a circle point in any gap). It
+    is *valid* unless x' and y' sit on one vertex, which would leave the
+    parent a tadpole, and no memoized class has one. The child's own
+    deletion, at its new vertex and half-edge n + 2, is valid. Each node
+    (vertex or free end) is coloured by three rounds of colour refinement
+    on the unoriented graph, a circle point also seeing its predecessor and
+    successor; the *score* of (w, z) is the colours of w, of the node of
+    z's partner and, sorted, of the nodes of x' and y', after each round in
+    turn. A child is dropped when a valid deletion scores strictly above
+    its own.
+    This loses no class: a class K reached by insertion has a valid
+    deletion m of top score; its parent is tadpole-free, so its class is
+    memoized, and the child that :func:`_insertions` builds for the orbit
+    of the inverse insertion is isomorphic to K by a map that sends its
+    own deletion onto m, perhaps swapping x and y, which the unoriented,
+    label-free score does not see; so that child scores top and is kept.
+    Ties still give repeats, which :func:`_classes` merges.
 
     Every split, memoized or not, is charged its candidate count times its
     half-edge count against ``max_steps`` (``DEFAULT_MAX_STEPS`` when None),

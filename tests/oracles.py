@@ -8,6 +8,7 @@ against code that shares none of their cleverness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -390,6 +391,91 @@ def layout_group_order(space: str, nsk: int, nv: int, nl: int) -> int:
     permutations, and skeleton rotations."""
     rot = nsk if (space == "A" and nsk) else 1
     return math.factorial(nv) * 6 ** nv * math.factorial(nl) * rot
+
+
+# ---------------------------------------------------------------------------
+# the insertion chain with no pruning, and the graph a deletion score reads
+
+
+def every_insertion(d: Diagram):
+    """Every child of ``d`` one vertex up, one for each free end g (a leg,
+    or a circle point) and each edge (x, y) not at g: remove g and the
+    edge, add the vertex (n, n + 1, n + 2), n above every label of d, and
+    pair it with x, y and g's partner."""
+    n = max(d.half_edges(), default=-1) + 1
+    partner = d.partner_map
+    for g in (d.skeleton if d.space == "A" else d.legs):
+        for x, y in d.pairing:
+            if g in (x, y):
+                continue
+            pairing = [e for e in d.pairing if e != (x, y) and g not in e]
+            pairing += [(n, x), (n + 1, y), (n + 2, partner[g])]
+            yield validate(d.space, internal=[*d.triples, (n, n + 1, n + 2)],
+                           legs=[h for h in d.legs if h != g],
+                           skeleton=None if d.skeleton is None else
+                           [h for h in d.skeleton if h != g],
+                           pairing=pairing)
+
+
+@functools.lru_cache(maxsize=None)
+def enumerate_split_unfiltered(space: str, nsk: int, nv: int, nl: int) -> list:
+    """The classes of one slot layout with their nonzero flags, in sort
+    order, from the insertion chain with every child kept: split (j, f),
+    with j vertices and f free ends, holds the canonical forms of
+    :func:`every_insertion` of each class of split (j - 1, f + 1) and of
+    each class of (j - 2, f) beside a theta; split (0, f) is the struts
+    (B) or every chord diagram (A). Circle splits with few points run the
+    chain too. Only ``canonicalize`` is shared with the package."""
+    from weightsys.diagrams import canonicalize
+
+    free = nsk + nl
+    if (free + 3 * nv) % 2:
+        return []
+    if nv == 0:
+        cands = [layout_diagram(space, free if space == "A" else 0, 0,
+                                0 if space == "A" else free, p)
+                 for p in brute_matchings(free, 0, 0)]
+        if space == "B":
+            cands = cands[:1]  # the struts: all matchings of legs are one class
+    else:
+        up = (nsk + 1, nv - 1, 0) if space == "A" else (0, nv - 1, nl + 1)
+        cands = [c for d, _ in enumerate_split_unfiltered(space, *up)
+                 for c in every_insertion(d)]
+        for d, _ in (enumerate_split_unfiltered(space, nsk, nv - 2, nl) if nv >= 2 else ()):
+            n = max(d.half_edges(), default=-1) + 1
+            cands.append(validate(
+                space, internal=[*d.triples, (n, n + 1, n + 2), (n + 3, n + 4, n + 5)],
+                legs=d.legs, skeleton=d.skeleton,
+                pairing=[*d.pairing, (n, n + 3), (n + 1, n + 4), (n + 2, n + 5)]))
+    found = {}
+    for c in cands:
+        cf = canonicalize(c)
+        found.setdefault(cf.diagram, 1 if cf.sign else 0)
+    return sorted(found.items(), key=lambda pair: pair[0].sort_key())
+
+
+def deletion_graph(child: Diagram):
+    """The arguments of ``diagrams._outscored`` for a child whose new
+    vertex is its last triple, with its own deletion at the third
+    half-edge: the nodes are the vertices in triple order, then the free
+    ends (legs in order, or circle points in circle order); the partner
+    nodes of each vertex's half-edges; and for each free end the nodes it
+    sees: itself, its partner's node and the points before and after it
+    on the circle (itself twice for a leg)."""
+    v = len(child.triples)
+    ends = list(child.skeleton if child.space == "A" else child.legs)
+    node = {h: i for i, t in enumerate(child.triples) for h in t}
+    node.update({h: v + k for k, h in enumerate(ends)})
+    partner = child.partner_map
+    nbs = [[node[partner[h]] for h in t] for t in child.triples]
+    enbs = []
+    for k, h in enumerate(ends):
+        if child.space == "A":
+            before, after = v + (k - 1) % len(ends), v + (k + 1) % len(ends)
+        else:
+            before = after = v + k
+        enbs.append((v + k, node[partner[h]], before, after))
+    return nbs, enbs
 
 
 # ---------------------------------------------------------------------------

@@ -453,10 +453,13 @@ def test_enumeration_resource_limit():
 
 def test_cold_enumeration_canonicalizes_per_class_not_per_labeling(monkeypatch):
     """B(8, 0) has 32 classes from 11,888 labeled matchings; built from the
-    classes below it, one child per orbit of each parent's automorphisms,
-    a cold enumeration canonicalizes fewer than eight hundred. A(1, 7), read
-    off the leg split B(7, 1), canonicalizes fewer than seven hundred."""
-    for split, classes, bound in ((("B", 0, 8, 0), 32, 800), (("A", 1, 7, 0), 26, 700)):
+    classes below it, one child per orbit of each parent's automorphisms
+    and only children whose own deletion scores highest, a cold enumeration
+    canonicalizes 331. A(1, 7), read off the leg split B(7, 1), makes 194
+    calls, and A(3, 5), built on the circle, 744. Each bound is about 20%
+    above its count."""
+    for split, classes, bound in ((("B", 0, 8, 0), 32, 400), (("A", 1, 7, 0), 26, 235),
+                                  (("A", 3, 5, 0), 20, 895)):
         monkeypatch.setattr(diagrams, "_enum_memo", {})
         calls = []
 
@@ -468,6 +471,68 @@ def test_cold_enumeration_canonicalizes_per_class_not_per_labeling(monkeypatch):
         assert len(_enumerate_split_full(*split)) == classes
         monkeypatch.undo()
         assert 0 < len(calls) <= bound, split
+
+
+def test_canonical_deletion_test_keeps_every_class(monkeypatch):
+    """Every split of total grading up to 8, in both spaces, has the
+    classes and zero flags of the insertion chain that keeps every child
+    (no orbit pruning, no deletion test, circle splits with few points
+    built on the circle too)."""
+    monkeypatch.setattr(diagrams, "_enum_memo", {})
+    for space in "BA":
+        for total in range(9):
+            for v in range(total + 1):
+                args = (space, total - v, v, 0) if space == "A" else (space, 0, v, total - v)
+                assert _enumerate_split_full(*args) == oracles.enumerate_split_unfiltered(*args), args
+
+
+def _relabel_keeping_new_vertex(d, rng):
+    """d under fresh half-edge names, its vertices other than the last in a
+    random order, each rotated or reflected at random, the last one kept
+    last with its third half-edge third (its first two may swap), the legs
+    shuffled and the circle rotated."""
+    hes = sorted(d.half_edges())
+    m = dict(zip(hes, rng.sample(range(10 * len(hes) + 20), len(hes))))
+    triples = []
+    for a, b, c in d.triples[:-1]:
+        t = rng.choice(((a, b, c), (b, c, a), (c, a, b), (c, b, a), (b, a, c), (a, c, b)))
+        triples.append([m[h] for h in t])
+    rng.shuffle(triples)
+    a, b, c = d.triples[-1]
+    triples.append([m[b], m[a], m[c]] if rng.random() < 0.5 else [m[a], m[b], m[c]])
+    legs = [m[g] for g in d.legs]
+    rng.shuffle(legs)
+    skeleton = None
+    if d.skeleton is not None:
+        r = rng.randrange(len(d.skeleton))
+        skeleton = [m[h] for h in d.skeleton[r:] + d.skeleton[:r]]
+    return validate(d.space, internal=triples, legs=legs, skeleton=skeleton,
+                    pairing=[(m[x], m[y]) for x, y in d.pairing])
+
+
+def test_deletion_score_is_label_free():
+    """The decision on a child depends on the child up to relabeling, vertex
+    reflections included, with its new vertex last and that vertex's third
+    half-edge third. Of all the children of a parent, ``_insertions``
+    keeps one per orbit, so it keeps exactly the classes of the children
+    that pass, as decided on the oracle's graph of each child."""
+    rng = random.Random(22)
+    decided = {True: 0, False: 0}
+    for space, nsk, nv, nl in (("B", 0, 4, 2), ("B", 0, 5, 3), ("B", 0, 6, 0),
+                               ("A", 4, 3, 0), ("A", 3, 5, 0), ("A", 5, 3, 0)):
+        up = (space, nsk + 1, nv - 1, 0) if space == "A" else (space, 0, nv - 1, nl + 1)
+        for d, _ in _enumerate_split_full(*up):
+            passing = set()
+            for child in oracles.every_insertion(d):
+                kept = not diagrams._outscored(*oracles.deletion_graph(child))
+                for _ in range(3):
+                    other = _relabel_keeping_new_vertex(child, rng)
+                    assert kept == (not diagrams._outscored(*oracles.deletion_graph(other))), child
+                decided[kept] += 1
+                if kept:
+                    passing.add(canonicalize(child).diagram)
+            assert {canonicalize(c).diagram for c in diagrams._insertions(d)} == passing, d
+    assert decided[True] and decided[False]
 
 
 def test_enumeration_budget_does_not_depend_on_the_memo(monkeypatch):
