@@ -29,10 +29,13 @@ from fractions import Fraction
 from . import cache as cache_mod
 from .diagrams import (
     Diagram,
-    _canonical_and_automorphisms,
+    _automorphisms,
+    _canonical_form,
+    _canonical_labels,
     _edge_image,
     _orbit_firsts,
     _require_piece,
+    _split_components,
     canonicalize,
     diagram_from_json,
     diagram_to_json,
@@ -242,65 +245,91 @@ def ihx_generators(diagrams, floating=False) -> list:
     internal edge is taken once, from its lower-indexed vertex: read from
     w, the same rule gives the same three diagrams with the same signs
     (swap the roles of u and w, then exchange k and p, which reverses both
-    vertices). An automorphism of the base diagram maps an edge's vector
-    to +/- that of the image edge, so one edge per orbit is taken.
-    Duplicates are removed by normal form.
+    vertices). An isomorphism, vertex reversals included, maps an edge's
+    vector to +/- that of the image edge, so one edge per orbit of the base
+    diagram's automorphisms is taken. The list is that of the distinct
+    vectors, up to scale, of every internal edge of every given diagram in
+    order; two kinds of edge whose vector is zero or repeats an earlier one
+    are never built:
+
+    * Parallel edges. If u and w share another edge, one rewritten term
+      has a self-edge and is zero, and the other is D relabeled with a sign
+      that cancels it: for a-c, D(b,c|a,d) with a and c swapped is D with u
+      reversed; for b-c, D(a,c|b,d) with b and c swapped is D; for b-d
+      (a-d), D(b,c|a,d) (D(a,c|b,d)) with both shared edges' ends swapped
+      and u, w exchanged is D with one (two) vertices reversed.
+    * Later members of a triple. Read at its edge k-p, D(a,c|b,d) gives
+      D(a,c|b,d) - D(a,b|c,d) + D(c,b|a,d), minus the vector of D since
+      D(c,b|a,d) = -D(b,c|a,d); likewise D(b,c|a,d) gives plus it. So each
+      nonzero rewritten term marks its class at the canonical labels of
+      k and p, and an edge orbit of a later diagram holding a marked edge
+      gives a vector that is zero or already found.
 
     With ``floating``, only the edges of components that meet no skeleton
     point are taken: on a component that meets the skeleton, the relation
     is a combination of skeleton-resolution relations of the same piece
     (Bar-Natan, Topology 1995, Thm 6), which circle-space bases generate.
     """
-    return _distinct(vec for d in diagrams for vec in _ihx_vectors(d, floating))
+    marks = {}
+    return _distinct(vec for d in diagrams for vec in _ihx_vectors(d, floating, marks))
 
 
-def _relation(base, d2, d3) -> DiagramVector:
-    """base - d2 + d3, where base is the canonical form of the based
-    diagram, found once for all of its relations. A term given as None is
-    known to have a tadpole, so it is zero by antisymmetry and is not
-    canonicalized."""
+def _relation(base, f2, f3) -> DiagramVector:
+    """base - f2 + f3, given the canonical forms of the three diagrams."""
     one = Fraction(1)
-    return DiagramVector(_raw=_combine(
-        ((base, one), *((canonicalize(d), c) for d, c in ((d2, -one), (d3, one))
-                        if d is not None))))
+    return DiagramVector(_raw=_combine(((base, one), (f2, -one), (f3, one))))
 
 
-def _ihx_vectors(d, floating=False):
-    """The edge-rewrite vectors based at d, one per orbit of internal edges
-    between two vertices under d's automorphisms, zeros and repeats
-    included.  With ``floating``, only the edges of components that meet
-    no skeleton point."""
+def _ihx_vectors(d, floating=False, marks=None):
+    """The edge-rewrite vectors based at d, one per orbit, under d's
+    automorphisms, of the internal edges between two vertices that share
+    no other edge, zeros and repeats included.  With ``floating``, only
+    the edges of components that meet no skeleton point.  ``marks`` maps a
+    class to the canonical edges already rewritten in it: orbits holding
+    one are skipped, and each nonzero rewritten term adds its own."""
     pmap = d.partner_map
     where = {h: (i, j) for i, t in enumerate(d.triples) for j, h in enumerate(t)}
+    across = {h: where[pmap[h]][0] for h in where if pmap[h] in where}
     anchored = _skeleton_reach(d, where) if floating else ()
     ends = {}  # each internal edge (x < y) -> its half-edge at the lower vertex
     for k, (i, _) in where.items():
-        p = pmap[k]
-        if p in where and where[p][0] > i and i not in anchored:
+        w = across.get(k, -1)
+        # a parallel edge (vertices i and w share another) gives zero
+        shared = [across.get(h) for h in d.triples[i]].count(w)
+        if w > i and i not in anchored and shared == 1:
+            p = pmap[k]
             ends[(k, p) if k < p else (p, k)] = k
     if not ends:
         return
-    base, perms = _canonical_and_automorphisms(d)
-    for edge in _orbit_firsts(ends, perms, _edge_image):
+    comps = _split_components(d)
+    base = _canonical_form(d, comps)
+    done = ()
+    if marks and base.diagram in marks:
+        lab = _canonical_labels(d, comps)
+        done = [e for e in ends if _edge_image(lab, e) in marks[base.diagram]]
+    # listed first, the marked edges head their orbits, which are skipped
+    for edge in _orbit_firsts([*done, *ends], _automorphisms(d, comps), _edge_image):
+        if edge in done:
+            continue
         k = ends[edge]
         p = pmap[k]
         (i, j), (w, js) = where[k], where[p]
         t, tw = d.triples[i], d.triples[w]
         a, b = t[(j + 1) % 3], t[(j + 2) % 3]
         c, dd = tw[(js + 1) % 3], tw[(js + 2) % 3]
-        terms = []
-        # a rewired vertex has a self-edge when two of its new neighbours
-        # are partners: (a, c, k) when a and c are, (p, b, dd) when b and dd
+        forms = []
         for x, y in ((a, b), (b, a)):
-            if pmap[x] == c or pmap[y] == dd:
-                terms.append(None)
-                continue
             trips = list(d.triples)
             trips[i] = (x, c, k)
             trips[w] = (p, y, dd)
-            terms.append(Diagram._new(d.space, trips, d.legs, d.skeleton, d.pairing,
-                                      d.free_loops))
-        yield _relation(base, *terms)
+            term = Diagram._new(d.space, trips, d.legs, d.skeleton, d.pairing, d.free_loops)
+            tcomps = _split_components(term)
+            form = _canonical_form(term, tcomps)
+            if form.sign and marks is not None:
+                lab = _canonical_labels(term, tcomps)
+                marks.setdefault(form.diagram, set()).add(_edge_image(lab, (k, p)))
+            forms.append(form)
+        yield _relation(base, *forms)
 
 
 def _skeleton_reach(d, where) -> set:
@@ -344,7 +373,8 @@ def _stu_vectors(d):
               if pmap[h] in skpos}
     if not hooked:
         return
-    base, perms = _canonical_and_automorphisms(d)
+    comps = _split_components(d)
+    base, perms = _canonical_form(d, comps), _automorphisms(d, comps)
     for h in _orbit_firsts(hooked, perms, lambda perm, x: perm.get(x, x)):
         i, j = hooked[h]
         t = d.triples[i]
@@ -353,10 +383,10 @@ def _stu_vectors(d):
         trips = d.triples[:i] + d.triples[i + 1:]
         pairing = tuple(pr for pr in d.pairing if h not in pr)
         sk = d.skeleton
-        skT = sk[:idx] + (ha, hb) + sk[idx + 1:]
-        skU = sk[:idx] + (hb, ha) + sk[idx + 1:]
-        yield _relation(base, Diagram._new("A", trips, (), skT, pairing, d.free_loops),
-                        Diagram._new("A", trips, (), skU, pairing, d.free_loops))
+        yield _relation(base, *(
+            canonicalize(Diagram._new("A", trips, (), sk[:idx] + planted + sk[idx + 1:],
+                                      pairing, d.free_loops))
+            for planted in ((ha, hb), (hb, ha))))
 
 
 # ---------------------------------------------------------------------------

@@ -510,6 +510,25 @@ def _canonical_form(d, comps) -> CanonicalForm:
                                  d.free_loops), sign)
 
 
+def _canonical_labels(d, comps) -> dict:
+    """Each half-edge of ``d`` -> its label in ``_canonical_form(d, comps)``:
+    its label under its component's first minimal labeling, shifted as
+    there."""
+    e = d.e
+    out = {}
+    vbase = 0
+    lbase = e + 3 * d.v
+    for sig, _, _, labs, hes in comps:
+        cv, cl, ce = sig[:3]
+        voff = e + 3 * vbase - ce
+        loff = lbase - ce - 3 * cv
+        for h, x in zip(hes, labs):
+            out[h] = x if x < ce else x + voff if x < ce + 3 * cv else x + loff
+        vbase += cv
+        lbase += cl
+    return out
+
+
 def is_isomorphic(d1: Diagram, d2: Diagram) -> Optional[int]:
     """Relative sign if the diagrams are isomorphic, ``None`` otherwise.
 
@@ -572,12 +591,6 @@ def _automorphisms(d: Diagram, comps=None) -> list:
                           **{prev_at[x]: at[x] for x in at}})
         prev_sig, prev_at = sig, at
     return perms
-
-
-def _canonical_and_automorphisms(d: Diagram):
-    """``canonicalize(d)`` and ``_automorphisms(d)``, from one split of d."""
-    comps = _split_components(d)
-    return _canonical_form(d, comps), _automorphisms(d, comps)
 
 
 def _orbit_firsts(items, perms, act) -> list:

@@ -184,6 +184,35 @@ def test_canonical_search_on_random_layouts():
     assert brute >= 200
 
 
+def test_canonical_labels_carry_a_diagram_onto_its_canonical_form():
+    """Relabeled by ``_canonical_labels``, a diagram has the pairing, legs,
+    vertex blocks and (up to rotation) circle of its canonical form, and
+    its triples' orientations multiply to the form's sign when it is
+    nonzero."""
+    rng = random.Random(67)
+    ds = [d for d, _ in oracles.corpus()] + [random_layout(rng) for _ in range(200)]
+    for d, _ in (oracles.relabel_randomly(d, rng) for d in ds):
+        comps = diagrams._split_components(d)
+        lab = diagrams._canonical_labels(d, comps)
+        form = diagrams._canonical_form(d, comps)
+        c = form.diagram
+        assert sorted(lab) == sorted(d.half_edges()), d
+        pairs = sorted(tuple(sorted((lab[a], lab[b]))) for a, b in d.pairing)
+        assert pairs == list(c.pairing), d
+        assert sorted(lab[g] for g in d.legs) == list(c.legs), d
+        if d.skeleton:
+            circle = [lab[h] for h in d.skeleton]
+            r = circle.index(0)
+            assert circle[r:] + circle[:r] == list(c.skeleton), d
+        placed = sorted((min(lab[h] for h in t), [lab[h] for h in t]) for t in d.triples)
+        assert [sorted(t) for _, t in placed] == [list(t) for t in c.triples], d
+        if form.sign:
+            sign = 1
+            for x, t in placed:
+                sign *= 1 if t[t.index(x):] + t[:t.index(x)] == [x, x + 1, x + 2] else -1
+            assert sign == form.sign, d
+
+
 def test_components_match_the_fixed_point_merge(monkeypatch):
     """Each component canonicalized covers exactly one component's half-edges,
     the circle's component among them, on the corpus and on random layouts
