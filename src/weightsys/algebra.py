@@ -34,6 +34,7 @@ from .diagrams import (
     _canonical_labels,
     _edge_image,
     _orbit_firsts,
+    _require_non_negative,
     _require_piece,
     _split_components,
     canonicalize,
@@ -235,7 +236,7 @@ def _distinct(vectors) -> list:
     return out
 
 
-def ihx_generators(diagrams, floating=False) -> list:
+def ihx_generators(diagrams) -> list:
     """Edge-rewrite relation vectors based at each given diagram.
 
     For an edge joining internal vertices u and w (half-edges k at u, p at
@@ -265,13 +266,22 @@ def ihx_generators(diagrams, floating=False) -> list:
       k and p, and an edge orbit of a later diagram holding a marked edge
       gives a vector that is zero or already found.
 
-    With ``floating``, only the edges of components that meet no skeleton
-    point are taken: on a component that meets the skeleton, the relation
-    is a combination of skeleton-resolution relations of the same piece
-    (Bar-Natan, Topology 1995, Thm 6), which circle-space bases generate.
+    A circle-space basis passes only its diagrams with no vertex on the
+    circle; with skeleton resolutions at all its diagrams, these span every
+    relation. (1) Modulo them, by induction on vertices, each diagram is a
+    sum of chord diagrams beside closed parts K: one with a vertex on the
+    circle is zero-sign, so zero, or T - U by its own resolution. (2) They
+    hold each four-term relation beside K, the resolutions at two legs of a
+    tripod (one vertex, three legs on the circle) beside chords and K. Its
+    automorphisms turn the legs cyclically, as a rotation fixing one leg
+    fixes all, so it is zero-sign only if K is, and then every term is zero.
+    (3) They hold each edge rewrite of K beside chords: its base is passed,
+    or is zero-sign and gives +/- the vector read at another term, or zero.
+    These present A on chords beside K (Bar-Natan, Topology 1995, Thm 6),
+    so G is every relation, and no step used a relation at a zero-sign base.
     """
     marks = {}
-    return _distinct(vec for d in diagrams for vec in _ihx_vectors(d, floating, marks))
+    return _distinct(vec for d in diagrams for vec in _ihx_vectors(d, marks))
 
 
 def _relation(base, f2, f3) -> DiagramVector:
@@ -280,23 +290,21 @@ def _relation(base, f2, f3) -> DiagramVector:
     return DiagramVector(_raw=_combine(((base, one), (f2, -one), (f3, one))))
 
 
-def _ihx_vectors(d, floating=False, marks=None):
+def _ihx_vectors(d, marks=None):
     """The edge-rewrite vectors based at d, one per orbit, under d's
     automorphisms, of the internal edges between two vertices that share
-    no other edge, zeros and repeats included.  With ``floating``, only
-    the edges of components that meet no skeleton point.  ``marks`` maps a
-    class to the canonical edges already rewritten in it: orbits holding
-    one are skipped, and each nonzero rewritten term adds its own."""
+    no other edge, zeros and repeats included.  ``marks`` maps a class to
+    the canonical edges already rewritten in it: orbits holding one are
+    skipped, and each nonzero rewritten term adds its own."""
     pmap = d.partner_map
     where = {h: (i, j) for i, t in enumerate(d.triples) for j, h in enumerate(t)}
     across = {h: where[pmap[h]][0] for h in where if pmap[h] in where}
-    anchored = _skeleton_reach(d, where) if floating else ()
     ends = {}  # each internal edge (x < y) -> its half-edge at the lower vertex
     for k, (i, _) in where.items():
         w = across.get(k, -1)
         # a parallel edge (vertices i and w share another) gives zero
         shared = [across.get(h) for h in d.triples[i]].count(w)
-        if w > i and i not in anchored and shared == 1:
+        if w > i and shared == 1:
             p = pmap[k]
             ends[(k, p) if k < p else (p, k)] = k
     if not ends:
@@ -330,21 +338,6 @@ def _ihx_vectors(d, floating=False, marks=None):
                 marks.setdefault(form.diagram, set()).add(_edge_image(lab, (k, p)))
             forms.append(form)
         yield _relation(base, *forms)
-
-
-def _skeleton_reach(d, where) -> set:
-    """The vertices of d joined to a skeleton point by a path of edges;
-    ``where`` maps each vertex half-edge to (vertex, position)."""
-    pmap = d.partner_map
-    reach = {where[pmap[h]][0] for h in d.skeleton or () if pmap[h] in where}
-    stack = list(reach)
-    while stack:
-        for h in d.triples[stack.pop()]:
-            w = where.get(pmap[h])
-            if w is not None and w[0] not in reach:
-                reach.add(w[0])
-                stack.append(w[0])
-    return reach
 
 
 def stu_generators(diagrams) -> list:
@@ -534,6 +527,7 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
     diagrams lies in it.
     """
     _require_piece(space, v=v, l=l, total=total)
+    _require_non_negative(max_steps=max_steps)
     key = ("B", v, l) if space == "B" else ("A", total)
     grading = {"v": v, "l": l} if space == "B" else {"total": total}
     qb = _basis_memo.get(key)
@@ -555,7 +549,9 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
         gens = ihx_generators(diagrams)
     else:
         diagrams = enumerate_diagrams("A", total=total, max_steps=max_steps)
-        gens = ihx_generators(diagrams, floating=True) + stu_generators(diagrams)
+        chords_only = [d for d in diagrams
+                       if {d.partner_map[h] for h in d.skeleton} == set(d.skeleton)]
+        gens = ihx_generators(chords_only) + stu_generators(diagrams)
     index = {d._key: i for i, d in enumerate(diagrams)}
     rows = []
     for g in gens:

@@ -159,11 +159,12 @@ def _cmd_eval(ns, stdin):
     if len(spaces) > 1:
         raise SpaceMismatchError("cannot evaluate a mixed-space vector")
     g = resolve_algebra(ns.algebra)
+    rep = resolve_representation(g, ns.rep)  # a named one must exist, read or not
     kwargs = _given(max_cost=ns.max_cost)
     if spaces <= {"B"}:  # the zero vector is worth 0 in either space
         value = evaluate_closed(x, g, **kwargs)
     else:
-        value = evaluate(x, g, resolve_representation(g, ns.rep), **kwargs)
+        value = evaluate(x, g, rep, **kwargs)
     return {"value": str(value)}, EXIT_OK
 
 

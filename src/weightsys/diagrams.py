@@ -889,12 +889,13 @@ def enumerate_diagrams(space, v=None, l=None, e=None, total=None, max_steps=None
     B-space: pass ``v`` (internal vertices) and ``l`` (legs).
     A-space: pass ``total`` (= v + skeleton points; all splits are included)
     or a specific split via ``e`` and ``v``. Free loops are never produced.
-    Returns canonical diagrams in a deterministic order. A negative grading,
-    or grading arguments that name no piece, raise ``GradingMismatchError``;
+    Returns canonical diagrams in a deterministic order. A negative grading
+    or bound, or grading arguments that name no piece, raise ``GradingMismatchError``;
     a split whose work passes ``max_steps`` (``DEFAULT_MAX_STEPS`` when
     None) raises ``ResourceLimitError``.
     """
     _require_piece(space, v=v, l=l, e=e, total=total)
+    _require_non_negative(max_steps=max_steps)
     if space == "B":
         splits = [(0, v, l)]
     elif total is None:

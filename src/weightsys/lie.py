@@ -27,7 +27,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .algebra import _rational, _rref, _terms
-from .diagrams import DEFAULT_MAX_STEPS, Diagram
+from .diagrams import DEFAULT_MAX_STEPS, Diagram, _require_non_negative
 from .errors import LieAlgebraError, ResourceLimitError, SpaceMismatchError
 from .tensor import ContractionPlan, SparseTensor, contract_network, plan_contraction
 
@@ -547,6 +547,7 @@ def contraction_plan(d: Diagram, dims) -> ContractionPlan:
 def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
                      rep: Representation | None, max_cost: int) -> Fraction:
     """Weight of x, each term's network planned and contracted as labeled."""
+    _require_non_negative(max_cost=max_cost)
     nodes = _node_tensors(g, rep)
     dim_V = rep.dim_V if rep else 1
     limit = sys.get_int_max_str_digits()

@@ -67,7 +67,7 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
     evaluates weights, so only it loads the weight layer."""
     from .lie import DEFAULT_MAX_COST, evaluate, resolve_algebra, resolve_representation
 
-    _require_non_negative(max_total=max_total)
+    _require_non_negative(max_total=max_total, max_cost=max_cost)
     if max_cost is None:
         max_cost = DEFAULT_MAX_COST
     g = resolve_algebra(algebra)

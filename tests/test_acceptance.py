@@ -46,12 +46,12 @@ def test_acceptance_relation_vanishing_through_total_8(capsys):
 # 2 -------------------------------------------------------------------------
 
 
-def test_acceptance_leg_averaging_is_graded_isomorphism_through_total_6(capsys):
-    report = verify_chi_iso(max_total=6)
+def test_acceptance_leg_averaging_is_graded_isomorphism_through_total_8(capsys):
+    report = verify_chi_iso(max_total=8)
     dims = ",".join(str(row["dim_circle"]) for row in report["rank_table"])
     square = all(row["dim_legs"] == row["dim_circle"] == row["rank"]
                  for row in report["rank_table"])
-    _report(capsys, "leg-averaging matrix square and invertible per total <= 6",
+    _report(capsys, "leg-averaging matrix square and invertible per total <= 8",
             report["pass"] and square, f"dimensions by total: {dims}")
 
 

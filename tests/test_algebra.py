@@ -569,19 +569,39 @@ def test_every_relation_generator_reduces_to_zero(space, kwargs):
         assert not qb.reduce(g)
 
 
-def test_circle_bases_need_the_edge_rewrites_of_floating_components_only(monkeypatch):
-    """A circle-space basis takes edge rewrites only on components that
-    meet no skeleton point; skeleton resolutions imply the rest, so its
-    pivots are those of every relation."""
+def _relation_pivots(qb, gens):
+    """The RREF of the relation vectors ``gens`` in the coordinates of qb."""
+    index = {d._key: i for i, d in enumerate(qb.diagrams)}
+    return algebra._rref([{index[d._key]: c for d, c in g._terms.items()} for g in gens])
+
+
+def test_circle_bases_take_edge_rewrites_only_where_no_vertex_meets_the_circle(
+        monkeypatch):
+    """A circle-space basis takes edge rewrites only at diagrams whose
+    circle points are all chord ends; skeleton resolutions imply the rest,
+    so its pivots are those of every relation.  Without any edge rewrite
+    the pieces come out too large."""
+    passed = []
+
+    def spy(ds):
+        passed.append(ds)
+        return ihx_generators(ds)
+
     monkeypatch.setattr(algebra, "_basis_memo", {})
+    monkeypatch.setattr(algebra, "ihx_generators", spy)
     for total in range(0, 10, 2):
+        passed.clear()
         qb = quotient_basis("A", total=total)
-        index = {d._key: i for i, d in enumerate(qb.diagrams)}
         every = ihx_generators(qb.diagrams) + stu_generators(qb.diagrams)
-        assert qb.pivots == algebra._rref(
-            [{index[d._key]: c for d, c in g._terms.items()} for g in every]), total
-    kept = ihx_generators(qb.diagrams, floating=True)
-    assert 0 < len(kept) < len(ihx_generators(qb.diagrams))
+        assert qb.pivots == _relation_pivots(qb, every), total
+        chords_only = [d for d in qb.diagrams
+                       if all(d.partner_map[h] in d.skeleton for h in d.skeleton)]
+        assert passed == [chords_only], total
+    assert 0 < len(chords_only) < len(qb.diagrams)
+    # the guard against pruning too far: total 4 needs its edge rewrites
+    qb = quotient_basis("A", total=4)
+    assert qb.dim == 5
+    assert len(qb.diagrams) - len(_relation_pivots(qb, stu_generators(qb.diagrams))) == 6
 
 
 def test_reduce_is_idempotent_and_linear_on_random_vectors():

@@ -199,10 +199,16 @@ def test_close_and_cap_past_the_default_budget_are_prompt_resource_cutoffs(tmp_p
     ["verify", "closure-omega", "--vmax", "-4"],
     ["verify", "relations", "--max-total", "-2"],
     ["omega", "--vmax", "-2"],
+    # a negative resource bound would otherwise be reported as exceeded
+    ["basis", "--space", "A", "--total", "4", "--max-steps", "-1"],
+    ["eval", "--algebra", "sl2", "--max-cost", "-1"],
+    ["enumerate", "--space", "B", "--v", "2", "--l", "0", "--max-steps", "-1"],
+    ["verify", "relations", "--max-cost", "-1"],
 ])
 def test_negative_grading_is_a_validation_error_and_writes_no_cache(tmp_path, args):
     cache = tmp_path / "cache"
-    proc = run_cli(args, cache=cache)
+    # eval reads its diagram before it evaluates against the bound
+    proc = run_cli(args, stdin_text=json.dumps(chord_json()), cache=cache)
     assert proc.returncode == 5, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["error"]["code"] == "validation"
     assert proc.stderr == ""
@@ -344,6 +350,13 @@ def test_eval_with_algebra_file_and_named_rep(tmp_path):
     proc = run_cli(["eval", "--algebra", str(path), "--rep", "missing"],
                    stdin_text=json.dumps(chord_json()), cache=tmp_path)
     assert proc.returncode == 5
+
+    # a named representation is resolved even where the weight does not read it
+    for payload in (diagram_to_json(oracles.theta_closed()), chord_json()):
+        proc = run_cli(["eval", "--algebra", "sl2", "--rep", "nope"],
+                       stdin_text=json.dumps(payload), cache=tmp_path)
+        assert proc.returncode == 5, proc.stdout
+        assert json.loads(proc.stdout)["error"]["code"] == "validation"
 
 
 # ---------------------------------------------------------------------------
