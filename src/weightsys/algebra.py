@@ -386,6 +386,39 @@ def _stu_vectors(d):
 # row reduction (exact, reduced row echelon form)
 
 
+def _subtract(row: dict, f, prow: dict, c) -> None:
+    """row -= f * prow in place, skipping column c; zero entries are dropped."""
+    for cc, vv in prow.items():
+        if cc != c:
+            nv = row.get(cc, _ZERO) - f * vv
+            if nv:
+                row[cc] = nv
+            elif cc in row:
+                del row[cc]
+
+
+def _reduce(row: dict, pivots: dict) -> dict:
+    """``row`` with every pivot column cleared, in place.  Pivot-row tails
+    hold free columns only, so one sweep clears them all; a row of the
+    pivots' span reduces to ``{}``."""
+    for c in [c for c in row if c in pivots]:
+        _subtract(row, row.pop(c), pivots[c], c)
+    return row
+
+
+def _coordinates(index: dict, terms) -> dict:
+    """The row of (diagram, coefficient) pairs over a piece's positions,
+    ``index`` mapping each class key to its position; loops are stripped,
+    and a diagram outside the piece raises ``DiagramError``."""
+    row: dict = {}
+    for d, c in terms:
+        i = index.get(d.with_loops(0)._key)
+        if i is None:
+            raise DiagramError("diagram does not belong to this graded piece's enumeration")
+        row[i] = row.get(i, _ZERO) + c
+    return row
+
+
 def _rref(rows: list) -> dict:
     """Reduced row echelon form of sparse Fraction rows.
 
@@ -395,19 +428,7 @@ def _rref(rows: list) -> dict:
     """
     pivots: dict = {}
     for row in rows:
-        row = {c: f for c, f in row.items() if f}
-        # Eliminate every existing pivot column before choosing a pivot;
-        # pivot-row tails hold free columns only, so one sweep clears them.
-        for c in [c for c in row if c in pivots]:
-            f = row.pop(c)
-            for cc, vv in pivots[c].items():
-                if cc == c:
-                    continue
-                nv = row.get(cc, _ZERO) - f * vv
-                if nv:
-                    row[cc] = nv
-                elif cc in row:
-                    del row[cc]
+        row = _reduce({c: f for c, f in row.items() if f}, pivots)
         if not row:
             continue
         c = min(row)
@@ -417,15 +438,7 @@ def _rref(rows: list) -> dict:
             newrow[cc] = vv / f
         for prow in pivots.values():
             if c in prow:
-                g = prow.pop(c)
-                for cc, vv in newrow.items():
-                    if cc == c:
-                        continue
-                    nv = prow.get(cc, _ZERO) - g * vv
-                    if nv:
-                        prow[cc] = nv
-                    elif cc in prow:
-                        del prow[cc]
+                _subtract(prow, prow.pop(c), newrow, c)
         pivots[c] = newrow
     return pivots
 
@@ -452,40 +465,15 @@ class QuotientBasis:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _coords(self, vec: DiagramVector) -> dict:
-        coords = {}
-        for d, c in vec._terms.items():
-            base = d.with_loops(0)
-            i = self._index.get(base._key)
-            if i is None:
-                raise DiagramError(
-                    "diagram does not belong to this graded piece's enumeration")
-            coords[i] = coords.get(i, _ZERO) + c
-        return coords
-
     def reduce(self, vec: DiagramVector) -> DiagramVector:
         """Canonical coset representative of ``vec`` (which must live in
         this graded piece; free loops are allowed and carried through)."""
-        out: dict = {}
         loops = {d.free_loops for d in vec._terms} or {0}
         if len(loops) != 1:
             raise GradingMismatchError("mixed loop counts inside one reduction call")
         k = loops.pop()
-        coords = self._coords(vec)
-        for c in sorted(coords):
-            f = coords[c]
-            if not f:
-                continue
-            prow = self.pivots.get(c)
-            if prow is None:
-                out[c] = out.get(c, _ZERO) + f
-            else:
-                for cc, vv in prow.items():
-                    if cc == c:
-                        continue
-                    out[cc] = out.get(cc, _ZERO) - f * vv
-        terms = {self.diagrams[i].with_loops(k): v for i, v in out.items() if v}
-        return DiagramVector(_raw=terms)
+        row = _reduce(_coordinates(self._index, vec._terms.items()), self.pivots)
+        return DiagramVector(_raw={self.diagrams[i].with_loops(k): v for i, v in row.items()})
 
     def coordinates(self, vec: DiagramVector) -> list:
         """Coefficients of ``reduce(vec)`` over ``basis`` (loop-stripped)."""
@@ -553,15 +541,7 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
                        if {d.partner_map[h] for h in d.skeleton} == set(d.skeleton)]
         gens = ihx_generators(chords_only) + stu_generators(diagrams)
     index = {d._key: i for i, d in enumerate(diagrams)}
-    rows = []
-    for g in gens:
-        row = {}
-        for d, c in g._terms.items():
-            i = index.get(d._key)
-            if i is None:
-                raise DiagramError("relation term escaped its graded piece")
-            row[i] = row.get(i, _ZERO) + c
-        rows.append(row)
+    rows = [_coordinates(index, g._terms.items()) for g in gens]
     qb = QuotientBasis(space, grading, diagrams, _rref(rows))
     _basis_memo[key] = qb
     if cache_dir:
@@ -572,6 +552,7 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
 def reduce_vector(vec: DiagramVector, cache_dir=None, max_steps=None) -> DiagramVector:
     """Canonical coset representative of an arbitrary vector: split by
     space, grading and loop count, reduce each part, reassemble."""
+    _require_non_negative(max_steps=max_steps)
     out = DiagramVector()
     for gkey, part in vec.graded_parts().items():
         if gkey[0] == "B":

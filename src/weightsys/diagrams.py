@@ -859,10 +859,10 @@ def _enumerate_split_full(space, nsk, nv, nl, max_steps=None):
     return _enum_memo[split(nv, free)]
 
 
-def _require_non_negative(**grading):
-    for name, x in grading.items():
+def _require_non_negative(**values):
+    for name, x in values.items():
         if x is not None and x < 0:
-            raise GradingMismatchError(f"grading {name} must be non-negative, got {x}")
+            raise GradingMismatchError(f"{name} must be non-negative, got {x}")
 
 
 # The argument sets that name one graded piece of each space.

@@ -604,6 +604,38 @@ def test_circle_bases_take_edge_rewrites_only_where_no_vertex_meets_the_circle(
     assert len(qb.diagrams) - len(_relation_pivots(qb, stu_generators(qb.diagrams))) == 6
 
 
+def test_pivots_certify_the_relation_rows_they_were_built_from(monkeypatch):
+    """The exact check of a stored elimination: every relation row a basis
+    is built from reduces to zero against its pivots in one sweep, there is
+    one pivot per unit of rank, and no free column's unit row reduces to
+    zero, so the check refuses a span that is too large."""
+    built = []
+
+    def spy(rows):
+        built.append(rows)
+        return rref(rows)
+
+    rref = algebra._rref
+    monkeypatch.setattr(algebra, "_basis_memo", {})
+    monkeypatch.setattr(algebra, "_rref", spy)
+    pieces = [("B", {"v": v, "l": l}) for v in range(9) for l in range(9 - v)
+              if (v + l) % 2 == 0] + [("A", {"total": t}) for t in range(9)]
+    rows_seen = free_seen = 0
+    for space, kwargs in pieces:
+        built.clear()
+        qb = quotient_basis(space, **kwargs)
+        [rows] = built
+        for row in rows:
+            assert not algebra._reduce(dict(row), qb.pivots), (space, kwargs)
+        assert len(qb.pivots) == len(rref(rows)), (space, kwargs)
+        for i in range(len(qb.diagrams)):
+            if i not in qb.pivots:
+                assert algebra._reduce({i: Fraction(1)}, qb.pivots) == {i: 1}
+                free_seen += 1
+        rows_seen += len(rows)
+    assert rows_seen and free_seen
+
+
 def test_reduce_is_idempotent_and_linear_on_random_vectors():
     rng = random.Random(23)
     qb = quotient_basis("A", total=6)

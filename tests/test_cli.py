@@ -204,11 +204,14 @@ def test_close_and_cap_past_the_default_budget_are_prompt_resource_cutoffs(tmp_p
     ["eval", "--algebra", "sl2", "--max-cost", "-1"],
     ["enumerate", "--space", "B", "--v", "2", "--l", "0", "--max-steps", "-1"],
     ["verify", "relations", "--max-cost", "-1"],
+    # reduce reads the empty vector, which names no piece to bound
+    ["reduce", "--max-steps", "-1"],
 ])
 def test_negative_grading_is_a_validation_error_and_writes_no_cache(tmp_path, args):
     cache = tmp_path / "cache"
     # eval reads its diagram before it evaluates against the bound
-    proc = run_cli(args, stdin_text=json.dumps(chord_json()), cache=cache)
+    stdin = [] if args[0] == "reduce" else chord_json()
+    proc = run_cli(args, stdin_text=json.dumps(stdin), cache=cache)
     assert proc.returncode == 5, proc.stdout + proc.stderr
     assert json.loads(proc.stdout)["error"]["code"] == "validation"
     assert proc.stderr == ""

@@ -403,7 +403,7 @@ def test_exp_disjoint_truncates_by_vertices():
     assert exp_disjoint(W2, 0) == ONE
     assert exp_disjoint(W2, 5) == e
     with pytest.raises(GradingMismatchError,
-                       match="^grading vmax must be non-negative, got -1$"):
+                       match="^vmax must be non-negative, got -1$"):
         exp_disjoint(W2, -1)
 
 
