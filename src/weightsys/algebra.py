@@ -542,7 +542,8 @@ def quotient_basis(space, v=None, l=None, total=None, cache_dir=None,
         gens = ihx_generators(chords_only) + stu_generators(diagrams)
     index = {d._key: i for i, d in enumerate(diagrams)}
     rows = [_coordinates(index, g._terms.items()) for g in gens]
-    qb = QuotientBasis(space, grading, diagrams, _rref(rows))
+    # the reduced form is unique, so the row order changes only the time
+    qb = QuotientBasis(space, grading, diagrams, _rref(sorted(rows, key=len)))
     _basis_memo[key] = qb
     if cache_dir:
         cache_mod.save_basis(cache_dir, key, qb.to_payload())

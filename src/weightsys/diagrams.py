@@ -254,19 +254,27 @@ def _component_search(triples, legs, skeleton, partner):
     partial signature survive. A strut (two legs paired) is answered at
     once: both of its labelings are minimal.
 
-    Forced vertex: a placed label is *open* while its partner half-edge
-    sits on an unplaced vertex. A chunk entry is a placed label (necessarily
-    open), a label of the chunk's own block, or a sentinel above ``n``; so
-    if a state has open labels and m is the smallest, only the chunks
-    starting with m can be minimal, and those come from m's partner's
-    vertex rewritten to put that partner first (one rotation, one
-    reversal). Unless the vertex has a self-edge, their chunks are
-    (m, y, z) and (m, z, y), with y and z the entries of its other two
-    half-edges, read once for both. All unplaced vertices are scanned
-    only when a state has no open label: at depth 0 without a skeleton,
-    and never again inside one component. Each state keeps its own
-    sorted open labels, since the skeleton rotations open different
-    positions.
+    A state holds the label of each half-edge (None while unplaced), the
+    half-edge of each label, its sorted open labels and its sign. A placed
+    label is *open* while its partner half-edge sits on an unplaced vertex.
+    A chunk entry is a placed label (necessarily open), a label of the
+    chunk's own block, or a sentinel above ``n``; so if a state has open
+    labels and m is the smallest, only the chunks starting with m can be
+    minimal, and those come from m's partner's vertex rewritten to put that
+    partner first (one rotation, one reversal). Unless the vertex has a
+    self-edge, they differ only in the order of the entries y and z of its
+    other two half-edges: the state's one chunk is (m, min(y, z), max(y,
+    z)), and the rotation survives when y <= z, the reversal when z <= y,
+    in that order. All unplaced vertices are scanned only when a state has
+    no open label: at depth 0 without a skeleton, where nothing is placed,
+    and never again inside one component.
+
+    The surviving children of a state all take the same chunk, so they
+    close and open the same labels: they share one new open-label list,
+    built once per parent. Without a skeleton every state at a depth has
+    the same open labels, so one list serves them all; the skeleton
+    rotations open different positions. The last child of a state takes
+    over its parent's two lists, and only its siblings copy them.
 
     The rule drops only candidates that cannot tie the minimum, so the
     surviving states at every depth, and their order, are those of the
@@ -307,41 +315,30 @@ def _component_search(triples, legs, skeleton, partner):
             out.append(pl)
         return tuple(out)
 
-    # a state: (label of each half-edge or None, half-edge of each label,
-    # sorted open labels, sign)
     states = []
     for r in range(e):
-        inv = tuple(skeleton[(r + pos) % e] for pos in range(e))
+        inv = list(skeleton[r:] + skeleton[:r])
         lab = [None] * n
         for pos, h in enumerate(inv):
             lab[h] = pos
         opn = [pos for pos, h in enumerate(inv) if where[partner[h]] is not None]
         states.append((lab, inv, opn, 1))
     if not states:
-        states.append(([None] * n, (), [], 1))
+        states.append(([None] * n, [], [], 1))
 
     sig = [v, l, e, n]
 
     for depth in range(v):
         base = e + 3 * depth
         best = None
-        chosen = []
+        chosen = []  # (parent state, rewriting, its sign), siblings adjacent
         for state in states:
             lab, inv, opn, _ = state
-            if not opn:
-                scored = [(chunk_of(trip, lab, base), trip, s)
-                          for t, vreps in zip(triples, reps) if lab[t[0]] is None
-                          for trip, s in vreps]
-            else:
+            if opn:
                 m = opn[0]
                 vi, j = where[partner[inv[m]]]
-                forced = reps[vi][j], reps[vi][5 - j]
-                if looped[vi]:
-                    scored = [(chunk_of(trip, lab, base), trip, s) for trip, s in forced]
-                else:
-                    # both rewritings open with m's partner, whose entry is
-                    # m, and differ only in the order of the other two
-                    (trip, s), (rtrip, rs) = forced
+                if not looped[vi]:
+                    trip, s = reps[vi][j]
                     y, z = trip[1], trip[2]
                     ly = lab[partner[y]]
                     lz = lab[partner[z]]
@@ -349,7 +346,23 @@ def _component_search(triples, legs, skeleton, partner):
                         ly = far[y]
                     if lz is None:
                         lz = far[z]
-                    scored = (((m, ly, lz), trip, s), ((m, lz, ly), rtrip, rs))
+                    chunk = (m, ly, lz) if ly <= lz else (m, lz, ly)
+                    if best is None or chunk < best:
+                        best = chunk
+                        chosen = []
+                    elif chunk != best:
+                        continue
+                    if ly <= lz:
+                        chosen.append((state, trip, s))
+                    if lz <= ly:
+                        chosen.append((state, *reps[vi][5 - j]))
+                    continue
+                scored = [(chunk_of(trip, lab, base), trip, s)
+                          for trip, s in (reps[vi][j], reps[vi][5 - j])]
+            else:
+                scored = [(chunk_of(trip, lab, 0) if lp else
+                           (far[trip[0]], far[trip[1]], far[trip[2]]), trip, s)
+                          for vreps, lp in zip(reps, looped) for trip, s in vreps]
             for chunk, trip, s in scored:
                 if best is None or chunk < best:
                     best = chunk
@@ -360,13 +373,21 @@ def _component_search(triples, legs, skeleton, partner):
         closed = [c for c in best if c < base]
         opened = [base + j for j in range(3) if best[j] == inf_v]
         states = []
-        for (lab, inv, opn, sgn), trip, s in chosen:
-            lab2 = lab.copy()
-            lab2[trip[0]] = base
-            lab2[trip[1]] = base + 1
-            lab2[trip[2]] = base + 2
-            opn2 = [x for x in opn if x not in closed] + opened
-            states.append((lab2, inv + trip, opn2, sgn * s))
+        last = len(chosen) - 1
+        popn = nopn = None
+        for i, (state, trip, s) in enumerate(chosen):
+            lab, inv, opn, sgn = state
+            if i < last and chosen[i + 1][0] is state:
+                lab = lab.copy()
+                inv = inv.copy()
+            lab[trip[0]] = base
+            lab[trip[1]] = base + 1
+            lab[trip[2]] = base + 2
+            inv.extend(trip)
+            if opn is not popn:
+                popn = opn
+                nopn = [x for x in opn if x not in closed] + opened
+            states.append((lab, inv, nopn, sgn * s))
 
     # legs: in the order of their partners' labels, which the vertex chunks
     # fixed, so the states tie here and the sig needs no leg chunk
@@ -394,26 +415,26 @@ def _component_search(triples, legs, skeleton, partner):
     lab = states[0][0]
     edges = sorted((lab[h], lab[p]) if lab[h] < lab[p] else (lab[p], lab[h])
                    for h, p in enumerate(partner) if h < p)
-    labs = tuple(x for state in states for x in state[0])
+    labs = tuple(itertools.chain.from_iterable(state[0] for state in states))
     return tuple(sig), sign, tuple(itertools.chain.from_iterable(edges)), labs
-
-
-def _min_rotation(t):
-    a, b, c = t
-    return min((a, b, c), (b, c, a), (c, a, b))
 
 
 def _canon_component(triples, legs, skeleton, hes, pmap):
     """Canonicalize one component, given its sorted half-edges ``hes``
     (original ids); the search runs on the structure normalized by
     rank-relabeling them, so its labelings give the label of each of
-    ``hes`` in turn."""
-    norm = {h: i for i, h in enumerate(hes)}
-    ntrip = tuple(sorted(_min_rotation((norm[a], norm[b], norm[c])) for a, b, c in triples))
-    nlegs = tuple(sorted(norm[g] for g in legs))
-    nskel = tuple(norm[h] for h in skeleton) if skeleton is not None else None
-    npart = tuple(norm[pmap[h]] for h in hes)
-    return (*_component_search(ntrip, nlegs, nskel, npart), hes)
+    ``hes`` in turn. Half-edges already ``0..n-1`` (a canonical diagram
+    and its edge-rewrite terms) are their own ranks."""
+    partner = map(pmap.__getitem__, hes)
+    if hes[-1] != len(hes) - 1:
+        norm = {h: i for i, h in enumerate(hes)}.__getitem__
+        triples = [tuple(map(norm, t)) for t in triples]
+        legs = map(norm, legs)
+        if skeleton is not None:
+            skeleton = tuple(map(norm, skeleton))
+        partner = map(norm, partner)
+    ntrip = tuple(sorted([min((a, b, c), (b, c, a), (c, a, b)) for a, b, c in triples]))
+    return (*_component_search(ntrip, tuple(sorted(legs)), skeleton, tuple(partner)), hes)
 
 
 def _split_components(d: Diagram):
@@ -427,44 +448,35 @@ def _split_components(d: Diagram):
     nonzero, so equal signatures are consecutive floating components.
     """
     pmap = d.partner_map
-    triple_of = {h: t for t in d.triples for h in t}
-    skeleton = d.skeleton or ()
-    skset = set(skeleton)
-    seen = set()
+    v, l = len(d.triples), len(d.legs)
+    # the slots: the triples, each leg alone, then the circle if it has points
+    slots = [*d.triples, *[(g,) for g in d.legs]]
+    if d.skeleton:
+        slots.append(d.skeleton)
+    slot_of = {h: i for i, t in enumerate(slots) for h in t}
+    seen = [False] * len(slots)
     circle, floats = [], []
-    # every half-edge is paired, so each walk collects one component, and
-    # the walks start in order of the components' smallest half-edges
-    for start in sorted(pmap):
-        if start in seen:
+    for start in range(len(slots)):
+        if seen[start]:
             continue
-        seen.add(start)
-        stack = [start]
-        hes, ctrip, clegs = [], [], []
-        on_circle = False
-        while stack:
-            h = stack.pop()
-            hes.append(h)
-            t = triple_of.get(h)
-            if t is not None:
-                if h == t[0]:
-                    ctrip.append(t)
-                near = t
-            elif h in skset:
-                near = () if on_circle else skeleton
-                on_circle = True
-            else:
-                clegs.append(h)
-                near = ()
-            for x in (*near, pmap[h]):
-                if x not in seen:
-                    seen.add(x)
-                    stack.append(x)
-        hes.sort()
-        if on_circle:
-            circle.append(_canon_component(ctrip, clegs, skeleton, hes, pmap))
+        seen[start] = True
+        comp = [start]
+        for i in comp:  # a walk: the list grows while it is read
+            for h in slots[i]:
+                j = slot_of[pmap[h]]
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        hes = sorted([h for i in comp for h in slots[i]])
+        ctrip = [slots[i] for i in comp if i < v]
+        clegs = [slots[i][0] for i in comp if v <= i < v + l]
+        if v + l in comp:
+            circle.append(_canon_component(ctrip, clegs, d.skeleton, hes, pmap))
         else:
             floats.append(_canon_component(ctrip, clegs, None, hes, pmap))
-    return circle + sorted(floats, key=lambda c: c[0])
+    # equal signatures keep the order of their smallest half-edges
+    floats.sort(key=lambda c: (c[0], c[4][0]))
+    return circle + floats
 
 
 def canonicalize(d: Diagram) -> CanonicalForm:

@@ -715,3 +715,139 @@ def representation_first_failure(c, action):
                 if ab[r][s] - ba[r][s] != want:
                     return False, f"representation fails on bracket ({i},{j})"
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# the component search as it stood before its state loop was rewritten
+
+
+_INFV_OFF = 1
+_INFL_OFF = 2
+
+
+def component_search_reference(triples, legs, skeleton, partner):
+    """``diagrams._component_search`` before its state loop was rewritten,
+    kept verbatim and unmemoized: it copies every state's lists, rebuilds
+    the open-label list for every child and scores both rewritings of a
+    forced vertex.  The fast search must return the identical ``(sig,
+    sign, edges, labs)`` on every argument."""
+    if not triples and skeleton is None:  # a strut, flipped or not
+        return (0, 2, 0, 2), 1, (0, 1), (0, 1, 1, 0)
+    n = len(partner)
+    v = len(triples)
+    l = len(legs)
+    e = len(skeleton or ())
+    legset = frozenset(legs)
+    inf_v = n + _INFV_OFF
+    inf_l = n + _INFL_OFF
+
+    reps = []
+    where = [None] * n  # half-edge -> (vertex, position in its triple)
+    for vi, (a, b, c) in enumerate(triples):
+        reps.append((((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
+                     ((c, b, a), -1), ((b, a, c), -1), ((a, c, b), -1)))
+        where[a], where[b], where[c] = (vi, 0), (vi, 1), (vi, 2)
+    # far[h]: h's chunk entry while its partner is unplaced and off h's
+    # vertex; looped[vi]: vertex vi has a self-edge
+    far = [inf_l if partner[h] in legset else inf_v for h in range(n)]
+    looped = [any(partner[h] in t for h in t) for t in triples]
+
+    def chunk_of(trip, lab, base):
+        out = []
+        for h in trip:
+            p = partner[h]
+            pl = lab[p]
+            if pl is None:
+                pl = base + trip.index(p) if p in trip else far[h]
+            out.append(pl)
+        return tuple(out)
+
+    # a state: (label of each half-edge or None, half-edge of each label,
+    # sorted open labels, sign)
+    states = []
+    for r in range(e):
+        inv = tuple(skeleton[(r + pos) % e] for pos in range(e))
+        lab = [None] * n
+        for pos, h in enumerate(inv):
+            lab[h] = pos
+        opn = [pos for pos, h in enumerate(inv) if where[partner[h]] is not None]
+        states.append((lab, inv, opn, 1))
+    if not states:
+        states.append(([None] * n, (), [], 1))
+
+    sig = [v, l, e, n]
+
+    for depth in range(v):
+        base = e + 3 * depth
+        best = None
+        chosen = []
+        for state in states:
+            lab, inv, opn, _ = state
+            if not opn:
+                scored = [(chunk_of(trip, lab, base), trip, s)
+                          for t, vreps in zip(triples, reps) if lab[t[0]] is None
+                          for trip, s in vreps]
+            else:
+                m = opn[0]
+                vi, j = where[partner[inv[m]]]
+                forced = reps[vi][j], reps[vi][5 - j]
+                if looped[vi]:
+                    scored = [(chunk_of(trip, lab, base), trip, s) for trip, s in forced]
+                else:
+                    # both rewritings open with m's partner, whose entry is
+                    # m, and differ only in the order of the other two
+                    (trip, s), (rtrip, rs) = forced
+                    y, z = trip[1], trip[2]
+                    ly = lab[partner[y]]
+                    lz = lab[partner[z]]
+                    if ly is None:
+                        ly = far[y]
+                    if lz is None:
+                        lz = far[z]
+                    scored = (((m, ly, lz), trip, s), ((m, lz, ly), rtrip, rs))
+            for chunk, trip, s in scored:
+                if best is None or chunk < best:
+                    best = chunk
+                    chosen = [(state, trip, s)]
+                elif chunk == best:
+                    chosen.append((state, trip, s))
+        sig.extend(best)
+        closed = [c for c in best if c < base]
+        opened = [base + j for j in range(3) if best[j] == inf_v]
+        states = []
+        for (lab, inv, opn, sgn), trip, s in chosen:
+            lab2 = lab.copy()
+            lab2[trip[0]] = base
+            lab2[trip[1]] = base + 1
+            lab2[trip[2]] = base + 2
+            opn2 = [x for x in opn if x not in closed] + opened
+            states.append((lab2, inv + trip, opn2, sgn * s))
+
+    # legs: in the order of their partners' labels, which the vertex chunks
+    # fixed, so the states tie here and the sig needs no leg chunk
+    legbase = e + 3 * v
+    for lab, *_ in states:
+        for i, g in enumerate(sorted(legs, key=lambda g: lab[partner[g]]), legbase):
+            lab[g] = i
+
+    if e:
+        best = None
+        chosen = []
+        for state in states:
+            lab, inv = state[0], state[1]
+            chunk = tuple(lab[partner[inv[pos]]] for pos in range(e))
+            if best is None or chunk < best:
+                best = chunk
+                chosen = [state]
+            elif chunk == best:
+                chosen.append(state)
+        sig.extend(best)
+        states = chosen
+
+    signs = {state[3] for state in states}
+    sign = 0 if len(signs) == 2 else signs.pop()
+    lab = states[0][0]
+    edges = sorted((lab[h], lab[p]) if lab[h] < lab[p] else (lab[p], lab[h])
+                   for h, p in enumerate(partner) if h < p)
+    labs = tuple(x for state in states for x in state[0])
+    return tuple(sig), sign, tuple(itertools.chain.from_iterable(edges)), labs

@@ -604,6 +604,11 @@ def test_circle_bases_take_edge_rewrites_only_where_no_vertex_meets_the_circle(
     assert len(qb.diagrams) - len(_relation_pivots(qb, stu_generators(qb.diagrams))) == 6
 
 
+# every nonempty piece of total <= 8 (odd pieces are empty by parity)
+_PIECES_TO_8 = [("B", {"v": v, "l": l}) for v in range(9) for l in range(9 - v)
+                if (v + l) % 2 == 0] + [("A", {"total": t}) for t in range(9)]
+
+
 def test_pivots_certify_the_relation_rows_they_were_built_from(monkeypatch):
     """The exact check of a stored elimination: every relation row a basis
     is built from reduces to zero against its pivots in one sweep, there is
@@ -618,10 +623,8 @@ def test_pivots_certify_the_relation_rows_they_were_built_from(monkeypatch):
     rref = algebra._rref
     monkeypatch.setattr(algebra, "_basis_memo", {})
     monkeypatch.setattr(algebra, "_rref", spy)
-    pieces = [("B", {"v": v, "l": l}) for v in range(9) for l in range(9 - v)
-              if (v + l) % 2 == 0] + [("A", {"total": t}) for t in range(9)]
     rows_seen = free_seen = 0
-    for space, kwargs in pieces:
+    for space, kwargs in _PIECES_TO_8:
         built.clear()
         qb = quotient_basis(space, **kwargs)
         [rows] = built
@@ -634,6 +637,29 @@ def test_pivots_certify_the_relation_rows_they_were_built_from(monkeypatch):
                 free_seen += 1
         rows_seen += len(rows)
     assert rows_seen and free_seen
+
+
+def test_elimination_ignores_row_order(monkeypatch):
+    """The reduced row echelon form of a row space is unique: on every cold
+    piece up to total 8, the relation rows as built, reversed and shortest
+    first give equal pivots, those the basis stores."""
+    built = []
+
+    def spy(index, terms):
+        row = coordinates(index, terms)
+        built.append(row)
+        return row
+
+    coordinates = algebra._coordinates
+    monkeypatch.setattr(algebra, "_basis_memo", {})
+    monkeypatch.setattr(algebra, "_coordinates", spy)
+    for space, kwargs in _PIECES_TO_8:
+        built.clear()
+        qb = quotient_basis(space, **kwargs)
+        rows = list(built)
+        assert algebra._rref(rows) == qb.pivots, (space, kwargs)
+        assert algebra._rref(rows[::-1]) == qb.pivots, (space, kwargs)
+        assert algebra._rref(sorted(rows, key=len)) == qb.pivots, (space, kwargs)
 
 
 def test_reduce_is_idempotent_and_linear_on_random_vectors():

@@ -12,7 +12,7 @@ import random
 import pytest
 
 import oracles
-from weightsys import diagrams
+from weightsys import algebra, diagrams
 from weightsys.diagrams import (
     Diagram,
     automorphism_count,
@@ -258,6 +258,35 @@ def test_answers_do_not_depend_on_the_search_cache():
     for cf, _ in warm:
         diagrams._component_search.cache_clear()
         assert canonicalize(cf.diagram) == (cf.diagram, 0 if cf.sign == 0 else 1)
+
+
+def test_component_search_matches_the_reference(monkeypatch):
+    """The search returns the reference search's tuple, labelings in the
+    same order, on every component met while every circle and leg piece
+    of total <= 8 is built cold (odd totals are empty), and on random
+    relabelings of the corpus."""
+    seen = set()
+    search = diagrams._component_search
+
+    def recorded(*args):
+        seen.add(args)
+        return search(*args)
+
+    monkeypatch.setattr(diagrams, "_component_search", recorded)
+    monkeypatch.setattr(diagrams, "_enum_memo", {})
+    monkeypatch.setattr(algebra, "_basis_memo", {})
+    for total in range(0, 9, 2):
+        algebra.quotient_basis("A", total=total)
+        for v in range(total + 1):
+            algebra.quotient_basis("B", v=v, l=total - v)
+    built = len(seen)
+    rng = random.Random(71)
+    for d, _ in oracles.corpus():
+        for _ in range(20):
+            canonicalize(oracles.relabel_randomly(d, rng)[0])
+    assert built > 1500 and len(seen) > built
+    for args in seen:
+        assert search.__wrapped__(*args) == oracles.component_search_reference(*args), args
 
 
 # ---------------------------------------------------------------------------
