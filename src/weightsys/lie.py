@@ -29,7 +29,8 @@ from typing import NamedTuple
 from .algebra import _rational, _rref, _terms
 from .diagrams import DEFAULT_MAX_STEPS, Diagram, _require_non_negative
 from .errors import LieAlgebraError, ResourceLimitError, SpaceMismatchError
-from .tensor import ContractionPlan, SparseTensor, contract_network, plan_contraction
+from .tensor import (ContractionPlan, SharedMerges, SparseTensor, contract_network,
+                     network_keys, plan_contraction)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -528,6 +529,15 @@ def _plan(d: Diagram, dim_g: int, dim_V: int):
     return kinds, edges, plan_contraction(shapes, edges)
 
 
+@lru_cache(maxsize=4096)
+def _keys(d: Diagram, dim_g: int, dim_V: int):
+    """The ``network_keys`` of the network of ``d``, its nodes named by
+    their kinds (every node has three axes): memoized as ``_plan`` is, so a
+    vector evaluated again builds no keys."""
+    kinds, edges, plan = _plan(d, dim_g, dim_V)
+    return network_keys(kinds, [3] * len(kinds), edges, plan)
+
+
 def contraction_plan(d: Diagram, dims) -> ContractionPlan:
     """Plan the contraction of one diagram's network, as evaluation does.
 
@@ -546,12 +556,16 @@ def contraction_plan(d: Diagram, dims) -> ContractionPlan:
 
 def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
                      rep: Representation | None, max_cost: int) -> Fraction:
-    """Weight of x, each term's network planned and contracted as labeled."""
+    """Weight of x, each term's network planned and contracted as labeled.
+    Every term is checked and planned before any is contracted.  When two
+    or more terms have networks, they share one ``SharedMerges``, so a
+    merge they have in common is contracted once in this call."""
     _require_non_negative(max_cost=max_cost)
     nodes = _node_tensors(g, rep)
     dim_V = rep.dim_V if rep else 1
     limit = sys.get_int_max_str_digits()
     total = _ZERO
+    networks = []
     for d, coeff in _terms(x):
         if d.space != space:
             what = "circle-space" if space == "A" else "leg-space"
@@ -565,13 +579,22 @@ def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
                 f"dim g to the power of the free-loop count has more than {limit} digits")
         # with no circle point the circle's trace is that of the identity
         value = Fraction(dim_V) if space == "A" and not d.skeleton else _ONE
-        if d.pairing:
-            kinds, edges, plan = _plan(d, g.dim, dim_V)
-            if plan.cost > max_cost:
-                raise ResourceLimitError(
-                    f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")
-            value *= contract_network([nodes[k] for k in kinds], edges, plan).item()
-        total += coeff * value * Fraction(g.dim) ** d.free_loops
+        value *= coeff * Fraction(g.dim) ** d.free_loops
+        if not d.pairing:
+            total += value
+            continue
+        kinds, edges, plan = _plan(d, g.dim, dim_V)
+        if plan.cost > max_cost:
+            raise ResourceLimitError(
+                f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")
+        networks.append((d, value, kinds, edges, plan))
+    memo = None
+    if len(networks) > 1:
+        memo = SharedMerges([_keys(d, g.dim, dim_V) for d, *_ in networks])
+    for n, (_, value, kinds, edges, plan) in enumerate(networks):
+        shared = None if memo is None else (memo, n)
+        weight = contract_network([nodes[k] for k in kinds], edges, plan, shared)
+        total += value * weight.item()
     return total
 
 

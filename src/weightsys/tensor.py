@@ -28,6 +28,18 @@ gives edge e the label e on both of its axes, traces each node's
 self-edges once, and then merges tensors pairwise over the labels they
 share, so a merged tensor never carries a label twice.
 
+Networks contracted together, such as the terms of one vector, often
+repeat a merge exactly.  Each tensor of a planned network has a
+structural key (``network_keys``): a node's is its name (the caller's
+word for which tensor it is) and its self-edge pattern, and a merge's is
+its two operands' keys and the positions of the axes it sums on each.
+The executor reads nothing else, so equal keys give equal tensors.  A
+``SharedMerges`` is built for one evaluation from the keys of all its
+networks: it counts how often each key will be read, contracts each
+distinct merge once, keeps a result only until its last read, and goes
+with the evaluation, so nothing is carried from one call to the next.
+A lone network builds no keys and runs the plain executor.
+
 Values are Fractions at the API and integers inside.  A tensor keeps,
 beside its Fraction entries, their numerators over one common
 denominator (the lcm of theirs), computed once when it is built; a
@@ -107,14 +119,22 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     Exhaustive subset dynamic programming when there are at most
     ``DP_WIDTH`` nodes, greedy minimum-result-size otherwise.  Both are
     deterministic.  A plan reads only each edge's node pair and dimension
-    and each node's free size, so it is memoized on those.
+    and each node's free size, so it is memoized on those.  Raises
+    ValueError when an axis is in more than one edge.
     """
+    _require_distinct_axes(edges)
     free = [list(shape) for shape in node_axes]  # an edge's axes become 1
     bonds = []
     for (i, ai), (j, aj) in edges:
         bonds.append((min(i, j), max(i, j), node_axes[i][ai]))
         free[i][ai] = free[j][aj] = 1
     return _plan_shape(tuple(sorted(bonds)), tuple(map(prod, free)))
+
+
+def _require_distinct_axes(edges):
+    ends = [end for edge in edges for end in edge]
+    if len(set(ends)) < len(ends):
+        raise ValueError("an axis is in more than one edge")
 
 
 @lru_cache(maxsize=None)
@@ -232,45 +252,189 @@ def _plan_shape(bonds, free) -> ContractionPlan:
     return ContractionPlan(tuple(order), cost)
 
 
-def contract_network(tensors, edges, plan: ContractionPlan) -> SparseTensor:
+def contract_network(tensors, edges, plan: ContractionPlan,
+                     shared=None) -> SparseTensor:
     """Execute a network contraction, merging per ``plan``.
 
     Each merge puts the kept node's free axes first, then the merged
     node's, so the result's free axes follow the plan, not node order.
+    Raises ValueError when an edge joins axes of different dimensions, an
+    axis is in more than one edge, a merge names a node that is not live,
+    or the plan leaves more than one tensor.
+
+    ``shared`` is ``(memo, n)`` when this network is network n of the
+    ``SharedMerges`` memo, which was built from its ``network_keys`` (so
+    from these edges and this plan): a merge is then read back from the
+    memo when an earlier one of the same structural key kept its result.
     """
     tensors = list(tensors)
     if not tensors:
         return SparseTensor((), {(): 1})
-    # edge e labels both of its axes e; a free axis keeps its own (node, axis)
-    labels = [[(i, p) for p in range(len(t.shape))] for i, t in enumerate(tensors)]
-    for e, ((i, ai), (j, aj)) in enumerate(edges):
+    for (i, ai), (j, aj) in edges:
         if tensors[i].shape[ai] != tensors[j].shape[aj]:
             raise ValueError("an edge joins axes of different dimensions")
-        labels[i][ai] = labels[j][aj] = e
-    work = {i: _trace_self(labs, t.shape, t.nums, t.den)
-            for i, (labs, t) in enumerate(zip(labels, tensors))}
-    for i, j in plan.order:
-        work[i] = _merge(*work[i], *work.pop(j))
-    ((_, shape, nums, den),) = work.values()
+    if shared is not None:
+        memo, n = shared
+        shape, nums, den = memo.contract(n, tensors)
+    else:
+        patterns, merges = _schedule([len(t.shape) for t in tensors], edges, plan)
+        work = [_trace(p, t.shape, t.nums, t.den) for p, t in zip(patterns, tensors)]
+        for a, b, apos, bpos in merges:
+            work.append(_merge(apos, bpos, *work[a], *work[b]))
+            work[a] = work[b] = None
+        shape, nums, den = work[-1]
     return SparseTensor(shape, {k: Fraction(v, den) for k, v in nums.items()})
 
 
-# Inside the executor a tensor is (labels, shape, {index: int}, den): its
-# value at an index is that integer over den, and absent indices are zero.
+def network_keys(names, arities, edges, plan: ContractionPlan):
+    """The structural keys of a network's tensors, as ``(leaves, merges)``.
+
+    Node i has ``arities[i]`` axes, and its tensor is named by the hashable
+    ``names[i]``.  ``leaves[i]`` is the key of node i with its self-edges
+    traced: ``(names[i], its self-edge pattern)``.  ``merges[s]`` describes
+    merge s of ``plan`` as ``(a, b, apos, bpos)``: its operands are the
+    tensors at positions a and b, where position i < len(leaves) is leaf i
+    and position len(leaves) + s is the result of merge s; the axes at
+    ``apos`` of the first are summed against those at ``bpos`` of the
+    second.  Two tensors, of one network or of two, whose keys are equal
+    (a leaf by its key, a merge by its operands' keys and its positions)
+    are equal, as long as equal names stand for equal tensors: the
+    executor reads nothing else.
+    """
+    patterns, merges = _schedule(arities, edges, plan)
+    return tuple(zip(names, patterns)), tuple(merges)
 
 
-def _trace_self(labels, shape, nums, den):
-    """The tensor with each pair of axes that carries one label summed out."""
-    first = [labels.index(lab) for lab in labels]
-    keep = [p for p, lab in enumerate(labels) if labels.count(lab) == 1]
-    if len(keep) == len(labels):
-        return labels, shape, nums, den
+class SharedMerges:
+    """The networks of one evaluation, each distinct merge contracted once.
+
+    Built from each network's ``network_keys``, in the order the networks
+    are contracted.  Keys are numbered here, a leaf by its key and a merge
+    by its operands' numbers and positions, so equal numbers mean equal
+    keys, and the object, meant to live for one evaluation, keeps nothing
+    from an earlier one.  A network is contracted from its last merge down:
+    a merge whose key was met before is read back, and the merges below it
+    are not visited.  Each key is counted as often as it will be visited
+    that way, and a result is kept only until its last visit.
+    """
+
+    def __init__(self, networks):
+        ids: dict = {}
+        self.visits: dict = {}  # merge number -> visits still to come
+        self.kept: dict = {}    # merge number -> its result, while visited again
+        self.networks = []      # (leaves, merges, number of each position)
+        for leaves, merges in networks:
+            at = [ids.setdefault(leaf, len(ids)) for leaf in leaves]
+            for a, b, apos, bpos in merges:
+                at.append(ids.setdefault((at[a], at[b], apos, bpos), len(ids)))
+            self.networks.append((leaves, merges, at))
+            # the first visit of a key also visits its operands
+            first = len(leaves)
+            todo = [len(at) - 1]
+            while todo:
+                pos = todo.pop()
+                if pos >= first:
+                    seen = self.visits.get(at[pos], 0)
+                    self.visits[at[pos]] = seen + 1
+                    if not seen:
+                        todo += merges[pos - first][:2]
+
+    def contract(self, n, tensors):
+        """The executor's form of network n, whose leaf tensors are
+        ``tensors``: shared merges are read back or kept for later visits."""
+        leaves, merges, at = self.networks[n]
+        first = len(leaves)
+        visits, kept = self.visits, self.kept
+        done = []                 # results, the last one on top
+        todo = [len(at) - 1]      # positions to visit; ~pos: merge them
+        while todo:
+            pos = todo.pop()
+            if pos < 0:
+                pos = ~pos
+                _, _, apos, bpos = merges[pos - first]
+                b = done.pop()
+                t = _merge(apos, bpos, *done.pop(), *b)
+            elif pos < first:
+                t = tensors[pos]
+                done.append(_trace(leaves[pos][1], t.shape, t.nums, t.den))
+                continue
+            else:
+                t = kept.get(at[pos])
+                if t is None:
+                    a, b, _, _ = merges[pos - first]
+                    todo += (~pos, b, a)
+                    continue
+            k = at[pos]
+            visits[k] -= 1
+            if visits[k]:
+                kept[k] = t
+            else:
+                kept.pop(k, None)
+            done.append(t)
+        (out,) = done
+        return out
+
+
+# Inside the executor a tensor is (shape, {index: int}, den): its value at
+# an index is that integer over den, and absent indices are zero.
+
+
+def _schedule(arities, edges, plan: ContractionPlan):
+    """How the executor runs a network whose node i has ``arities[i]``
+    axes: ``(patterns, merges)``.  Edge e labels both of its axes e, and a
+    free axis keeps its own (node, axis) label.  ``patterns[i]`` is None
+    for a node without a self-edge; otherwise it gives, for each axis of
+    node i, the first axis of the node with the same label, so the two
+    axes of a self-edge point at the same one.  ``merges`` lists the
+    merges of ``plan`` as in ``network_keys``: the axes at ``apos`` carry
+    the labels of those at ``bpos``, in that order, and are summed out, so
+    a merged tensor never carries a label twice."""
+    _require_distinct_axes(edges)
+    labels = [[(i, p) for p in range(k)] for i, k in enumerate(arities)]
+    patterns = [None] * len(labels)
+    for e, ((i, ai), (j, aj)) in enumerate(edges):
+        labels[i][ai] = labels[j][aj] = e
+        if i == j:
+            patterns[i] = ()
+    for i, pattern in enumerate(patterns):
+        if pattern is not None:
+            labs = labels[i]
+            patterns[i] = tuple(map(labs.index, labs))
+            labels[i] = [lab for lab in labs if labs.count(lab) == 1]
+    live = dict(enumerate(labels))  # node -> labels of its tensor
+    at = list(range(len(labels)))   # node -> position of its tensor
+    merges = []
+    for i, j in plan.order:
+        if i == j or i not in live or j not in live:
+            raise ValueError(f"the plan merges ({i}, {j}), not two live nodes")
+        la, lb = live[i], live.pop(j)
+        apos, bpos, kept = [], [], []
+        for p, lab in enumerate(la):
+            if lab in lb:
+                apos.append(p)
+                bpos.append(lb.index(lab))
+            else:
+                kept.append(lab)
+        live[i] = kept + [lab for lab in lb if lab not in la]
+        merges.append((at[i], at[j], tuple(apos), tuple(bpos)))
+        at[i] = len(labels) + len(merges) - 1
+    if len(live) > 1:
+        raise ValueError(f"the plan leaves {len(live)} tensors, not one")
+    return patterns, merges
+
+
+def _trace(pattern, shape, nums, den):
+    """The tensor with the two axes of each self-edge summed out, for a
+    self-edge pattern of ``_schedule``."""
+    if pattern is None:
+        return shape, nums, den
+    keep = [p for p, q in enumerate(pattern) if pattern.count(q) == 1]
     out: dict = {}
     for k, v in nums.items():
-        if all(k[p] == k[q] for p, q in enumerate(first)):
+        if all(k[p] == k[q] for p, q in enumerate(pattern)):
             key = tuple(k[p] for p in keep)
             out[key] = out.get(key, 0) + v
-    return ([labels[p] for p in keep], tuple(shape[p] for p in keep),
+    return (tuple(shape[p] for p in keep),
             {k: v for k, v in out.items() if v}, den)
 
 
@@ -285,14 +449,12 @@ def _picker(pos):
     return lambda k: ()
 
 
-def _merge(la, ashape, anums, aden, lb, bshape, bnums, bden):
-    """Contract two tensors over the labels they share.  Result axes: the
-    other axes of the first in order, then those of the second."""
-    shared = set(la) & set(lb)
-    apos = [p for p, lab in enumerate(la) if lab in shared]
-    bpos = [lb.index(la[p]) for p in apos]
-    afree = [p for p, lab in enumerate(la) if lab not in shared]
-    bfree = [q for q, lab in enumerate(lb) if lab not in shared]
+def _merge(apos, bpos, ashape, anums, aden, bshape, bnums, bden):
+    """Contract two tensors, summing the axes at ``apos`` of the first
+    against those at ``bpos`` of the second.  Result axes: the other axes
+    of the first in order, then those of the second."""
+    afree = [p for p in range(len(ashape)) if p not in apos]
+    bfree = [q for q in range(len(bshape)) if q not in bpos]
     bkey, btail, akey, ahead = map(_picker, (bpos, bfree, apos, afree))
     groups = defaultdict(list)
     for k, v in bnums.items():
@@ -306,6 +468,5 @@ def _merge(la, ashape, anums, aden, lb, bshape, bnums, bden):
         for tail, w in hits:
             key = head + tail
             out[key] = out.get(key, 0) + v * w
-    return ([la[p] for p in afree] + [lb[q] for q in bfree],
-            tuple(ashape[p] for p in afree) + tuple(bshape[q] for q in bfree),
+    return (tuple(ashape[p] for p in afree) + tuple(bshape[q] for q in bfree),
             {k: v for k, v in out.items() if v}, aden * bden)

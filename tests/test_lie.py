@@ -313,8 +313,8 @@ def scaled_metric(g, s):
                             representations=g.representations)
 
 
-ORACLE_ALGEBRAS = [SL2, abelian(1), abelian(3), scaled_metric(SL2, 3),
-                   sl3_from_matrix_units()]
+SL3 = sl3_from_matrix_units()
+ORACLE_ALGEBRAS = [SL2, abelian(1), abelian(3), scaled_metric(SL2, 3), SL3]
 
 
 @pytest.mark.parametrize("g", ORACLE_ALGEBRAS, ids=lambda g: g.name or f"dim{g.dim}")
@@ -597,6 +597,117 @@ def test_cost_bound_holds_on_a_memoized_plan():
             evaluate_closed(d, SL2, max_cost=cost - 1)
     assert lie._plan.cache_info()[:2] == (1, 1)
     assert evaluate_closed(d, SL2, max_cost=cost) == 384
+
+
+# ---------------------------------------------------------------------------
+# merges shared between the terms of one evaluation
+
+
+def weigh_term_by_term(vec, g):
+    """The weight of vec as the sum of its terms' weights, each term
+    evaluated alone (so with no shared merges)."""
+    if vec.items()[0][0].space == "A":
+        rep = g.representations["fundamental"]
+        return sum(c * evaluate(d, g, rep) for d, c in vec.items())
+    return sum(c * evaluate_closed(d, g) for d, c in vec.items())
+
+
+def class_vectors():
+    """All classes of A totals 4 and 6, B(6, 0) and B(8, 0), one vector
+    per piece, each class with its own coefficient."""
+    pieces = [enumerate_diagrams("A", total=t) for t in (4, 6)]
+    pieces += [enumerate_diagrams("B", v=v, l=0) for v in (6, 8)]
+    return [DiagramVector((d, Fraction(k + 2, 2 * k + 1)) for k, d in enumerate(piece))
+            for piece in pieces]
+
+
+def generator_sums():
+    """Seeded rational sums of the relation generators of A total 6 and of
+    the edge-rewrite generators of B(8, 0); every weight system kills them."""
+    rng = random.Random(27)
+    circle = enumerate_diagrams("A", total=6)
+    sums = []
+    for gens in (stu_generators(circle) + ihx_generators(circle),
+                 ihx_generators(enumerate_diagrams("B", v=8, l=0))):
+        vec = DiagramVector.zero()
+        for gen in gens:
+            vec = vec + Fraction(rng.randint(1, 9), rng.randint(1, 7)) * gen
+        sums.append(vec)
+    return sums
+
+
+@pytest.mark.parametrize("g", [SL2, SL3], ids=["sl2", "sl3"])
+def test_a_vector_weighs_the_sum_of_its_terms(g):
+    for vec in class_vectors():
+        want = weigh_term_by_term(vec, g)
+        assert want != 0 and len(vec) > 1
+        if vec.items()[0][0].space == "A":
+            assert evaluate(vec, g, g.representations["fundamental"]) == want
+        else:
+            assert evaluate_closed(vec, g) == want
+    circle, closed = generator_sums()
+    assert len(circle) > 1 and len(closed) > 1
+    assert evaluate(circle, g, g.representations["fundamental"]) == 0
+    assert evaluate_closed(closed, g) == 0
+
+
+def test_shared_merges_are_not_carried_from_one_call_to_the_next():
+    vec = class_vectors()[1]  # A total 6
+    w2, w3 = weigh_term_by_term(vec, SL2), weigh_term_by_term(vec, SL3)
+    assert w2 != w3
+    rep3 = SL3.representations["fundamental"]
+    assert [evaluate(vec, SL2, FUND), evaluate(vec, SL3, rep3),
+            evaluate(vec, SL2, FUND)] == [w2, w3, w2]
+
+
+def test_terms_share_merges(monkeypatch):
+    merges = []
+
+    def counted(*args, real=tensor._merge):
+        merges.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(tensor, "_merge", counted)
+    circle = enumerate_diagrams("A", total=6)
+    planned = 0
+    for gen in stu_generators(circle) + ihx_generators(circle):
+        assert evaluate(gen, SL2, FUND) == 0
+        planned += sum(len(contraction_plan(d, (3, 2)).order)
+                       for d, _ in gen.items() if d.pairing)
+    assert 0 < len(merges) < planned
+
+
+def test_a_lone_network_builds_no_keys(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("structural keys built")
+
+    monkeypatch.setattr(lie, "_keys", refuse)
+    monkeypatch.setattr(lie, "SharedMerges", refuse)
+    assert evaluate(a_theta(), SL2, FUND) == -12
+    assert evaluate_closed(cube(), SL2) == 384
+    # one term with a network, one without
+    vec = DiagramVector([(a_theta(), 2), (bare_circle(), 1)])
+    assert evaluate(vec, SL2, FUND) == 2 * (-12) + 2
+    # two terms with networks do share merges
+    with pytest.raises(AssertionError, match="structural keys built"):
+        evaluate(DiagramVector([(a_theta(), 2), (a_chord(), 1)]), SL2, FUND)
+
+
+def test_every_term_is_checked_before_any_is_contracted(monkeypatch):
+    merges = []
+
+    def counted(*args, real=tensor._merge):
+        merges.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(tensor, "_merge", counted)
+    theta = oracles.theta_closed()
+    vec = DiagramVector([(theta, 1), (cube(), 1)])
+    cheap = contraction_plan(theta, (3,)).cost
+    assert cheap < contraction_plan(cube(), (3,)).cost
+    with pytest.raises(ResourceLimitError):
+        evaluate_closed(vec, SL2, max_cost=cheap)
+    assert merges == []
 
 
 def test_circle_evaluation_without_a_representation_is_refused():

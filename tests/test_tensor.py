@@ -6,9 +6,12 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 import oracles
-from weightsys.tensor import (DP_WIDTH, ContractionPlan, SparseTensor,
-                              contract_network, plan_contraction)
+from weightsys import tensor
+from weightsys.tensor import (DP_WIDTH, ContractionPlan, SharedMerges, SparseTensor,
+                              contract_network, network_keys, plan_contraction)
 
 
 def random_network(rng, n):
@@ -128,3 +131,75 @@ def test_plans_match_the_bond_scan_on_tie_heavy_networks():
         seen["self"] += any(i == j for i, j in pairs)
         seen["parallel"] += len(set(pairs)) < len(pairs)
     assert seen["self"] >= 40 and seen["parallel"] >= 60, seen
+
+
+def test_an_axis_in_two_edges_is_refused():
+    # a's one axis would be summed against both axes of b
+    a = SparseTensor((2,), {(0,): 1, (1,): 2})
+    b = SparseTensor((2, 2), {(0, 0): 1, (0, 1): 10, (1, 1): 1})
+    for edges in ([((0, 0), (1, 0)), ((0, 0), (1, 1))],
+                  [((1, 0), (1, 0))]):  # an axis tied to itself
+        with pytest.raises(ValueError, match="more than one edge"):
+            plan_contraction([(2,), (2, 2)], edges)
+        with pytest.raises(ValueError, match="more than one edge"):
+            contract_network([a, b], edges, ContractionPlan(((0, 1),), 1))
+
+
+@pytest.mark.parametrize("order, error", [
+    (((0, 2),), "not two live nodes"),          # no node 2
+    (((0, 0),), "not two live nodes"),          # a node with itself
+    (((0, 1), (1, 0)), "not two live nodes"),   # node 1 is merged away
+    ((), "leaves 2 tensors"),
+])
+def test_a_plan_that_does_not_merge_the_network_is_refused(order, error):
+    a = SparseTensor((2,), {(0,): 1, (1,): 2})
+    edges = [((0, 0), (1, 0))]
+    with pytest.raises(ValueError, match=error):
+        contract_network([a, a], edges, ContractionPlan(order, 0))
+
+
+def test_shared_merges_match_the_lone_executor_and_keep_nothing_after(monkeypatch):
+    # copies of random networks, some with one node's tensor swapped for a
+    # new one, in a shuffled order, so they share sub-networks
+    rng = random.Random(2027)
+    networks = []
+    for trial in range(24):
+        shapes, datas, edges = random_network(rng, 2 + trial % 7)
+        plan = plan_contraction(shapes, edges)
+        tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
+        names = [(trial, i) for i in range(len(tensors))]
+        networks += [(tensors, names, edges, plan)] * 2
+        k = rng.randrange(len(tensors))
+        swapped = SparseTensor(shapes[k], {key: -2 * v for key, v in datas[k].items()})
+        networks.append((tensors[:k] + [swapped] + tensors[k + 1:],
+                         names[:k] + [("swapped", trial)] + names[k + 1:], edges, plan))
+    # one chain u-m-w of the same named tensors, wired through either
+    # axis of m and merged from either end: its keys differ only in the
+    # positions of the summed axes
+    u, m, w = (SparseTensor((2,), {(0,): 1, (1,): 2}),
+               SparseTensor((2, 2), {(0, 0): 1, (0, 1): 10, (1, 0): 100, (1, 1): 1000}),
+               SparseTensor((2,), {(0,): 3, (1,): 5}))
+    for axis in (0, 1):
+        edges = [((0, 0), (1, axis)), ((1, 1 - axis), (2, 0))]
+        for order in (((0, 1), (0, 2)), ((1, 0), (1, 2))):
+            networks.append(([u, m, w], ["u", "m", "w"], edges, ContractionPlan(order, 0)))
+    # m traced by a self-edge, or left open: its first merge differs only
+    # in the leaf's self-edge pattern
+    for edges in ([((0, 0), (0, 1)), ((1, 0), (2, 0))], [((1, 0), (2, 0))]):
+        networks.append(([m, u, w], ["m", "u", "w"], edges, ContractionPlan(((0, 1), (0, 2)), 0)))
+    rng.shuffle(networks)
+    alone = [contract_network(t, edges, plan) for t, _, edges, plan in networks]
+    merges = []
+
+    def counted(*args, real=tensor._merge):
+        merges.append(args[:2])
+        return real(*args)
+
+    monkeypatch.setattr(tensor, "_merge", counted)
+    shared = SharedMerges([network_keys(names, [len(t.shape) for t in tensors], edges, plan)
+                           for tensors, names, edges, plan in networks])
+    for n, (tensors, _, edges, plan) in enumerate(networks):
+        assert contract_network(tensors, edges, plan, (shared, n)) == alone[n]
+    assert 0 < len(merges) < sum(len(plan.order) for *_, plan in networks)
+    # every kept result was dropped after its last visit
+    assert shared.kept == {} and not any(shared.visits.values())
