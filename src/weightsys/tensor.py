@@ -21,12 +21,19 @@ lists every node set with its splits in a fixed order, so a plan only
 adds costs; the first cheapest split wins.  The greedy planner scores
 each pair of nodes once into a heap and, after a merge, scores only the
 pairs of the merged node again, so it pops the pair a full rescan would
-choose, ties broken by node ids.  The reported cost is the sum of the
-sizes (index-space products) of every intermediate tensor, which is also
-what the resource guard in the evaluator checks against.  The executor
-gives edge e the label e on both of its axes, traces each node's
-self-edges once, and then merges tensors pairwise over the labels they
-share, so a merged tensor never carries a label twice.
+choose, ties broken by node ids.  The greedy's cost after the point
+where ``DP_WIDTH`` groups are left is then weighed against the splits
+the dynamic program visits over ``DP_WIDTH`` groups (3,025): when it is
+larger, the same dynamic program plans those groups again, each group
+as one node.  The greedy's own tree over them is among those it
+searches, so the plan never costs more than the greedy one, and a cheap
+tail, not worth the search, keeps the greedy plan.  The reported cost
+is the sum of the sizes (index-space products) of every intermediate
+tensor, which is also what the resource guard in the evaluator checks
+against.  The executor gives edge e the label e on both of its axes,
+traces each node's self-edges once, and then merges tensors pairwise
+over the labels they share, so a merged tensor never carries a label
+twice.
 
 Networks contracted together, such as the terms of one vector, often
 repeat a merge exactly.  Each tensor of a planned network has a
@@ -106,6 +113,9 @@ class ContractionPlan(NamedTuple):
 
 # networks of at most this many nodes are planned exhaustively
 DP_WIDTH = 8
+# the splits the exact DP visits over DP_WIDTH nodes, the sum of
+# len(splits) over _split_table(DP_WIDTH): (3**w + 1) / 2 - 2**w
+_DP_SPLITS = (3 ** DP_WIDTH + 1) // 2 - 2 ** DP_WIDTH
 
 
 def plan_contraction(node_axes, edges) -> ContractionPlan:
@@ -117,12 +127,18 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     stay free.
 
     Exhaustive subset dynamic programming when there are at most
-    ``DP_WIDTH`` nodes, greedy minimum-result-size otherwise.  Both are
-    deterministic.  A plan reads only each edge's node pair and dimension
-    and each node's free size, so it is memoized on those.  Raises
-    ValueError when an axis is in more than one edge.
+    ``DP_WIDTH`` nodes, greedy minimum-result-size otherwise.  When the
+    greedy's merges after ``DP_WIDTH`` groups are left cost more than the
+    dynamic program's splits over that many groups (3,025), those groups
+    are planned again by the dynamic program, which never costs more
+    than the greedy tail it replaces; a cheaper tail is not worth the
+    search and stays greedy.  All of it is deterministic.  A plan reads
+    only each edge's node pair and dimension and each node's free size,
+    so it is memoized on those.  Raises
+    ValueError when an edge end is not an int node and an int axis of
+    that node, counted from 0, or an axis is in more than one edge.
     """
-    _require_distinct_axes(edges)
+    _check_edges(list(map(len, node_axes)), edges)
     free = [list(shape) for shape in node_axes]  # an edge's axes become 1
     bonds = []
     for (i, ai), (j, aj) in edges:
@@ -131,8 +147,15 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     return _plan_shape(tuple(sorted(bonds)), tuple(map(prod, free)))
 
 
-def _require_distinct_axes(edges):
+def _check_edges(arities, edges):
+    """Raise ValueError unless each edge end (i, a) has int i and a with
+    0 <= i < len(arities) and 0 <= a < arities[i] (a negative one would
+    alias another axis), and no axis is in more than one edge."""
     ends = [end for edge in edges for end in edge]
+    for i, a in ends:
+        if not (isinstance(i, int) and isinstance(a, int)
+                and 0 <= i < len(arities) and 0 <= a < arities[i]):
+            raise ValueError(f"edge end {(i, a)!r} is not an axis of the network")
     if len(set(ends)) < len(ends):
         raise ValueError("an axis is in more than one edge")
 
@@ -189,35 +212,7 @@ def _plan_shape(bonds, free) -> ContractionPlan:
         return out
 
     if n <= DP_WIDTH:
-        # best[s]: cheapest cost of merging s; split[s]: the part of s that
-        # holds its lowest node, the first of the cheapest splits in the
-        # table's order; cut[s]: the crossing mask of s.  Sets grow, so
-        # every part is done first.
-        full = (1 << n) - 1
-        best = [0] * (full + 1)
-        split = [0] * (full + 1)
-        cut = [0] * (full + 1)
-        for i in range(n):
-            cut[1 << i] = cross[i]
-        for s, rest, low, splits in _split_table(n):
-            cut[s] = cut[rest] ^ cross[low]
-            top = None
-            for part, other in splits:
-                c = best[part] + best[other]
-                if top is None or c < top:
-                    top, split[s] = c, part
-            best[s] = top + size(cut[s])
-        order = []
-
-        def emit(s):
-            if not s & (s - 1):
-                return s.bit_length() - 1
-            i, j = emit(split[s]), emit(s ^ split[s])
-            order.append((i, j))
-            return i
-
-        emit(full)
-        return ContractionPlan(tuple(order), best[full])
+        return _subset_dp(cross[:n], range(n), size, [], 0)
 
     # greedy: repeatedly merge the pair with the smallest result size,
     # preferring connected pairs (whose crossing masks share a bond);
@@ -226,7 +221,10 @@ def _plan_shape(bonds, free) -> ContractionPlan:
     # heap, with the stamps its nodes had then; a merge into i bumps i's
     # stamp, retires j's and scores i's pairs again, and a popped pair
     # with a stamp that is no longer its node's is skipped, so the first
-    # pair kept is the least over all live pairs.
+    # pair kept is the least over all live pairs.  tail: the groups'
+    # crossing masks and ids, the merges and their cost when DP_WIDTH
+    # groups are left, for the DP to plan the rest again when the
+    # greedy's cost from there on exceeds the DP's own work.
     cut = dict(enumerate(cross[:n]))
     stamp = [0] * n
     heap = [(not cut[i] & cut[j], size(cut[i] ^ cut[j]), i, j, 0, 0)
@@ -244,12 +242,54 @@ def _plan_shape(bonds, free) -> ContractionPlan:
         stamp[i] += 1
         stamp[j] = -1
         order.append((i, j))
+        if len(cut) == DP_WIDTH:
+            tail = list(cut.values()), list(cut), len(order), cost
         for k, ck in cut.items():
             if k != i:
                 a, b = (i, k) if i < k else (k, i)
                 heappush(heap, (not ci & ck, size(ci ^ ck), a, b,
                                 stamp[a], stamp[b]))
+    masks, ids, done, before = tail
+    if cost - before > _DP_SPLITS:
+        return _subset_dp(masks, ids, size, order[:done], before)
     return ContractionPlan(tuple(order), cost)
+
+
+def _subset_dp(cross, ids, size, order, cost) -> ContractionPlan:
+    """The exact plan merging len(cross) <= DP_WIDTH groups, group k kept
+    as node ``ids[k]`` (ascending) with crossing mask ``cross[k]``, after
+    the merges ``order`` of total cost ``cost``: the cheapest tree over
+    the groups, the first cheapest split winning in the split table's
+    order, with a merge keeping the lower id."""
+    # best[s]: cheapest cost of merging s; split[s]: the part of s that
+    # holds its lowest group, the first of the cheapest splits in the
+    # table's order; cut[s]: the crossing mask of s.  Sets grow, so
+    # every part is done first.
+    n = len(cross)
+    full = (1 << n) - 1
+    best = [0] * (full + 1)
+    split = [0] * (full + 1)
+    cut = [0] * (full + 1)
+    for k in range(n):
+        cut[1 << k] = cross[k]
+    for s, rest, low, splits in _split_table(n):
+        cut[s] = cut[rest] ^ cross[low]
+        top = None
+        for part, other in splits:
+            c = best[part] + best[other]
+            if top is None or c < top:
+                top, split[s] = c, part
+        best[s] = top + size(cut[s])
+
+    def emit(s):
+        if not s & (s - 1):
+            return ids[s.bit_length() - 1]
+        i, j = emit(split[s]), emit(s ^ split[s])
+        order.append((i, j))
+        return i
+
+    emit(full)
+    return ContractionPlan(tuple(order), cost + best[full])
 
 
 def contract_network(tensors, edges, plan: ContractionPlan,
@@ -258,9 +298,10 @@ def contract_network(tensors, edges, plan: ContractionPlan,
 
     Each merge puts the kept node's free axes first, then the merged
     node's, so the result's free axes follow the plan, not node order.
-    Raises ValueError when an edge joins axes of different dimensions, an
-    axis is in more than one edge, a merge names a node that is not live,
-    or the plan leaves more than one tensor.
+    Raises ValueError when an edge end is not an axis of the network (as
+    in ``plan_contraction``), an edge joins axes of different dimensions,
+    an axis is in more than one edge, a merge names a node that is not
+    live, or the plan leaves more than one tensor.
 
     ``shared`` is ``(memo, n)`` when this network is network n of the
     ``SharedMerges`` memo, which was built from its ``network_keys`` (so
@@ -268,6 +309,8 @@ def contract_network(tensors, edges, plan: ContractionPlan,
     memo when an earlier one of the same structural key kept its result.
     """
     tensors = list(tensors)
+    arities = [len(t.shape) for t in tensors]
+    _check_edges(arities, edges)
     if not tensors:
         return SparseTensor((), {(): 1})
     for (i, ai), (j, aj) in edges:
@@ -277,7 +320,7 @@ def contract_network(tensors, edges, plan: ContractionPlan,
         memo, n = shared
         shape, nums, den = memo.contract(n, tensors)
     else:
-        patterns, merges = _schedule([len(t.shape) for t in tensors], edges, plan)
+        patterns, merges = _schedule(arities, edges, plan)
         work = [_trace(p, t.shape, t.nums, t.den) for p, t in zip(patterns, tensors)]
         for a, b, apos, bpos in merges:
             work.append(_merge(apos, bpos, *work[a], *work[b]))
@@ -299,8 +342,11 @@ def network_keys(names, arities, edges, plan: ContractionPlan):
     second.  Two tensors, of one network or of two, whose keys are equal
     (a leaf by its key, a merge by its operands' keys and its positions)
     are equal, as long as equal names stand for equal tensors: the
-    executor reads nothing else.
+    executor reads nothing else.  Raises ValueError, as
+    ``contract_network`` does, for an edge end that is not an axis, an
+    axis in more than one edge, or a plan that does not merge the nodes.
     """
+    _check_edges(arities, edges)
     patterns, merges = _schedule(arities, edges, plan)
     return tuple(zip(names, patterns)), tuple(merges)
 
@@ -388,8 +434,8 @@ def _schedule(arities, edges, plan: ContractionPlan):
     axes of a self-edge point at the same one.  ``merges`` lists the
     merges of ``plan`` as in ``network_keys``: the axes at ``apos`` carry
     the labels of those at ``bpos``, in that order, and are summed out, so
-    a merged tensor never carries a label twice."""
-    _require_distinct_axes(edges)
+    a merged tensor never carries a label twice.  Its callers check the
+    edges first (``_check_edges``)."""
     labels = [[(i, p) for p in range(k)] for i, k in enumerate(arities)]
     patterns = [None] * len(labels)
     for e, ((i, ai), (j, aj)) in enumerate(edges):

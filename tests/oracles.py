@@ -599,12 +599,17 @@ def min_merge_cost_bruteforce(shapes, edges):
     return best([frozenset((i,)) for i in range(len(shapes))])
 
 
-def plan_by_bond_scan(node_axes, edges, dp_width=8):
-    """``(order, cost)`` of the planner as it was first written: an edge is
-    (mask of its two nodes, dimension), a node's free axes one more edge to
-    an outside bit, and a node set's size the product over the edges with
-    exactly one end in it, rescanned for every set.  Exhaustive subset DP
-    at most ``dp_width`` nodes, greedy minimum result size above."""
+def plan_by_bond_scan(node_axes, edges, dp_width=8, refine=True):
+    """``(order, cost)`` of the planner: an edge is (mask of its two nodes,
+    dimension), a node's free axes one more edge to an outside bit, and a
+    node set's size the product over the edges with exactly one end in
+    it, rescanned for every set.  Exhaustive subset DP at most
+    ``dp_width`` nodes, greedy minimum result size above.  With
+    ``refine``, once the greedy is done, the groups it had left when
+    ``dp_width`` remained are planned again by the subset DP when the
+    greedy's cost from there on is more than the number of splits that DP
+    visits over ``dp_width`` groups; ``refine=False`` is the planner as it
+    was first written."""
     n = len(node_axes)
     if n == 0:
         return (), 0
@@ -620,9 +625,10 @@ def plan_by_bond_scan(node_axes, edges, dp_width=8):
     def size(mask):
         return math.prod(d for e, d in bonds if e & mask and e & ~mask)
 
-    order = []
-    if n <= dp_width:
-        full = (1 << n) - 1
+    def subset_dp(groups):
+        """The cheapest merge order of ``groups``, (id, node mask) pairs in
+        ascending id order, a merge keeping the lower id, and its cost."""
+        full = (1 << len(groups)) - 1
         best = [0] * (full + 1)
         split = [0] * (full + 1)
         for s in range(1, full + 1):
@@ -636,18 +642,28 @@ def plan_by_bond_scan(node_axes, edges, dp_width=8):
                 c = best[low | sub] + best[rest ^ sub]
                 if top is None or c < top:
                     top, split[s] = c, low | sub
-            best[s] = top + size(s)
+            nodes = 0
+            for k, (_, mask) in enumerate(groups):
+                if s >> k & 1:
+                    nodes |= mask
+            best[s] = top + size(nodes)
+        order = []
 
         def emit(s):
             if not s & (s - 1):
-                return s.bit_length() - 1
+                return groups[s.bit_length() - 1][0]
             i, j = emit(split[s]), emit(s ^ split[s])
             order.append((i, j))
             return i
 
         emit(full)
-        return tuple(order), best[full]
+        return order, best[full]
+
+    if n <= dp_width:
+        order, cost = subset_dp([(i, 1 << i) for i in range(n)])
+        return tuple(order), cost
     groups = {i: 1 << i for i in range(n)}
+    order = []
     cost = 0
     while len(groups) > 1:
         alive = sorted(groups)
@@ -661,6 +677,13 @@ def plan_by_bond_scan(node_axes, edges, dp_width=8):
         cost += s
         groups[i] |= groups.pop(j)
         order.append((i, j))
+        if len(groups) == dp_width:
+            tail = sorted(groups.items()), list(order), cost
+    splits = sum(2 ** (bin(s).count("1") - 1) - 1 for s in range(1, 1 << dp_width))
+    left, head, before = tail
+    if refine and cost - before > splits:
+        order, rest = subset_dp(left)
+        return tuple(head + order), before + rest
     return tuple(order), cost
 
 

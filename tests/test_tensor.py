@@ -120,17 +120,109 @@ def tie_heavy_shape(rng, n):
 
 
 def test_plans_match_the_bond_scan_on_tie_heavy_networks():
-    # 2-14 nodes: 105 networks take the exact DP and 90 the greedy plan
+    # 2-14 nodes: 105 networks take the exact DP and 90 the greedy plan,
+    # none of whose tails costs more than the DP's split count, so all
+    # 195 plans are also those of the planner as first written
     rng = random.Random(2014)
     seen = {"self": 0, "parallel": 0}
     for trial in range(195):
         shapes, edges = tie_heavy_shape(rng, 2 + trial % 13)
         plan = plan_contraction(shapes, edges)
         assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges), (shapes, edges)
+        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges, refine=False)
         pairs = [tuple(sorted((i, j))) for (i, _), (j, _) in edges]
         seen["self"] += any(i == j for i, j in pairs)
         seen["parallel"] += len(set(pairs)) < len(pairs)
     assert seen["self"] >= 40 and seen["parallel"] >= 60, seen
+
+
+def wide_network(rng, n, arities):
+    """n nodes with axis counts drawn from ``arities``, wired by a random
+    matching of their axes into a closed network with edges of dimension 3
+    or 8, and sparse small integer entries."""
+    arity = [rng.choice(arities) for _ in range(n)]
+    if sum(arity) % 2:
+        arity[rng.randrange(n)] += 1
+    slots = [(i, a) for i in range(n) for a in range(arity[i])]
+    rng.shuffle(slots)
+    edges = [(slots[k], slots[k + 1]) for k in range(0, len(slots), 2)]
+    shapes = [[0] * k for k in arity]
+    for (i, a), (j, b) in edges:
+        shapes[i][a] = shapes[j][b] = rng.choice((3, 8))
+    datas = [{k: rng.randint(-3, 3) for k in itertools.product(*map(range, shape))
+              if rng.random() < 0.2}
+             for shape in shapes]
+    return [tuple(s) for s in shapes], datas, edges
+
+
+def test_an_expensive_greedy_tail_is_planned_again_exactly(monkeypatch):
+    # 9-14 nodes of 2-4 axes, and every fifth network of 0-2 axes; the
+    # DP runs on a network this wide only to plan its tail again
+    refined = []
+
+    def counted(*args, real=tensor._subset_dp):
+        refined.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tensor, "_subset_dp", counted)
+    assert tensor._DP_SPLITS == sum(len(t[3]) for t in tensor._split_table(DP_WIDTH))
+    rng = random.Random(2028)
+    seen = {"refined": 0, "cheaper": 0, "nonzero": 0, "brute": 0}
+    for trial in range(200):
+        shapes, datas, edges = wide_network(rng, 9 + trial % 6,
+                                            (0, 1, 2) if trial % 5 == 0 else (2, 3, 4))
+        tensor._plan_shape.cache_clear()
+        refined.clear()
+        plan = plan_contraction(shapes, edges)
+        greedy = oracles.plan_by_bond_scan(shapes, edges, refine=False)
+        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges), (shapes, edges)
+        assert plan.cost <= greedy[1]
+        tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
+        value = contract_network(tensors, edges, plan).item()
+        if refined:
+            # the same value as the greedy plan's: a refined network has
+            # far too many index assignments for the brute force
+            seen["refined"] += 1
+            seen["cheaper"] += plan.cost < greedy[1]
+            seen["nonzero"] += value != 0
+            assert value == contract_network(tensors, edges, ContractionPlan(*greedy)).item()
+        else:
+            # a cheap tail keeps the greedy plan
+            assert (plan.order, plan.cost) == greedy
+        if math.prod(shapes[i][a] for (i, a), _ in edges) <= 20000:
+            # the small members
+            seen["brute"] += 1
+            assert value == oracles.network_value_bruteforce(shapes, datas, edges)
+    tensor._plan_shape.cache_clear()
+    # the population exercises what it is meant to
+    assert seen["refined"] >= 30 and seen["cheaper"] >= 30, seen
+    assert seen["nonzero"] >= 20 and seen["brute"] >= 15, seen
+
+
+# the three entry points that take edges, called alike
+EDGE_CHECKED = {
+    "plan_contraction": lambda tensors, edges, plan: plan_contraction(
+        [t.shape for t in tensors], edges),
+    "contract_network": contract_network,
+    "network_keys": lambda tensors, edges, plan: network_keys(
+        range(len(tensors)), [len(t.shape) for t in tensors], edges, plan),
+}
+
+
+@pytest.mark.parametrize("edges", [
+    [((0, 0), (1, 1)), ((2, 0), (1, -1))],  # axis -1 of b is its axis 1
+    [((0, 0), (7, 0))],                     # no node 7
+    [((0, 0), (1, 5))],                     # b has no axis 5
+    [((0, 0), (-3, 0))],                    # node -3 would be a
+    [((0, 0.0), (1, 0))],                   # not an int axis
+    [(("0", 0), (1, 0))],                   # not an int node
+])
+@pytest.mark.parametrize("call", sorted(EDGE_CHECKED))
+def test_an_edge_end_that_is_not_an_axis_is_refused(call, edges):
+    a = SparseTensor((2,), {(0,): 1, (1,): 2})
+    b = SparseTensor((2, 2), {(0, 0): 1, (0, 1): 10, (1, 1): 1})
+    with pytest.raises(ValueError, match="not an axis of the network"):
+        EDGE_CHECKED[call]([a, b, a], edges, ContractionPlan(((0, 1), (0, 2)), 0))
 
 
 def test_an_axis_in_two_edges_is_refused():
