@@ -290,7 +290,7 @@ def _relation(base, f2, f3) -> DiagramVector:
     return DiagramVector(_raw=_combine(((base, one), (f2, -one), (f3, one))))
 
 
-def _ihx_vectors(d, marks=None):
+def _ihx_vectors(d, marks):
     """The edge-rewrite vectors based at d, one per orbit, under d's
     automorphisms, of the internal edges between two vertices that share
     no other edge, zeros and repeats included.  ``marks`` maps a class to
@@ -333,7 +333,7 @@ def _ihx_vectors(d, marks=None):
             term = Diagram._new(d.space, trips, d.legs, d.skeleton, d.pairing, d.free_loops)
             tcomps = _split_components(term)
             form = _canonical_form(term, tcomps)
-            if form.sign and marks is not None:
+            if form.sign:
                 lab = _canonical_labels(term, tcomps)
                 marks.setdefault(form.diagram, set()).add(_edge_image(lab, (k, p)))
             forms.append(form)

@@ -644,6 +644,17 @@ def _edge_image(p, edge):
 DEFAULT_MAX_STEPS = 2_000_000
 
 
+def _capped_product(factors, limit: int) -> int:
+    """The product of ``factors``, stopped once it passes ``limit``: exact
+    up to the limit and above it otherwise, so a huge count costs nothing."""
+    count = 1
+    for k in factors:
+        count *= k
+        if count > limit:
+            break
+    return count
+
+
 def _perfect_matchings(hes):
     """Every perfect matching of the half-edges ``hes`` (a list of pairs),
     the first half-edge paired first."""
@@ -841,11 +852,8 @@ def _enumerate_split_full(space, nsk, nv, nl, max_steps=None):
         for f in range(free + nv - j, free - 1, -2):
             n = 3 * j + f
             if j == 0:
-                count = 1  # the struts (B) or the (f - 1)!! chord diagrams (A)
-                for k in range(f - 1, 0, -2) if space == "A" else ():
-                    count *= k
-                    if count > limit:
-                        break
+                # the struts (B) or the (f - 1)!! chord diagrams (A)
+                count = _capped_product(range(f - 1, 0, -2) if space == "A" else (), limit)
             else:
                 parents = _enum_memo[split(j - 1, f + 1)]
                 thetas = _enum_memo[split(j - 2, f)] if j >= 2 else []

@@ -521,21 +521,22 @@ def _node_tensors(g: MetricLieAlgebra, rep: Representation | None) -> _NodeTenso
 
 @lru_cache(maxsize=4096)
 def _plan(d: Diagram, dim_g: int, dim_V: int):
-    """``(kinds, edges, plan)`` of the network of ``d``: memoized by the
-    diagram as labeled, with no canonical search, so a vector evaluated
-    again builds and plans nothing.  The bound is a few times the distinct
-    terms of a weights pass."""
+    """``(kinds, edges, plan, shapes)`` of the network of ``d``: memoized
+    by the diagram as labeled, with no canonical search, so a vector
+    evaluated again builds and plans nothing.  The bound is a few times
+    the distinct terms of a weights pass."""
     shapes, edges, kinds = _network(d, dim_g, dim_V)
-    return kinds, edges, plan_contraction(shapes, edges)
+    return kinds, edges, plan_contraction(shapes, edges), shapes
 
 
 @lru_cache(maxsize=4096)
 def _keys(d: Diagram, dim_g: int, dim_V: int):
     """The ``network_keys`` of the network of ``d``, its nodes named by
-    their kinds (every node has three axes): memoized as ``_plan`` is, so a
-    vector evaluated again builds no keys."""
-    kinds, edges, plan = _plan(d, dim_g, dim_V)
-    return network_keys(kinds, [3] * len(kinds), edges, plan)
+    their kinds: memoized as ``_plan`` is, so a vector evaluated again
+    builds no keys.  The network is checked here, once; the shared
+    executor checks only the node tensors' shapes."""
+    kinds, edges, plan, shapes = _plan(d, dim_g, dim_V)
+    return network_keys(kinds, shapes, edges, plan)
 
 
 def contraction_plan(d: Diagram, dims) -> ContractionPlan:
@@ -583,7 +584,7 @@ def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
         if not d.pairing:
             total += value
             continue
-        kinds, edges, plan = _plan(d, g.dim, dim_V)
+        kinds, edges, plan, _ = _plan(d, g.dim, dim_V)
         if plan.cost > max_cost:
             raise ResourceLimitError(
                 f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")

@@ -29,8 +29,8 @@ import math
 from fractions import Fraction
 
 from .algebra import DiagramVector, _terms
-from .diagrams import (DEFAULT_MAX_STEPS, Diagram, _perfect_matchings, _require_non_negative,
-                       empty_diagram)
+from .diagrams import (DEFAULT_MAX_STEPS, Diagram, _capped_product, _perfect_matchings,
+                       _require_non_negative, empty_diagram)
 from .errors import ResourceLimitError, SpaceMismatchError
 
 __all__ = [
@@ -161,18 +161,6 @@ def chi(x) -> DiagramVector:
 # gluing
 
 
-def _outputs_times_half_edges(factors, half_edges: int) -> int:
-    """The product of ``factors``, the outputs of one expansion, times
-    ``half_edges``, each output's size; the product stops once it passes
-    ``DEFAULT_MAX_STEPS``, so a huge count costs nothing."""
-    count = 1
-    for k in factors:
-        count *= k
-        if count > DEFAULT_MAX_STEPS:
-            break
-    return count * half_edges
-
-
 def _glue(d: Diagram, pairs) -> Diagram:
     """Glue the given disjoint pairs of legs of one diagram: each glued
     pair fuses its two incident edges into one; chains closing entirely
@@ -233,7 +221,8 @@ def closure(x, pair_weight=1) -> DiagramVector:
 
 def _closure_steps(d: Diagram) -> int:
     """The (l-1)!! matchings of d's l legs times its half-edges; 0 for odd l."""
-    return 0 if d.l % 2 else _outputs_times_half_edges(range(d.l - 1, 0, -2), 3 * d.v + d.l)
+    matchings = 0 if d.l % 2 else _capped_product(range(d.l - 1, 0, -2), DEFAULT_MAX_STEPS)
+    return matchings * (3 * d.v + d.l)
 
 
 def cap(x, y) -> DiagramVector:
@@ -265,7 +254,8 @@ def _cap_steps(c: Diagram, d: Diagram) -> int:
     half-edges of the pair; 0 when j > k."""
     if c.l > d.l:
         return 0
-    return _outputs_times_half_edges(range(d.l, d.l - c.l, -1), 3 * (c.v + d.v) + c.l + d.l)
+    return (_capped_product(range(d.l, d.l - c.l, -1), DEFAULT_MAX_STEPS)
+            * (3 * (c.v + d.v) + c.l + d.l))
 
 
 # ---------------------------------------------------------------------------

@@ -38,14 +38,19 @@ twice.
 Networks contracted together, such as the terms of one vector, often
 repeat a merge exactly.  Each tensor of a planned network has a
 structural key (``network_keys``): a node's is its name (the caller's
-word for which tensor it is) and its self-edge pattern, and a merge's is
-its two operands' keys and the positions of the axes it sums on each.
-The executor reads nothing else, so equal keys give equal tensors.  A
+word for which tensor it is), its shape and its self-edge pattern, and a
+merge's is its two operands' keys and the positions of the axes it sums
+on each.  The executor reads nothing else, so equal keys give equal
+tensors, and the keys are also the executor's schedule.  A
 ``SharedMerges`` is built for one evaluation from the keys of all its
 networks: it counts how often each key will be read, contracts each
 distinct merge once, keeps a result only until its last read, and goes
 with the evaluation, so nothing is carried from one call to the next.
-A lone network builds no keys and runs the plain executor.
+A lone network runs its keys, named by node ids, in the plain executor.
+One check, ``_check_network``, validates a network (every edge end is an
+axis, no axis is in two edges, an edge's ends have one dimension), run
+by ``plan_contraction`` and ``network_keys`` only; ``SharedMerges`` then
+checks just that its tensors have the keyed leaves' shapes.
 
 Values are Fractions at the API and integers inside.  A tensor keeps,
 beside its Fraction entries, their numerators over one common
@@ -136,9 +141,10 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     only each edge's node pair and dimension and each node's free size,
     so it is memoized on those.  Raises
     ValueError when an edge end is not an int node and an int axis of
-    that node, counted from 0, or an axis is in more than one edge.
+    that node, counted from 0, an axis is in more than one edge, or an
+    edge joins axes of different dimensions (``_check_network``).
     """
-    _check_edges(list(map(len, node_axes)), edges)
+    _check_network(node_axes, edges)
     free = [list(shape) for shape in node_axes]  # an edge's axes become 1
     bonds = []
     for (i, ai), (j, aj) in edges:
@@ -147,17 +153,21 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     return _plan_shape(tuple(sorted(bonds)), tuple(map(prod, free)))
 
 
-def _check_edges(arities, edges):
-    """Raise ValueError unless each edge end (i, a) has int i and a with
-    0 <= i < len(arities) and 0 <= a < arities[i] (a negative one would
-    alias another axis), and no axis is in more than one edge."""
+def _check_network(shapes, edges):
+    """Raise ValueError unless each edge end (i, a) is an axis: int i and a
+    with 0 <= i < len(shapes) and 0 <= a < len(shapes[i]) (a negative one
+    would alias another axis); no axis is in more than one edge; and the
+    two ends of each edge have the same dimension."""
     ends = [end for edge in edges for end in edge]
     for i, a in ends:
         if not (isinstance(i, int) and isinstance(a, int)
-                and 0 <= i < len(arities) and 0 <= a < arities[i]):
+                and 0 <= i < len(shapes) and 0 <= a < len(shapes[i])):
             raise ValueError(f"edge end {(i, a)!r} is not an axis of the network")
     if len(set(ends)) < len(ends):
         raise ValueError("an axis is in more than one edge")
+    for (i, ai), (j, aj) in edges:
+        if shapes[i][ai] != shapes[j][aj]:
+            raise ValueError("an edge joins axes of different dimensions")
 
 
 @lru_cache(maxsize=None)
@@ -298,145 +308,54 @@ def contract_network(tensors, edges, plan: ContractionPlan,
 
     Each merge puts the kept node's free axes first, then the merged
     node's, so the result's free axes follow the plan, not node order.
-    Raises ValueError when an edge end is not an axis of the network (as
-    in ``plan_contraction``), an edge joins axes of different dimensions,
-    an axis is in more than one edge, a merge names a node that is not
-    live, or the plan leaves more than one tensor.
+    A lone network runs its ``network_keys``, named by node ids, and
+    raises the ValueErrors of that function.
 
     ``shared`` is ``(memo, n)`` when this network is network n of the
-    ``SharedMerges`` memo, which was built from its ``network_keys`` (so
-    from these edges and this plan): a merge is then read back from the
-    memo when an earlier one of the same structural key kept its result.
+    ``SharedMerges`` memo, built from its ``network_keys``, which checked
+    and compiled the edges and plan, so they are not read again: a merge
+    is read back from the memo when an earlier one of the same structural
+    key kept its result, and tensors without the leaves' shapes raise
+    ValueError.
     """
     tensors = list(tensors)
-    arities = [len(t.shape) for t in tensors]
-    _check_edges(arities, edges)
-    if not tensors:
-        return SparseTensor((), {(): 1})
-    for (i, ai), (j, aj) in edges:
-        if tensors[i].shape[ai] != tensors[j].shape[aj]:
-            raise ValueError("an edge joins axes of different dimensions")
     if shared is not None:
         memo, n = shared
         shape, nums, den = memo.contract(n, tensors)
     else:
-        patterns, merges = _schedule(arities, edges, plan)
-        work = [_trace(p, t.shape, t.nums, t.den) for p, t in zip(patterns, tensors)]
+        leaves, merges = network_keys(range(len(tensors)), [t.shape for t in tensors],
+                                      edges, plan)
+        work = list(map(_trace, leaves, tensors))
         for a, b, apos, bpos in merges:
             work.append(_merge(apos, bpos, *work[a], *work[b]))
             work[a] = work[b] = None
-        shape, nums, den = work[-1]
+        shape, nums, den = work[-1] if work else ((), {(): 1}, 1)
     return SparseTensor(shape, {k: Fraction(v, den) for k, v in nums.items()})
 
 
-def network_keys(names, arities, edges, plan: ContractionPlan):
-    """The structural keys of a network's tensors, as ``(leaves, merges)``.
+def network_keys(names, shapes, edges, plan: ContractionPlan):
+    """The structural keys of a network's tensors, as ``(leaves, merges)``,
+    which are also the schedule both executors run.
 
-    Node i has ``arities[i]`` axes, and its tensor is named by the hashable
-    ``names[i]``.  ``leaves[i]`` is the key of node i with its self-edges
-    traced: ``(names[i], its self-edge pattern)``.  ``merges[s]`` describes
-    merge s of ``plan`` as ``(a, b, apos, bpos)``: its operands are the
-    tensors at positions a and b, where position i < len(leaves) is leaf i
-    and position len(leaves) + s is the result of merge s; the axes at
-    ``apos`` of the first are summed against those at ``bpos`` of the
-    second.  Two tensors, of one network or of two, whose keys are equal
-    (a leaf by its key, a merge by its operands' keys and its positions)
-    are equal, as long as equal names stand for equal tensors: the
-    executor reads nothing else.  Raises ValueError, as
-    ``contract_network`` does, for an edge end that is not an axis, an
-    axis in more than one edge, or a plan that does not merge the nodes.
+    Node i has the tuple of axis dimensions ``shapes[i]`` and is named by
+    the hashable ``names[i]``.  Edge e labels both of its axes e, and a
+    free axis keeps its own (node, axis) label.  ``leaves[i]`` is node i
+    with its self-edges traced: ``(names[i], shapes[i], pattern)``, the
+    pattern None without a self-edge and otherwise giving, per axis, the
+    first axis of the node with the same label.  ``merges[s]`` is merge s
+    of ``plan`` as ``(a, b, apos, bpos)``: the operands are the tensors at
+    positions a and b, position i < len(leaves) being leaf i and
+    len(leaves) + s the result of merge s, and the axes at ``apos`` of the
+    first carry the labels of those at ``bpos`` of the second, in that
+    order, and are summed out, so no tensor carries a label twice.  Equal
+    keys (a leaf's, or a merge's operands' keys and positions) give equal
+    tensors, of one network or two, as long as equal names stand for
+    equal tensors: the executor reads nothing else.  Raises ValueError
+    for a network ``_check_network`` refuses, a merge of a node that is
+    not live, or a plan that leaves more than one tensor.
     """
-    _check_edges(arities, edges)
-    patterns, merges = _schedule(arities, edges, plan)
-    return tuple(zip(names, patterns)), tuple(merges)
-
-
-class SharedMerges:
-    """The networks of one evaluation, each distinct merge contracted once.
-
-    Built from each network's ``network_keys``, in the order the networks
-    are contracted.  Keys are numbered here, a leaf by its key and a merge
-    by its operands' numbers and positions, so equal numbers mean equal
-    keys, and the object, meant to live for one evaluation, keeps nothing
-    from an earlier one.  A network is contracted from its last merge down:
-    a merge whose key was met before is read back, and the merges below it
-    are not visited.  Each key is counted as often as it will be visited
-    that way, and a result is kept only until its last visit.
-    """
-
-    def __init__(self, networks):
-        ids: dict = {}
-        self.visits: dict = {}  # merge number -> visits still to come
-        self.kept: dict = {}    # merge number -> its result, while visited again
-        self.networks = []      # (leaves, merges, number of each position)
-        for leaves, merges in networks:
-            at = [ids.setdefault(leaf, len(ids)) for leaf in leaves]
-            for a, b, apos, bpos in merges:
-                at.append(ids.setdefault((at[a], at[b], apos, bpos), len(ids)))
-            self.networks.append((leaves, merges, at))
-            # the first visit of a key also visits its operands
-            first = len(leaves)
-            todo = [len(at) - 1]
-            while todo:
-                pos = todo.pop()
-                if pos >= first:
-                    seen = self.visits.get(at[pos], 0)
-                    self.visits[at[pos]] = seen + 1
-                    if not seen:
-                        todo += merges[pos - first][:2]
-
-    def contract(self, n, tensors):
-        """The executor's form of network n, whose leaf tensors are
-        ``tensors``: shared merges are read back or kept for later visits."""
-        leaves, merges, at = self.networks[n]
-        first = len(leaves)
-        visits, kept = self.visits, self.kept
-        done = []                 # results, the last one on top
-        todo = [len(at) - 1]      # positions to visit; ~pos: merge them
-        while todo:
-            pos = todo.pop()
-            if pos < 0:
-                pos = ~pos
-                _, _, apos, bpos = merges[pos - first]
-                b = done.pop()
-                t = _merge(apos, bpos, *done.pop(), *b)
-            elif pos < first:
-                t = tensors[pos]
-                done.append(_trace(leaves[pos][1], t.shape, t.nums, t.den))
-                continue
-            else:
-                t = kept.get(at[pos])
-                if t is None:
-                    a, b, _, _ = merges[pos - first]
-                    todo += (~pos, b, a)
-                    continue
-            k = at[pos]
-            visits[k] -= 1
-            if visits[k]:
-                kept[k] = t
-            else:
-                kept.pop(k, None)
-            done.append(t)
-        (out,) = done
-        return out
-
-
-# Inside the executor a tensor is (shape, {index: int}, den): its value at
-# an index is that integer over den, and absent indices are zero.
-
-
-def _schedule(arities, edges, plan: ContractionPlan):
-    """How the executor runs a network whose node i has ``arities[i]``
-    axes: ``(patterns, merges)``.  Edge e labels both of its axes e, and a
-    free axis keeps its own (node, axis) label.  ``patterns[i]`` is None
-    for a node without a self-edge; otherwise it gives, for each axis of
-    node i, the first axis of the node with the same label, so the two
-    axes of a self-edge point at the same one.  ``merges`` lists the
-    merges of ``plan`` as in ``network_keys``: the axes at ``apos`` carry
-    the labels of those at ``bpos``, in that order, and are summed out, so
-    a merged tensor never carries a label twice.  Its callers check the
-    edges first (``_check_edges``)."""
-    labels = [[(i, p) for p in range(k)] for i, k in enumerate(arities)]
+    _check_network(shapes, edges)
+    labels = [[(i, p) for p in range(len(shape))] for i, shape in enumerate(shapes)]
     patterns = [None] * len(labels)
     for e, ((i, ai), (j, aj)) in enumerate(edges):
         labels[i][ai] = labels[j][aj] = e
@@ -466,22 +385,101 @@ def _schedule(arities, edges, plan: ContractionPlan):
         at[i] = len(labels) + len(merges) - 1
     if len(live) > 1:
         raise ValueError(f"the plan leaves {len(live)} tensors, not one")
-    return patterns, merges
+    return tuple(zip(names, shapes, patterns)), tuple(merges)
 
 
-def _trace(pattern, shape, nums, den):
-    """The tensor with the two axes of each self-edge summed out, for a
-    self-edge pattern of ``_schedule``."""
+class SharedMerges:
+    """The networks of one evaluation, each distinct merge contracted once.
+
+    Built from each network's ``network_keys``, in the order the networks
+    are contracted.  Keys are numbered here, a leaf by its key and a merge
+    by its operands' numbers and positions, so equal numbers mean equal
+    keys, and the object, meant to live for one evaluation, keeps nothing
+    from an earlier one.  A network is contracted from its last merge down:
+    a merge whose key was met before is read back, and the merges below it
+    are not visited.  Each key is counted as often as it will be visited
+    that way, and a result is kept only until its last visit.
+    """
+
+    def __init__(self, networks):
+        ids: dict = {}
+        self.visits: dict = {}  # merge number -> visits still to come
+        self.kept: dict = {}    # merge number -> its result, while visited again
+        self.networks = []      # (leaves, merges, number of each position, leaf shapes)
+        for leaves, merges in networks:
+            at = [ids.setdefault(leaf, len(ids)) for leaf in leaves]
+            for a, b, apos, bpos in merges:
+                at.append(ids.setdefault((at[a], at[b], apos, bpos), len(ids)))
+            self.networks.append((leaves, merges, at, [shape for _, shape, _ in leaves]))
+            # the first visit of a key also visits its operands
+            first = len(leaves)
+            todo = [len(at) - 1]
+            while todo:
+                pos = todo.pop()
+                if pos >= first:
+                    seen = self.visits.get(at[pos], 0)
+                    self.visits[at[pos]] = seen + 1
+                    if not seen:
+                        todo += merges[pos - first][:2]
+
+    def contract(self, n, tensors):
+        """The executor's form of network n, whose leaf tensors are
+        ``tensors``: shared merges are read back or kept for later visits.
+        Raises ValueError unless the tensors have the leaves' shapes."""
+        leaves, merges, at, shapes = self.networks[n]
+        if [t.shape for t in tensors] != shapes:
+            raise ValueError(f"the tensors are not the leaves network {n} was keyed with")
+        if not at:
+            return (), {(): 1}, 1
+        first = len(leaves)
+        visits, kept = self.visits, self.kept
+        done = []                 # results, the last one on top
+        todo = [len(at) - 1]      # positions to visit; ~pos: merge them
+        while todo:
+            pos = todo.pop()
+            if pos < 0:
+                pos = ~pos
+                _, _, apos, bpos = merges[pos - first]
+                b = done.pop()
+                t = _merge(apos, bpos, *done.pop(), *b)
+            elif pos < first:
+                done.append(_trace(leaves[pos], tensors[pos]))
+                continue
+            else:
+                t = kept.get(at[pos])
+                if t is None:
+                    a, b, _, _ = merges[pos - first]
+                    todo += (~pos, b, a)
+                    continue
+            k = at[pos]
+            visits[k] -= 1
+            if visits[k]:
+                kept[k] = t
+            else:
+                kept.pop(k, None)
+            done.append(t)
+        (out,) = done
+        return out
+
+
+# Inside the executor a tensor is (shape, {index: int}, den): its value at
+# an index is that integer over den, and absent indices are zero.
+
+
+def _trace(leaf, t):
+    """The executor's form of tensor t, keyed by ``leaf`` in
+    ``network_keys``: the two axes of each self-edge summed out."""
+    _, shape, pattern = leaf
     if pattern is None:
-        return shape, nums, den
+        return shape, t.nums, t.den
     keep = [p for p, q in enumerate(pattern) if pattern.count(q) == 1]
     out: dict = {}
-    for k, v in nums.items():
+    for k, v in t.nums.items():
         if all(k[p] == k[q] for p, q in enumerate(pattern)):
             key = tuple(k[p] for p in keep)
             out[key] = out.get(key, 0) + v
     return (tuple(shape[p] for p in keep),
-            {k: v for k, v in out.items() if v}, den)
+            {k: v for k, v in out.items() if v}, t.den)
 
 
 def _picker(pos):

@@ -295,7 +295,7 @@ def test_each_internal_edge_gives_the_same_relation_from_either_end():
             else:
                 assert vec in (kept[head[edge]], -kept[head[edge]]), d
         assert not any(kept[e] for e in parallel if e in kept), d
-        assert list(algebra._ihx_vectors(d)) == [
+        assert list(algebra._ihx_vectors(d, {})) == [
             vec for e, vec in kept.items() if e not in parallel], d
         edges += len(head)
         orbits += len(kept)
@@ -360,7 +360,7 @@ def test_edge_rewrites_canonicalize_each_base_diagram_once(monkeypatch):
     alone = 0
     for d, n in zip(ds, terms):
         calls.clear()
-        list(algebra._ihx_vectors(d))
+        list(algebra._ihx_vectors(d, {}))
         assert calls[:1] == ([d] if n else []) and len(calls) == (1 + n if n else 0), d
         alone += len(calls)
     assert (len(ds), alone, total) == (14, 45, 31)

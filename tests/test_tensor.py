@@ -205,7 +205,7 @@ EDGE_CHECKED = {
         [t.shape for t in tensors], edges),
     "contract_network": contract_network,
     "network_keys": lambda tensors, edges, plan: network_keys(
-        range(len(tensors)), [len(t.shape) for t in tensors], edges, plan),
+        range(len(tensors)), [t.shape for t in tensors], edges, plan),
 }
 
 
@@ -235,6 +235,15 @@ def test_an_axis_in_two_edges_is_refused():
             plan_contraction([(2,), (2, 2)], edges)
         with pytest.raises(ValueError, match="more than one edge"):
             contract_network([a, b], edges, ContractionPlan(((0, 1),), 1))
+
+
+@pytest.mark.parametrize("call", sorted(EDGE_CHECKED))
+def test_an_edge_between_axes_of_different_dimensions_is_refused(call):
+    # a's axis has dimension 2 and c's has 3
+    a = SparseTensor((2,), {(0,): 1, (1,): 2})
+    c = SparseTensor((3,), {(0,): 1, (2,): 5})
+    with pytest.raises(ValueError, match="an edge joins axes of different dimensions"):
+        EDGE_CHECKED[call]([a, c], [((0, 0), (1, 0))], ContractionPlan(((0, 1),), 1))
 
 
 @pytest.mark.parametrize("order, error", [
@@ -288,10 +297,34 @@ def test_shared_merges_match_the_lone_executor_and_keep_nothing_after(monkeypatc
         return real(*args)
 
     monkeypatch.setattr(tensor, "_merge", counted)
-    shared = SharedMerges([network_keys(names, [len(t.shape) for t in tensors], edges, plan)
+    shared = SharedMerges([network_keys(names, [t.shape for t in tensors], edges, plan)
                            for tensors, names, edges, plan in networks])
     for n, (tensors, _, edges, plan) in enumerate(networks):
         assert contract_network(tensors, edges, plan, (shared, n)) == alone[n]
     assert 0 < len(merges) < sum(len(plan.order) for *_, plan in networks)
     # every kept result was dropped after its last visit
     assert shared.kept == {} and not any(shared.visits.values())
+
+
+def test_shared_merges_refuse_tensors_that_are_not_the_keyed_leaves():
+    u = SparseTensor((2,), {(0,): 1, (1,): 2})
+    m = SparseTensor((2, 2), {(0, 0): 1, (1, 1): 3})
+    edges = [((0, 0), (1, 0))]
+    plan = ContractionPlan(((0, 1),), 0)
+    empty = ContractionPlan((), 0)
+    shared = SharedMerges([network_keys("um", [(2,), (2, 2)], edges, plan),
+                           network_keys("", [], [], empty)])
+    for tensors in ([u], [u, m, u],                     # too few, too many
+                    [u, SparseTensor((2, 3), {})],      # a leaf of another shape
+                    [m, u]):                            # the leaves swapped
+        with pytest.raises(ValueError, match="not the leaves network 0 was keyed with"):
+            contract_network(tensors, edges, plan, (shared, 0))
+    with pytest.raises(ValueError, match="not the leaves network 1 was keyed with"):
+        contract_network([u], [], empty, (shared, 1))
+    # nothing was merged or kept, and the keyed tensors still contract; a
+    # network of no nodes is the scalar 1 on either executor
+    assert shared.kept == {}
+    assert contract_network([u, m], edges, plan, (shared, 0)) == contract_network(
+        [u, m], edges, plan)
+    assert contract_network([], [], empty, (shared, 1)) == contract_network(
+        [], [], empty) == SparseTensor((), {(): 1})
