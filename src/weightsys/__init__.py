@@ -40,7 +40,8 @@ _LAZY = {name: module for module, names in (
             "lie_algebra_to_json sl2"),
     ("maps", "cap chi closure connect_sum disjoint_union exp_disjoint "
              "modified_bernoulli omega strut theta wheel wheels_vector"),
-    ("tensor", "ContractionPlan SparseTensor contract_network plan_contraction"),
+    ("tensor", "ContractionPlan SparseTensor contract_network network_keys "
+               "plan_contraction"),
     ("verify", "SUITES run_suite verify_chi_iso verify_closure_omega "
                "verify_relations verify_wheeling"),
 ) for name in names.split()}

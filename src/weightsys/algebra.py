@@ -180,15 +180,19 @@ def _terms(x):
 def _rational(x, error) -> Fraction:
     """An exact rational read from JSON: an integer, a Fraction, or a
     string such as '3', '-2/5', '0.5' or '1e3'.  Floats, booleans, other
-    types and malformed strings raise ``error``.  A string whose exponent,
-    or whose digits, pass the interpreter's integer conversion limit
-    raises ``ResourceLimitError``, the exponent before any arithmetic."""
+    types and malformed strings raise ``error``; digit underscores, which
+    ``Fraction`` reads from Python 3.11 on, are malformed on every version.
+    A string whose exponent, or whose digits, pass the interpreter's
+    integer conversion limit raises ``ResourceLimitError``, the exponent
+    before any arithmetic."""
     if isinstance(x, (bool, float)) or not isinstance(x, (int, str, Fraction)):
         raise error(f"expected an exact rational (an integer or a 'p/q' string), got {x!r}")
     if not isinstance(x, str):
         return Fraction(x)
     limit = sys.get_int_max_str_digits()
     try:
+        if "_" in x:
+            raise ValueError
         _, e, exp = x.lower().partition("e")
         if e and limit and abs(int(exp)) >= limit:
             raise ResourceLimitError(

@@ -41,13 +41,14 @@ def basis_filename(key) -> str:
 
 
 def load_basis(dirpath: str, key):
-    """The stored payload for ``key``, or None if absent, unreadable, or
-    written under different conventions."""
+    """The stored payload for ``key``, or None if absent, unreadable (nested
+    past the recursion limit included), or written under different
+    conventions."""
     path = os.path.join(dirpath, basis_filename(key))
     try:
         with open(path, "rb") as fh:
             payload = json.loads(fh.read().decode())
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return None
     if not isinstance(payload, dict):
         return None

@@ -521,22 +521,15 @@ def _node_tensors(g: MetricLieAlgebra, rep: Representation | None) -> _NodeTenso
 
 @lru_cache(maxsize=4096)
 def _plan(d: Diagram, dim_g: int, dim_V: int):
-    """``(kinds, edges, plan, shapes)`` of the network of ``d``: memoized
-    by the diagram as labeled, with no canonical search, so a vector
-    evaluated again builds and plans nothing.  The bound is a few times
-    the distinct terms of a weights pass."""
+    """``(kinds, plan, keys)`` of the network of ``d``: its node kinds, its
+    plan and its ``network_keys``, the nodes named by their kinds, so that
+    equal kinds stand for equal node tensors.  The network is planned and
+    compiled here, once per term as labeled, with no canonical search, so
+    a vector evaluated again builds, plans and compiles nothing.  The
+    bound is a few times the distinct terms of a weights pass."""
     shapes, edges, kinds = _network(d, dim_g, dim_V)
-    return kinds, edges, plan_contraction(shapes, edges), shapes
-
-
-@lru_cache(maxsize=4096)
-def _keys(d: Diagram, dim_g: int, dim_V: int):
-    """The ``network_keys`` of the network of ``d``, its nodes named by
-    their kinds: memoized as ``_plan`` is, so a vector evaluated again
-    builds no keys.  The network is checked here, once; the shared
-    executor checks only the node tensors' shapes."""
-    kinds, edges, plan, shapes = _plan(d, dim_g, dim_V)
-    return network_keys(kinds, shapes, edges, plan)
+    plan = plan_contraction(shapes, edges)
+    return kinds, plan, network_keys(kinds, shapes, edges, plan)
 
 
 def contraction_plan(d: Diagram, dims) -> ContractionPlan:
@@ -552,7 +545,7 @@ def contraction_plan(d: Diagram, dims) -> ContractionPlan:
         shape = "(dim_g, dim_V)" if want == 2 else "(dim_g,)"
         raise ValueError(f"a {d.space}-space diagram is planned with dims "
                          f"{shape}, not {dims!r}")
-    return _plan(d, dims[0], dims[1] if want == 2 else 1)[2]
+    return _plan(d, dims[0], dims[1] if want == 2 else 1)[1]
 
 
 def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
@@ -584,17 +577,17 @@ def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
         if not d.pairing:
             total += value
             continue
-        kinds, edges, plan, _ = _plan(d, g.dim, dim_V)
+        kinds, plan, keys = _plan(d, g.dim, dim_V)
         if plan.cost > max_cost:
             raise ResourceLimitError(
                 f"planned contraction cost {plan.cost} exceeds the bound {max_cost}")
-        networks.append((d, value, kinds, edges, plan))
+        networks.append((value, kinds, keys))
     memo = None
     if len(networks) > 1:
-        memo = SharedMerges([_keys(d, g.dim, dim_V) for d, *_ in networks])
-    for n, (_, value, kinds, edges, plan) in enumerate(networks):
+        memo = SharedMerges([keys for _, _, keys in networks])
+    for n, (value, kinds, keys) in enumerate(networks):
         shared = None if memo is None else (memo, n)
-        weight = contract_network([nodes[k] for k in kinds], edges, plan, shared)
+        weight = contract_network([nodes[k] for k in kinds], keys, shared)
         total += value * weight.item()
     return total
 

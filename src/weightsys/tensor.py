@@ -30,27 +30,29 @@ searches, so the plan never costs more than the greedy one, and a cheap
 tail, not worth the search, keeps the greedy plan.  The reported cost
 is the sum of the sizes (index-space products) of every intermediate
 tensor, which is also what the resource guard in the evaluator checks
-against.  The executor gives edge e the label e on both of its axes,
-traces each node's self-edges once, and then merges tensors pairwise
-over the labels they share, so a merged tensor never carries a label
-twice.
+against.  ``network_keys`` gives edge e the label e on both of its
+axes; the executor traces each node's self-edges once and then merges
+tensors pairwise over the labels they share, so a merged tensor never
+carries a label twice.
 
-Networks contracted together, such as the terms of one vector, often
-repeat a merge exactly.  Each tensor of a planned network has a
-structural key (``network_keys``): a node's is its name (the caller's
+A network goes through three steps, each one function.
+``plan_contraction`` plans it from its shape.  ``network_keys`` compiles
+the network and its plan into a schedule: each tensor of the planned
+network gets a structural key, a node's being its name (the caller's
 word for which tensor it is), its shape and its self-edge pattern, and a
-merge's is its two operands' keys and the positions of the axes it sums
-on each.  The executor reads nothing else, so equal keys give equal
-tensors, and the keys are also the executor's schedule.  A
-``SharedMerges`` is built for one evaluation from the keys of all its
-networks: it counts how often each key will be read, contracts each
-distinct merge once, keeps a result only until its last read, and goes
-with the evaluation, so nothing is carried from one call to the next.
-A lone network runs its keys, named by node ids, in the plain executor.
-One check, ``_check_network``, validates a network (every edge end is an
-axis, no axis is in two edges, an edge's ends have one dimension), run
-by ``plan_contraction`` and ``network_keys`` only; ``SharedMerges`` then
-checks just that its tensors have the keyed leaves' shapes.
+merge's being its two operands' keys and the positions of the axes it
+sums on each.  ``contract_network`` runs a compiled schedule on the
+node tensors and reads nothing else, so equal keys give equal tensors.
+Networks contracted together, such as the terms of one vector, often
+repeat a merge exactly.  A ``SharedMerges`` is built for one evaluation
+from the keys of all its networks: it counts how often each key will be
+read, contracts each distinct merge once, keeps a result only until its
+last read, and goes with the evaluation, so nothing is carried from one
+call to the next.  One check, ``_check_network``, validates a network
+(every edge end is an axis, no axis is in two edges, an edge's ends
+have one dimension), run by ``plan_contraction`` and ``network_keys``
+only; ``contract_network`` checks just that its tensors have the keyed
+leaves' shapes, on either executor.
 
 Values are Fractions at the API and integers inside.  A tensor keeps,
 beside its Fraction entries, their numerators over one common
@@ -302,29 +304,28 @@ def _subset_dp(cross, ids, size, order, cost) -> ContractionPlan:
     return ContractionPlan(tuple(order), cost + best[full])
 
 
-def contract_network(tensors, edges, plan: ContractionPlan,
-                     shared=None) -> SparseTensor:
-    """Execute a network contraction, merging per ``plan``.
+def contract_network(tensors, keys, shared=None) -> SparseTensor:
+    """Run the schedule ``keys``, a network's ``network_keys``, on its
+    node tensors.
 
     Each merge puts the kept node's free axes first, then the merged
     node's, so the result's free axes follow the plan, not node order.
-    A lone network runs its ``network_keys``, named by node ids, and
-    raises the ValueErrors of that function.
+    The network and its plan were checked when ``keys`` were compiled;
+    here only tensors without the keyed leaves' shapes, count included,
+    raise ValueError.  A network of no nodes is the scalar 1.
 
-    ``shared`` is ``(memo, n)`` when this network is network n of the
-    ``SharedMerges`` memo, built from its ``network_keys``, which checked
-    and compiled the edges and plan, so they are not read again: a merge
-    is read back from the memo when an earlier one of the same structural
-    key kept its result, and tensors without the leaves' shapes raise
-    ValueError.
+    ``shared`` is ``(memo, n)`` when ``keys`` are those network n of the
+    ``SharedMerges`` memo was built from: a merge is read back from the
+    memo when an earlier one of the same structural key kept its result.
     """
     tensors = list(tensors)
+    leaves, merges = keys
+    if [t.shape for t in tensors] != [shape for _, shape, _ in leaves]:
+        raise ValueError("the tensors are not the leaves the network was keyed with")
     if shared is not None:
         memo, n = shared
         shape, nums, den = memo.contract(n, tensors)
     else:
-        leaves, merges = network_keys(range(len(tensors)), [t.shape for t in tensors],
-                                      edges, plan)
         work = list(map(_trace, leaves, tensors))
         for a, b, apos, bpos in merges:
             work.append(_merge(apos, bpos, *work[a], *work[b]))
@@ -334,8 +335,8 @@ def contract_network(tensors, edges, plan: ContractionPlan,
 
 
 def network_keys(names, shapes, edges, plan: ContractionPlan):
-    """The structural keys of a network's tensors, as ``(leaves, merges)``,
-    which are also the schedule both executors run.
+    """Compile a network and its plan into the structural keys of its
+    tensors, ``(leaves, merges)``: the schedule ``contract_network`` runs.
 
     Node i has the tuple of axis dimensions ``shapes[i]`` and is named by
     the hashable ``names[i]``.  Edge e labels both of its axes e, and a
@@ -405,12 +406,12 @@ class SharedMerges:
         ids: dict = {}
         self.visits: dict = {}  # merge number -> visits still to come
         self.kept: dict = {}    # merge number -> its result, while visited again
-        self.networks = []      # (leaves, merges, number of each position, leaf shapes)
+        self.networks = []      # (leaves, merges, number of each position)
         for leaves, merges in networks:
             at = [ids.setdefault(leaf, len(ids)) for leaf in leaves]
             for a, b, apos, bpos in merges:
                 at.append(ids.setdefault((at[a], at[b], apos, bpos), len(ids)))
-            self.networks.append((leaves, merges, at, [shape for _, shape, _ in leaves]))
+            self.networks.append((leaves, merges, at))
             # the first visit of a key also visits its operands
             first = len(leaves)
             todo = [len(at) - 1]
@@ -424,11 +425,10 @@ class SharedMerges:
 
     def contract(self, n, tensors):
         """The executor's form of network n, whose leaf tensors are
-        ``tensors``: shared merges are read back or kept for later visits.
-        Raises ValueError unless the tensors have the leaves' shapes."""
-        leaves, merges, at, shapes = self.networks[n]
-        if [t.shape for t in tensors] != shapes:
-            raise ValueError(f"the tensors are not the leaves network {n} was keyed with")
+        ``tensors``, with the keyed leaves' shapes (``contract_network``
+        checks them): shared merges are read back or kept for later
+        visits."""
+        leaves, merges, at = self.networks[n]
         if not at:
             return (), {(): 1}, 1
         first = len(leaves)

@@ -387,18 +387,22 @@ def test_cold_and_warm_cache_outputs_are_byte_identical(tmp_path):
     lambda p: p.update(pivots={"1": {"1": "1"}}),
     lambda p: p.update(grading={"l": 0, "v": 4}),
     lambda p: p.update(diagrams=[diagram_to_json(d) for d in enumerate_diagrams("B", v=4, l=0)]),
+    "[" * 100000 + "]" * 100000,  # raw text: json.dumps cannot nest this deep
 ], ids=["no-diagrams", "diagram-not-object", "pivots-not-object",
         "zero-denominator", "exponent-past-digit-limit", "pivot-out-of-range",
-        "other-grading", "other-piece-diagrams"])
+        "other-grading", "other-piece-diagrams", "nested-past-recursion-limit"])
 def test_undecodable_cache_file_is_recomputed_and_rewritten(tmp_path, corrupt):
     args = ["basis", "--space", "B", "--v", "2", "--l", "0"]
     cold = run_cli(args, cache=tmp_path)
     assert cold.returncode == 0
     path = tmp_path / "basis_B_v2_l0.json"
     good = path.read_bytes()
-    payload = json.loads(good)
-    corrupt(payload)
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    if isinstance(corrupt, str):
+        path.write_text(corrupt, encoding="utf-8")
+    else:
+        payload = json.loads(good)
+        corrupt(payload)
+        path.write_text(json.dumps(payload), encoding="utf-8")
 
     proc = run_cli(args, cache=tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr

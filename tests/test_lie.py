@@ -565,7 +565,7 @@ def test_repeated_labeled_diagram_is_planned_once(monkeypatch):
 
 def test_a_plan_needs_the_dims_of_its_space():
     plan = contraction_plan(a_theta(), (3, 2))
-    assert plan == lie._plan(a_theta(), 3, 2)[2]  # the plan evaluation uses
+    assert plan == lie._plan(a_theta(), 3, 2)[1]  # the plan evaluation uses
     for d, dims in ((cube(), ()), (cube(), (3, 2, 7)), (cube(), (3, 2)),
                     (a_theta(), (3,)), (a_theta(), (3, 2, 7)), (cube(), (0,))):
         with pytest.raises(ValueError):
@@ -677,19 +677,33 @@ def test_terms_share_merges(monkeypatch):
     assert 0 < len(merges) < planned
 
 
-def test_a_lone_network_builds_no_keys(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("structural keys built")
+def test_a_lone_term_is_planned_and_compiled_once(monkeypatch):
+    lie._plan.cache_clear()
+    calls = []
 
-    monkeypatch.setattr(lie, "_keys", refuse)
+    def counted(name, real):
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+        return call
+
+    def refuse(*args):
+        raise AssertionError("merges shared")
+
+    for name in ("plan_contraction", "network_keys"):
+        monkeypatch.setattr(lie, name, counted(name, getattr(lie, name)))
     monkeypatch.setattr(lie, "SharedMerges", refuse)
-    assert evaluate(a_theta(), SL2, FUND) == -12
+    for _ in range(2):
+        assert evaluate(a_theta(), SL2, FUND) == -12
+    assert calls == ["plan_contraction", "network_keys"]
     assert evaluate_closed(cube(), SL2) == 384
-    # one term with a network, one without
+    assert calls == ["plan_contraction", "network_keys"] * 2
+    # one term with a network, already compiled, and one without
     vec = DiagramVector([(a_theta(), 2), (bare_circle(), 1)])
     assert evaluate(vec, SL2, FUND) == 2 * (-12) + 2
+    assert len(calls) == 4
     # two terms with networks do share merges
-    with pytest.raises(AssertionError, match="structural keys built"):
+    with pytest.raises(AssertionError, match="merges shared"):
         evaluate(DiagramVector([(a_theta(), 2), (a_chord(), 1)]), SL2, FUND)
 
 

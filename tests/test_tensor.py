@@ -39,6 +39,12 @@ def random_network(rng, n):
     return [tuple(s) for s in shapes], datas, edges
 
 
+def run(tensors, edges, plan):
+    """Compile a network, its nodes named by their ids, and run it."""
+    keys = network_keys(range(len(tensors)), [t.shape for t in tensors], edges, plan)
+    return contract_network(tensors, keys)
+
+
 def test_planned_contraction_matches_brute_force_on_random_networks():
     rng = random.Random(20260)
     seen = {"self": 0, "parallel": 0, "greedy": 0, "nonzero": 0}
@@ -54,7 +60,7 @@ def test_planned_contraction_matches_brute_force_on_random_networks():
         assert len(plan.order) == n - 1
         assert {i for pair in plan.order for i in pair} | {0} == set(range(n))
         tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
-        value = contract_network(tensors, edges, plan).item()
+        value = run(tensors, edges, plan).item()
         assert value == oracles.network_value_bruteforce(shapes, datas, edges), (shapes, edges)
         if n <= 5:
             assert plan.cost == oracles.min_merge_cost_bruteforce(shapes, edges)
@@ -72,8 +78,7 @@ def test_free_axes_follow_the_merge_order():
     # the kept node's free axes come first, then the merged node's
     shapes = [(2, 2), (2, 3), (2, 4)]
     tensors = [SparseTensor(s, {k: 1}) for s, k in zip(shapes, [(0, 1), (1, 2), (0, 3)])]
-    out = contract_network(tensors, [((0, 0), (2, 0))],
-                           ContractionPlan(((0, 2), (0, 1)), 0))
+    out = run(tensors, [((0, 0), (2, 0))], ContractionPlan(((0, 2), (0, 1)), 0))
     assert out.shape == (2, 4, 2, 3)
     assert out.data == {(1, 3, 1, 2): 1}
 
@@ -83,7 +88,7 @@ def test_exact_cancellation_leaves_no_entries():
     a = SparseTensor((2,), {(0,): Fraction(1, 2), (1,): Fraction(1, 3)})
     b = SparseTensor((2,), {(0,): Fraction(2, 3), (1,): -1})
     edges = [((0, 0), (1, 0))]
-    out = contract_network([a, b], edges, plan_contraction([(2,), (2,)], edges))
+    out = run([a, b], edges, plan_contraction([(2,), (2,)], edges))
     assert out.data == {} and out.item() == 0
 
 
@@ -95,7 +100,7 @@ def test_free_axis_result_over_mixed_denominators_matches_brute_force():
              for s, den in zip(shapes, (2, 3, 6))]
     edges = [((0, 1), (1, 0)), ((1, 1), (2, 0))]
     tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
-    out = contract_network(tensors, edges, plan_contraction(shapes, edges))
+    out = run(tensors, edges, plan_contraction(shapes, edges))
     assert out.shape == (2, 2)  # node 0's free axis, then node 1's
     assert out.data and all(type(v) is Fraction and v for v in out.data.values())
     for a, b in itertools.product(range(2), repeat=2):
@@ -178,14 +183,14 @@ def test_an_expensive_greedy_tail_is_planned_again_exactly(monkeypatch):
         assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges), (shapes, edges)
         assert plan.cost <= greedy[1]
         tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
-        value = contract_network(tensors, edges, plan).item()
+        value = run(tensors, edges, plan).item()
         if refined:
             # the same value as the greedy plan's: a refined network has
             # far too many index assignments for the brute force
             seen["refined"] += 1
             seen["cheaper"] += plan.cost < greedy[1]
             seen["nonzero"] += value != 0
-            assert value == contract_network(tensors, edges, ContractionPlan(*greedy)).item()
+            assert value == run(tensors, edges, ContractionPlan(*greedy)).item()
         else:
             # a cheap tail keeps the greedy plan
             assert (plan.order, plan.cost) == greedy
@@ -199,11 +204,12 @@ def test_an_expensive_greedy_tail_is_planned_again_exactly(monkeypatch):
     assert seen["nonzero"] >= 20 and seen["brute"] >= 15, seen
 
 
-# the three entry points that take edges, called alike
+# the entry points that take edges, called alike; contract_network is
+# fed the keys network_keys compiles, as it always is
 EDGE_CHECKED = {
     "plan_contraction": lambda tensors, edges, plan: plan_contraction(
         [t.shape for t in tensors], edges),
-    "contract_network": contract_network,
+    "contract_network": run,
     "network_keys": lambda tensors, edges, plan: network_keys(
         range(len(tensors)), [t.shape for t in tensors], edges, plan),
 }
@@ -234,7 +240,7 @@ def test_an_axis_in_two_edges_is_refused():
         with pytest.raises(ValueError, match="more than one edge"):
             plan_contraction([(2,), (2, 2)], edges)
         with pytest.raises(ValueError, match="more than one edge"):
-            contract_network([a, b], edges, ContractionPlan(((0, 1),), 1))
+            run([a, b], edges, ContractionPlan(((0, 1),), 1))
 
 
 @pytest.mark.parametrize("call", sorted(EDGE_CHECKED))
@@ -256,7 +262,7 @@ def test_a_plan_that_does_not_merge_the_network_is_refused(order, error):
     a = SparseTensor((2,), {(0,): 1, (1,): 2})
     edges = [((0, 0), (1, 0))]
     with pytest.raises(ValueError, match=error):
-        contract_network([a, a], edges, ContractionPlan(order, 0))
+        run([a, a], edges, ContractionPlan(order, 0))
 
 
 def test_shared_merges_match_the_lone_executor_and_keep_nothing_after(monkeypatch):
@@ -289,7 +295,7 @@ def test_shared_merges_match_the_lone_executor_and_keep_nothing_after(monkeypatc
     for edges in ([((0, 0), (0, 1)), ((1, 0), (2, 0))], [((1, 0), (2, 0))]):
         networks.append(([m, u, w], ["m", "u", "w"], edges, ContractionPlan(((0, 1), (0, 2)), 0)))
     rng.shuffle(networks)
-    alone = [contract_network(t, edges, plan) for t, _, edges, plan in networks]
+    alone = [run(t, edges, plan) for t, _, edges, plan in networks]
     merges = []
 
     def counted(*args, real=tensor._merge):
@@ -297,34 +303,36 @@ def test_shared_merges_match_the_lone_executor_and_keep_nothing_after(monkeypatc
         return real(*args)
 
     monkeypatch.setattr(tensor, "_merge", counted)
-    shared = SharedMerges([network_keys(names, [t.shape for t in tensors], edges, plan)
-                           for tensors, names, edges, plan in networks])
-    for n, (tensors, _, edges, plan) in enumerate(networks):
-        assert contract_network(tensors, edges, plan, (shared, n)) == alone[n]
+    keys = [network_keys(names, [t.shape for t in tensors], edges, plan)
+            for tensors, names, edges, plan in networks]
+    shared = SharedMerges(keys)
+    for n, (tensors, *_) in enumerate(networks):
+        assert contract_network(tensors, keys[n], (shared, n)) == alone[n]
     assert 0 < len(merges) < sum(len(plan.order) for *_, plan in networks)
     # every kept result was dropped after its last visit
     assert shared.kept == {} and not any(shared.visits.values())
 
 
 def test_shared_merges_refuse_tensors_that_are_not_the_keyed_leaves():
+    # and so does the lone executor, through the same check
     u = SparseTensor((2,), {(0,): 1, (1,): 2})
     m = SparseTensor((2, 2), {(0, 0): 1, (1, 1): 3})
     edges = [((0, 0), (1, 0))]
-    plan = ContractionPlan(((0, 1),), 0)
-    empty = ContractionPlan((), 0)
-    shared = SharedMerges([network_keys("um", [(2,), (2, 2)], edges, plan),
-                           network_keys("", [], [], empty)])
+    keys = network_keys("um", [(2,), (2, 2)], edges, ContractionPlan(((0, 1),), 0))
+    empty = network_keys("", [], [], ContractionPlan((), 0))
+    shared = SharedMerges([keys, empty])
     for tensors in ([u], [u, m, u],                     # too few, too many
                     [u, SparseTensor((2, 3), {})],      # a leaf of another shape
                     [m, u]):                            # the leaves swapped
-        with pytest.raises(ValueError, match="not the leaves network 0 was keyed with"):
-            contract_network(tensors, edges, plan, (shared, 0))
-    with pytest.raises(ValueError, match="not the leaves network 1 was keyed with"):
-        contract_network([u], [], empty, (shared, 1))
+        for executor in (None, (shared, 0)):
+            with pytest.raises(ValueError, match="not the leaves the network was keyed with"):
+                contract_network(tensors, keys, executor)
+    for executor in (None, (shared, 1)):
+        with pytest.raises(ValueError, match="not the leaves the network was keyed with"):
+            contract_network([u], empty, executor)
     # nothing was merged or kept, and the keyed tensors still contract; a
     # network of no nodes is the scalar 1 on either executor
     assert shared.kept == {}
-    assert contract_network([u, m], edges, plan, (shared, 0)) == contract_network(
-        [u, m], edges, plan)
-    assert contract_network([], [], empty, (shared, 1)) == contract_network(
-        [], [], empty) == SparseTensor((), {(): 1})
+    assert contract_network([u, m], keys, (shared, 0)) == contract_network([u, m], keys)
+    assert contract_network([], empty, (shared, 1)) == contract_network(
+        [], empty) == SparseTensor((), {(): 1})
