@@ -23,14 +23,13 @@ import sys
 from collections import defaultdict
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 from typing import NamedTuple
 
 from .algebra import _rational, _rref, _terms
 from .diagrams import DEFAULT_MAX_STEPS, Diagram, _require_non_negative
 from .errors import LieAlgebraError, ResourceLimitError, SpaceMismatchError
-from .tensor import (ContractionPlan, SharedMerges, SparseTensor, contract_network,
-                     network_keys, plan_contraction)
+from .tensor import (ContractionPlan, SharedMerges, SparseTensor, _contract_pair,
+                     contract_network, network_keys, plan_contraction)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -137,91 +136,76 @@ def check_lie(g: MetricLieAlgebra):
         return False, "structure constants must be dim^3"
     if len(b) != n or any(len(r) != n for r in b):
         return False, "metric must be dim x dim"
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                if c[k][i][j] != -c[k][j][i]:
-                    return False, f"antisymmetry fails at c^{k}_{{{i}{j}}}"
+    ct = _sparse((n,) * 3, c)  # (m, i, j) -> c^m_{ij}
+    bad = _least_unantisymmetric(ct)
+    if bad is not None:
+        return False, "antisymmetry fails at c^{}_{{{}{}}}".format(*bad)
     for i in range(n):
         for j in range(n):
             if b[i][j] != b[j][i]:
                 return False, f"metric not symmetric at ({i},{j})"
     if _invert(b) is None:
         return False, "metric is singular"
-    # The Jacobi and invariance sums, accumulated from the nonzero structure
-    # constants only, one first index i at a time in increasing order, so a
-    # failure names the least index tuple, as a dense scan would.
-    by_first = [[] for _ in range(n)]   # i -> (m, j, c^m_{ij})
-    by_second = [[] for _ in range(n)]  # j -> (m, i, c^m_{ij})
-    by_upper = [[] for _ in range(n)]   # m -> (i, j, c^m_{ij})
-    for m, i, j in product(range(n), repeat=3):
-        if c[m][i][j]:
-            by_first[i].append((m, j, c[m][i][j]))
-            by_second[j].append((m, i, c[m][i][j]))
-            by_upper[m].append((i, j, c[m][i][j]))
-    for i in range(n):
-        # (j, k, l) -> sum over m of c^m_{ij} c^l_{mk} + c^m_{jk} c^l_{mi} + c^m_{ki} c^l_{mj}
-        jac = defaultdict(int)
-        for m, j, x in by_first[i]:
-            for l, k, y in by_first[m]:
-                jac[j, k, l] += x * y
-        for l, m, y in by_second[i]:
-            for j, k, x in by_upper[m]:
-                jac[j, k, l] += x * y
-        for m, k, x in by_second[i]:
-            for l, j, y in by_first[m]:
-                jac[j, k, l] += x * y
-        bad = min((key for key, v in jac.items() if v), default=None)
-        if bad is not None:
-            return False, "Jacobi fails at (i,j,k,l)=({},{},{},{})".format(i, *bad)
-    for i in range(n):
-        # (j, k) -> sum over m of c^m_{ij} b_{mk} + c^m_{ik} b_{jm}; b is symmetric
-        inv = defaultdict(int)
-        for m, p, x in by_first[i]:
-            for q, y in enumerate(b[m]):
-                if y:
-                    inv[p, q] += x * y
-                    inv[q, p] += x * y
-        bad = min((key for key, v in inv.items() if v), default=None)
-        if bad is not None:
-            return False, "metric invariance fails at ({},{},{})".format(i, *bad)
+    # Jacobi: the cyclic sum over (i, j, k) of sum over m of c^m_{ij} c^l_{mk},
+    # the entry (i, j, l, k) of c contracted with c over m; only whether a
+    # sum is zero is read, so the numerators over one denominator are summed
+    jac = defaultdict(int)
+    for (i, j, l, k), v in _contract_pair(ct, ct, (0,), (1,)).nums.items():
+        for key in ((i, j, k, l), (k, i, j, l), (j, k, i, l)):
+            jac[key] += v
+    bad = min((key for key, v in jac.items() if v), default=None)
+    if bad is not None:
+        return False, "Jacobi fails at (i,j,k,l)=({},{},{},{})".format(*bad)
+    # invariance, b being symmetric: f_{ijk} = sum over m of c^m_{ij} b_{mk}
+    # is antisymmetric in j, k
+    bad = _least_unantisymmetric(_contract_pair(ct, _sparse((n, n), b), (0,), (0,)))
+    if bad is not None:
+        return False, "metric invariance fails at ({},{},{})".format(*bad)
     return True, None
 
 
 def check_representation(g: MetricLieAlgebra, rep: Representation):
     """(True, None) when rho([x,y]) = rho(x)rho(y) - rho(y)rho(x)."""
-    n, m, c = g.dim, rep.dim_V, g.structure_constants
+    n, m = g.dim, rep.dim_V
     if len(rep.action) != n:
         return False, "representation needs one matrix per basis element"
     for mat in rep.action:
         if len(mat) != m or any(len(r) != m for r in mat):
             return False, "representation matrices must be dim_V square"
-    # rho as sparse rows, and c^k_{ij} as (k, c) lists per pair i < j; the
-    # pairs are checked in increasing order, so a failure names the least one
-    rows = [[{col: x for col, x in enumerate(r) if x} for r in mat]
-            for mat in rep.action]
-    brackets = defaultdict(list)
-    for k, i, j in product(range(n), repeat=3):
-        if i < j and c[k][i][j]:
-            brackets[i, j].append((k, c[k][i][j]))
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = rows[i], rows[j]
-            for r in range(m):
-                # row r of rho_i rho_j - rho_j rho_i - sum_k c^k_{ij} rho_k
-                acc = defaultdict(int)
-                for p, x in a[r].items():
-                    for col, y in b[p].items():
-                        acc[col] += x * y
-                for p, x in b[r].items():
-                    for col, y in a[p].items():
-                        acc[col] -= x * y
-                for k, ck in brackets[i, j]:
-                    for col, y in rows[k][r].items():
-                        acc[col] -= ck * y
-                if any(acc.values()):
-                    return False, f"representation fails on bracket ({i},{j})"
+    # (i, j, r, s) -> entry (r, s) of rho_i rho_j - rho_j rho_i - sum over k of
+    # c^k_{ij} rho_k for i < j, read off rho rho, whose (i, r, j, s) is
+    # (rho_i rho_j)[r, s], and off c rho, whose (i, j, r, s) is the sum
+    rho = _sparse((n, m, m), rep.action)
+    acc = defaultdict(int)
+    for (i, r, j, s), v in _contract_pair(rho, rho, (2,), (1,)).data.items():
+        if i != j:
+            acc[min(i, j), max(i, j), r, s] += v if i < j else -v
+    ct = _sparse((n,) * 3, g.structure_constants)
+    for (i, j, r, s), v in _contract_pair(ct, rho, (0,), (0,)).data.items():
+        if i < j:
+            acc[i, j, r, s] -= v
+    bad = min((key[:2] for key, v in acc.items() if v), default=None)
+    if bad is not None:
+        return False, "representation fails on bracket ({},{})".format(*bad)
     return True, None
+
+
+def _sparse(shape, rows) -> SparseTensor:
+    """The nested tuple ``rows`` of ``shape`` as a SparseTensor, built from
+    its nonzero entries only."""
+    data = {(): rows}
+    for _ in shape:
+        data = {k + (i,): x for k, row in data.items() for i, x in enumerate(row) if x}
+    return SparseTensor(shape, data)
+
+
+def _least_unantisymmetric(t: SparseTensor):
+    """The least index (x, y, z) with t[x, y, z] + t[x, z, y] nonzero, or
+    None.  Such indices come in swapped pairs, one of them held by t.  The
+    sums are of t's numerators over its one denominator."""
+    nums = t.nums
+    return min((min(k, (k[0], k[2], k[1])) for k, v in nums.items()
+                if v + nums.get((k[0], k[2], k[1]), 0)), default=None)
 
 
 @lru_cache(maxsize=None)
@@ -255,19 +239,11 @@ def _invert(m):
 def derive_tensors(g: MetricLieAlgebra) -> StructureTensors:
     """f_{ijk} = b([e_i, e_j], e_k) and the inverse metric of a valid g."""
     _require_valid(g)
-    n = g.dim
-    c, b = g.structure_constants, g.metric
-    # sum over the nonzero c^m_{ij} against the nonzero b_{mk}, keyed in
-    # sorted (i, j, k) order
-    b_rows = [[(k, y) for k, y in enumerate(row) if y] for row in b]
-    acc = defaultdict(int)
-    for m, i, j in product(range(n), repeat=3):
-        x = c[m][i][j]
-        if x:
-            for k, y in b_rows[m]:
-                acc[i, j, k] += x * y
-    f = {key: acc[key] for key in sorted(acc) if acc[key]}
-    return StructureTensors(f=f, c_up=_invert(b))
+    n, b = g.dim, g.metric
+    # f_{ijk} = sum over m of c^m_{ij} b_{mk}, keyed in sorted (i, j, k) order
+    f = _contract_pair(_sparse((n,) * 3, g.structure_constants), _sparse((n, n), b),
+                       (0,), (0,)).data
+    return StructureTensors(f=dict(sorted(f.items())), c_up=_invert(b))
 
 
 # ---------------------------------------------------------------------------
@@ -484,27 +460,22 @@ class _NodeTensors(dict):
         super().__init__()
         self.tensors = tensors
         n = len(tensors.c_up)
-        # raising index j of a tensor sums it against b^{ij}
-        self.up = [[(i, row[j]) for i, row in enumerate(tensors.c_up) if row[j]]
-                   for j in range(n)]
-        self.base = {"f": ((n,) * 3, tensors.f)}
+        self.up = _sparse((n, n), tensors.c_up)
+        self.base = {"f": SparseTensor((n,) * 3, tensors.f)}
         if rep is not None:
-            self.base["rho"] = ((n, rep.dim_V, rep.dim_V),
-                                {(a, r, c): x for a, m in enumerate(rep.action)
-                                 for r, row in enumerate(m) for c, x in enumerate(row) if x})
+            self.base["rho"] = _sparse((n, rep.dim_V, rep.dim_V), rep.action)
 
     def __missing__(self, kind):
         name, raised = kind
-        shape, data = self.base[name]
+        t = self.base[name]
         for ax in raised:
-            out = {}
-            for k, v in data.items():
-                for i, b in self.up[k[ax]]:
-                    key = k[:ax] + (i,) + k[ax + 1:]
-                    out[key] = out.get(key, _ZERO) + b * v
-            data = out
-        self[kind] = SparseTensor(shape, data)
-        return self[kind]
+            # raising axis ax sums it against b^{ij}: the raised axis comes
+            # out last and is moved back to ax
+            up = _contract_pair(t, self.up, (ax,), (0,))
+            t = SparseTensor(t.shape, {k[:ax] + k[-1:] + k[ax:-1]: v
+                                       for k, v in up.data.items()})
+        self[kind] = t
+        return t
 
 
 @lru_cache(maxsize=None)

@@ -113,10 +113,11 @@ def _side_by_side(a: Diagram, b: Diagram) -> Diagram:
 
 def _product(x, y, space, message, vmax=None) -> DiagramVector:
     """Side-by-side product; with vmax, a pair whose vertices add up past
-    it is dropped before it is built."""
+    it is dropped before it is built.  y's terms are checked first, so a
+    zero x does not let a y from the wrong space through."""
+    ys = list(_checked_terms(y, space, message))
     return _expand(x, space, message, lambda a: (
-        (_side_by_side(a, b), cb) for b, cb in _checked_terms(y, space, message)
-        if vmax is None or a.v + b.v <= vmax))
+        (_side_by_side(a, b), cb) for b, cb in ys if vmax is None or a.v + b.v <= vmax))
 
 
 def disjoint_union(x, y) -> DiagramVector:
@@ -236,15 +237,16 @@ def cap(x, y) -> DiagramVector:
     passes ``DEFAULT_MAX_STEPS``.
     """
     message = "capping acts on leg-space diagrams"
+    ys = list(_checked_terms(y, "B", message))  # checked even when x is zero
 
     def capped(c):
-        for d, cd in _checked_terms(y, "B", message):
+        for d, cd in ys:
             u = _side_by_side(d, c)
             for image in itertools.permutations(d.legs, c.l):
                 yield _glue(u, list(zip(u.legs[d.l:], image))), cd
 
     def steps(c):
-        return sum(_cap_steps(c, d) for d, _ in _checked_terms(y, "B", message))
+        return sum(_cap_steps(c, d) for d, _ in ys)
 
     return _expand(x, "B", message, capped, steps)
 

@@ -60,6 +60,11 @@ denominator (the lcm of theirs), computed once when it is built; a
 tensor is not mutated after that.  The executor multiplies and adds
 those integers, a merge's denominator is the product of its operands',
 and only the final result is divided back into Fractions.
+
+``_contract_pair`` runs the executor's one merge, ``_merge``, on two
+SparseTensors outside any network: ``lie`` checks and derives an
+algebra's tensors (Jacobi, metric invariance, representation brackets,
+f, raised axes) with it, so the package has one contraction kernel.
 """
 
 from __future__ import annotations
@@ -480,6 +485,13 @@ def _trace(leaf, t):
             out[key] = out.get(key, 0) + v
     return (tuple(shape[p] for p in keep),
             {k: v for k, v in out.items() if v}, t.den)
+
+
+def _contract_pair(a: SparseTensor, b: SparseTensor, apos, bpos) -> SparseTensor:
+    """a and b contracted by ``_merge``: the axes at ``apos`` of a summed
+    against those at ``bpos`` of b; the other axes of a, then those of b."""
+    shape, nums, den = _merge(apos, bpos, a.shape, a.nums, a.den, b.shape, b.nums, b.den)
+    return SparseTensor(shape, {k: Fraction(v, den) for k, v in nums.items()})
 
 
 def _picker(pos):

@@ -17,7 +17,8 @@ from .algebra import (DiagramVector, _rref, equal_mod_relations,
 from .diagrams import (Diagram, _require_non_negative, empty_diagram,
                        enumerate_diagrams, validate)
 from .errors import GradingMismatchError, LieAlgebraError, ResourceLimitError
-from .maps import cap, chi, closure, connect_sum, disjoint_union, omega, strut, wheel
+from .maps import (cap, chi, closure, connect_sum, disjoint_union, exp_disjoint, omega,
+                   strut, wheel)
 
 # The one global sign fixed by this package's orientation conventions: the
 # closure of the wheels series is the exponential of (this sign) * theta/24
@@ -154,19 +155,11 @@ def verify_closure_omega(vmax: int = 4, cache_dir=None) -> dict:
     _require_non_negative(vmax=vmax)
     report = _Report("closure-omega")
     theta_vec = -closure(DiagramVector.single(wheel(2)))
-    one = DiagramVector.single(empty_diagram())
     for pair_weight, denom in ((1, 48), (2, 24)):
         for trunc in range(0, vmax + 1, 2):
             def check(pair_weight=pair_weight, denom=denom, trunc=trunc):
                 lhs = closure(omega(trunc), pair_weight=pair_weight)
-                rhs = one
-                term = one
-                k = 0
-                while (k + 1) * 2 <= trunc:
-                    k += 1
-                    term = disjoint_union(term, theta_vec) \
-                        * (Fraction(CLOSURE_SIGN, denom) / k)
-                    rhs = rhs + term
+                rhs = exp_disjoint(Fraction(CLOSURE_SIGN, denom) * theta_vec, trunc)
                 ok = equal_mod_relations(lhs, rhs, cache_dir=cache_dir)
                 return ok, {"sign": CLOSURE_SIGN}
 

@@ -285,6 +285,16 @@ def test_chi_close_cap_connect_sum_match_library(tmp_path):
     assert vector_from_json(json.loads(proc.stdout)) == connect_sum(c, c)
 
 
+@pytest.mark.parametrize("verb, right", [("cap", chord_json()),
+                                         ("connect-sum", diagram_to_json(oracles.strut()))])
+def test_a_zero_left_argument_still_checks_the_right_ones_space(tmp_path, verb, right):
+    pair = json.dumps({"left": [], "right": [{"coeff": "1", "diagram": right}]})
+    proc = run_cli([verb], stdin_text=pair, cache=tmp_path)
+    assert proc.returncode == 5, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout)["error"]["code"] == "validation"
+    assert proc.stderr == ""
+
+
 def test_emitted_json_is_accepted_back_unchanged(tmp_path):
     proc1 = run_cli(["omega", "--vmax", "4"], cache=tmp_path)
     proc2 = run_cli(["reduce"], stdin_text=proc1.stdout, cache=tmp_path)

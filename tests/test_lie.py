@@ -143,6 +143,22 @@ def test_check_lie_names_the_failure_a_dense_scan_finds_first():
     assert seen["metric"] >= 5 and seen["pass"] >= 3, seen
 
 
+def test_check_lie_names_the_least_antisymmetry_failure():
+    # one or two constants changed alone, their antisymmetric partners kept
+    rng = random.Random(2207)
+    for trial in range(40):
+        g = SL2 if trial % 2 else sl2_plus_sl2()
+        n = g.dim
+        c = [[list(r) for r in ck] for ck in g.structure_constants]
+        for _ in range(rng.randint(1, 2)):
+            k, i, j = (rng.randrange(n) for _ in range(3))
+            c[k][i][j] += rng.choice((-1, 1)) * Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        k, i, j = next(t for t in itertools.product(range(n), repeat=3)
+                       if c[t[0]][t[1]][t[2]] != -c[t[0]][t[2]][t[1]])
+        bad = MetricLieAlgebra(n, tuple(tuple(tuple(r) for r in ck) for ck in c), g.metric)
+        assert check_lie(bad) == (False, f"antisymmetry fails at c^{k}_{{{i}{j}}}"), trial
+
+
 @pytest.mark.parametrize("call", [
     lambda g: evaluate_closed(oracles.theta_closed(), g),
     derive_tensors,

@@ -197,6 +197,16 @@ def test_a_lone_zero_diagram_from_the_wrong_space_raises():
                             "disjoint union is a leg-space product")):
         with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
             apply(dumbbell)
+    # a zero left argument still has its right argument's space checked
+    zero = DiagramVector()
+    for apply, right, message in (
+            (disjoint_union, bare_circle(), "disjoint union is a leg-space product"),
+            (disjoint_union, dumbbell, "disjoint union is a leg-space product"),
+            (cap, bare_circle(), "capping acts on leg-space diagrams"),
+            (cap, dumbbell, "capping acts on leg-space diagrams"),
+            (connect_sum, strut(), "connect sum is a circle-space product")):
+        with pytest.raises(SpaceMismatchError, match=f"^{message}$"):
+            apply(zero, right)
 
 
 # ---------------------------------------------------------------------------

@@ -336,3 +336,48 @@ def test_shared_merges_refuse_tensors_that_are_not_the_keyed_leaves():
     assert contract_network([u, m], keys, (shared, 0)) == contract_network([u, m], keys)
     assert contract_network([], empty, (shared, 1)) == contract_network(
         [], empty) == SparseTensor((), {(): 1})
+
+
+def test_a_pair_contraction_matches_brute_force():
+    # tensor._contract_pair, against the closed network of its two tensors
+    # with a one-hot node pinning each free axis
+    rng = random.Random(4417)
+    seen = {"outer": 0, "scalar": 0, "empty": 0, "denominators": 0}
+    for trial in range(60):
+        rank_a, rank_b = rng.randint(0, 3), rng.randint(0, 3)
+        apos = tuple(rng.sample(range(rank_a), rng.randint(0, min(rank_a, rank_b))))
+        bpos = tuple(rng.sample(range(rank_b), len(apos)))
+        if trial % 4 == 1:  # no axis shared: an outer product
+            apos = bpos = ()
+        elif trial % 4 == 2:  # every axis shared: a scalar
+            rank_b = rank_a
+            apos = tuple(range(rank_a))
+            bpos = tuple(rng.sample(range(rank_a), rank_a))
+        ashape = [rng.randint(1, 3) for _ in range(rank_a)]
+        bshape = [rng.randint(1, 3) for _ in range(rank_b)]
+        for p, q in zip(apos, bpos):
+            bshape[q] = ashape[p]
+        shapes = [tuple(ashape), tuple(bshape)]
+        datas = [{k: Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                  for k in itertools.product(*map(range, s)) if rng.random() < 0.7}
+                 for s in shapes]
+        if trial % 10 == 3:  # a tensor with no entries
+            datas[0] = {}
+        a, b = (SparseTensor(s, d) for s, d in zip(shapes, datas))
+        out = tensor._contract_pair(a, b, apos, bpos)
+        ends = ([(0, p) for p in range(rank_a) if p not in apos]
+                + [(1, q) for q in range(rank_b) if q not in bpos])
+        assert out.shape == tuple(shapes[i][p] for i, p in ends)
+        assert all(type(v) is Fraction and v for v in out.data.values())
+        closed = [((0, p), (1, q)) for p, q in zip(apos, bpos)]
+        closed += [(end, (2 + n, 0)) for n, end in enumerate(ends)]
+        for index in itertools.product(*(range(d) for d in out.shape)):
+            pins = [{(x,): 1} for x in index]
+            value = oracles.network_value_bruteforce(
+                shapes + [(d,) for d in out.shape], datas + pins, closed)
+            assert out.data.get(index, 0) == value, (trial, index)
+        seen["outer"] += not apos and rank_a > 0 and rank_b > 0
+        seen["scalar"] += out.shape == () and rank_a > 0
+        seen["empty"] += not a.data or not b.data
+        seen["denominators"] += len({v.denominator for d in datas for v in d.values()}) > 2
+    assert all(count >= 5 for count in seen.values()), seen
