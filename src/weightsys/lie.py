@@ -136,7 +136,7 @@ def check_lie(g: MetricLieAlgebra):
         return False, "structure constants must be dim^3"
     if len(b) != n or any(len(r) != n for r in b):
         return False, "metric must be dim x dim"
-    ct = _sparse((n,) * 3, c)  # (m, i, j) -> c^m_{ij}
+    ct = _structure(g)  # (m, i, j) -> c^m_{ij}
     bad = _least_unantisymmetric(ct)
     if bad is not None:
         return False, "antisymmetry fails at c^{}_{{{}{}}}".format(*bad)
@@ -144,7 +144,7 @@ def check_lie(g: MetricLieAlgebra):
         for j in range(n):
             if b[i][j] != b[j][i]:
                 return False, f"metric not symmetric at ({i},{j})"
-    if _invert(b) is None:
+    if _inverse_metric(g) is None:
         return False, "metric is singular"
     # Jacobi: the cyclic sum over (i, j, k) of sum over m of c^m_{ij} c^l_{mk},
     # the entry (i, j, l, k) of c contracted with c over m; only whether a
@@ -158,7 +158,7 @@ def check_lie(g: MetricLieAlgebra):
         return False, "Jacobi fails at (i,j,k,l)=({},{},{},{})".format(*bad)
     # invariance, b being symmetric: f_{ijk} = sum over m of c^m_{ij} b_{mk}
     # is antisymmetric in j, k
-    bad = _least_unantisymmetric(_contract_pair(ct, _sparse((n, n), b), (0,), (0,)))
+    bad = _least_unantisymmetric(_lowered(g))
     if bad is not None:
         return False, "metric invariance fails at ({},{},{})".format(*bad)
     return True, None
@@ -175,13 +175,12 @@ def check_representation(g: MetricLieAlgebra, rep: Representation):
     # (i, j, r, s) -> entry (r, s) of rho_i rho_j - rho_j rho_i - sum over k of
     # c^k_{ij} rho_k for i < j, read off rho rho, whose (i, r, j, s) is
     # (rho_i rho_j)[r, s], and off c rho, whose (i, j, r, s) is the sum
-    rho = _sparse((n, m, m), rep.action)
+    rho = _action(rep)
     acc = defaultdict(int)
     for (i, r, j, s), v in _contract_pair(rho, rho, (2,), (1,)).data.items():
         if i != j:
             acc[min(i, j), max(i, j), r, s] += v if i < j else -v
-    ct = _sparse((n,) * 3, g.structure_constants)
-    for (i, j, r, s), v in _contract_pair(ct, rho, (0,), (0,)).data.items():
+    for (i, j, r, s), v in _contract_pair(_structure(g), rho, (0,), (0,)).data.items():
         if i < j:
             acc[i, j, r, s] -= v
     bad = min((key[:2] for key, v in acc.items() if v), default=None)
@@ -197,6 +196,36 @@ def _sparse(shape, rows) -> SparseTensor:
     for _ in shape:
         data = {k + (i,): x for k, row in data.items() for i, x in enumerate(row) if x}
     return SparseTensor(shape, data)
+
+
+# One algebra's tensors, each built once: memoized by value, as
+# ``_require_valid`` is, and read by the checks and ``derive_tensors`` alike,
+# once the structure constants are known to be dim^3 and the metric dim x dim.
+
+
+@lru_cache(maxsize=None)
+def _structure(g: MetricLieAlgebra) -> SparseTensor:
+    """g's structure constants, (m, i, j) -> c^m_{ij}."""
+    return _sparse((g.dim,) * 3, g.structure_constants)
+
+
+@lru_cache(maxsize=None)
+def _lowered(g: MetricLieAlgebra) -> SparseTensor:
+    """f_{ijk} = sum over m of c^m_{ij} b_{mk}."""
+    return _contract_pair(_structure(g), _sparse((g.dim,) * 2, g.metric), (0,), (0,))
+
+
+@lru_cache(maxsize=None)
+def _inverse_metric(g: MetricLieAlgebra):
+    """The inverse of g's metric, or None when it is singular."""
+    return _invert(g.metric)
+
+
+@lru_cache(maxsize=None)
+def _action(rep: Representation) -> SparseTensor:
+    """rep's matrices, (i, r, s) -> entry (r, s) of rho_i, once they are
+    known to be one dim_V square matrix per basis element."""
+    return _sparse((len(rep.action), rep.dim_V, rep.dim_V), rep.action)
 
 
 def _least_unantisymmetric(t: SparseTensor):
@@ -239,11 +268,9 @@ def _invert(m):
 def derive_tensors(g: MetricLieAlgebra) -> StructureTensors:
     """f_{ijk} = b([e_i, e_j], e_k) and the inverse metric of a valid g."""
     _require_valid(g)
-    n, b = g.dim, g.metric
-    # f_{ijk} = sum over m of c^m_{ij} b_{mk}, keyed in sorted (i, j, k) order
-    f = _contract_pair(_sparse((n,) * 3, g.structure_constants), _sparse((n, n), b),
-                       (0,), (0,)).data
-    return StructureTensors(f=dict(sorted(f.items())), c_up=_invert(b))
+    # f keyed in sorted (i, j, k) order
+    return StructureTensors(f=dict(sorted(_lowered(g).data.items())),
+                            c_up=_inverse_metric(g))
 
 
 # ---------------------------------------------------------------------------
@@ -453,17 +480,13 @@ def _network(d: Diagram, dim_g: int, dim_V: int):
 
 class _NodeTensors(dict):
     """A kind of ``_network`` -> its SparseTensor, each built on first
-    lookup: f with any subset of its axes raised, and rho (when a
-    representation is given) with its algebra index lowered or raised."""
+    lookup from ``base``: f, and rho when a representation is given, with
+    the axes the kind lists raised by ``up``, the tensor of b^{ij}."""
 
-    def __init__(self, tensors: StructureTensors, rep: Representation | None):
+    def __init__(self, up: SparseTensor, base: dict):
         super().__init__()
-        self.tensors = tensors
-        n = len(tensors.c_up)
-        self.up = _sparse((n, n), tensors.c_up)
-        self.base = {"f": SparseTensor((n,) * 3, tensors.f)}
-        if rep is not None:
-            self.base["rho"] = _sparse((n, rep.dim_V, rep.dim_V), rep.action)
+        self.up = up
+        self.base = base
 
     def __missing__(self, kind):
         name, raised = kind
@@ -482,12 +505,16 @@ class _NodeTensors(dict):
 def _node_tensors(g: MetricLieAlgebra, rep: Representation | None) -> _NodeTensors:
     """The node tensors of evaluations against g (and rep, when not None),
     after checking both.  Memoized by value, as ``_require_valid`` is; the
-    (g, rep) entry reuses the structure tensors of the (g, None) entry, so
-    ``derive_tensors`` runs once per algebra.  Failures raise on every call."""
+    (g, rep) entry reuses the f and b^{ij} tensors of the (g, None) entry,
+    so ``derive_tensors`` runs once per algebra and each tensor is built
+    once.  Failures raise on every call."""
     if rep is None:
-        return _NodeTensors(derive_tensors(g), None)
+        n, tensors = g.dim, derive_tensors(g)
+        return _NodeTensors(_sparse((n, n), tensors.c_up),
+                            {"f": SparseTensor((n,) * 3, tensors.f)})
     _require_valid(g, rep)
-    return _NodeTensors(_node_tensors(g, None).tensors, rep)
+    plain = _node_tensors(g, None)
+    return _NodeTensors(plain.up, {"f": plain.base["f"], "rho": _action(rep)})
 
 
 @lru_cache(maxsize=4096)

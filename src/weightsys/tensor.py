@@ -13,27 +13,30 @@ integer bitmask; edge b is bit ``1 << b`` and a node's free axes are one
 more bit.  Each node holds the XOR of its edges' bits, so the XOR over a
 node set holds exactly the edges that cross it, and the size of the
 tensor merged from the set is the product over dimensions d of d to the
-popcount of its crossing edges of dimension d.  The merge order comes
-from exhaustive subset dynamic programming when the network has at most
-``DP_WIDTH`` nodes, greedy minimum-intermediate-size otherwise.  The
-dynamic program walks a split table built once per node count, which
-lists every node set with its splits in a fixed order, so a plan only
-adds costs; the first cheapest split wins.  The greedy planner scores
-each pair of nodes once into a heap and, after a merge, scores only the
-pairs of the merged node again, so it pops the pair a full rescan would
-choose, ties broken by node ids.  The greedy's cost after the point
-where ``DP_WIDTH`` groups are left is then weighed against the splits
-the dynamic program visits over ``DP_WIDTH`` groups (3,025): when it is
-larger, the same dynamic program plans those groups again, each group
-as one node.  The greedy's own tree over them is among those it
-searches, so the plan never costs more than the greedy one, and a cheap
-tail, not worth the search, keeps the greedy plan.  The reported cost
-is the sum of the sizes (index-space products) of every intermediate
-tensor, which is also what the resource guard in the evaluator checks
-against.  ``network_keys`` gives edge e the label e on both of its
-axes; the executor traces each node's self-edges once and then merges
-tensors pairwise over the labels they share, so a merged tensor never
-carries a label twice.
+popcount of its crossing edges of dimension d.  Every network is
+planned by one rule.  The greedy minimum-intermediate-size planner plans
+it to the end, preferring pairs that share an edge: it scores each such
+pair once into a heap and, after a merge, scores only the merged node's
+such pairs again, so it pops the pair a full rescan would choose, ties
+broken by node ids; pairs that share no edge are scored only once no
+pair shares one (a network of several components).  Its state is
+kept where w = min(n, ``DP_WIDTH``) groups are left, before the first
+merge when the network has at most ``DP_WIDTH`` nodes.  Its cost from
+there on is weighed against the (3**w + 1) / 2 - 2**w splits that an
+exhaustive subset dynamic program visits over w groups (3,025 for w =
+8): when it is larger, that dynamic program plans those groups again,
+each group as one node.  The greedy's own tree over them is among those
+it searches, so the plan never costs more than the greedy one, and a
+cheap greedy plan, not worth the search, is kept: it costs more than
+the optimum by at most the search it saves.  The dynamic program walks
+a split table built once per group count, which lists every set with
+its splits in a fixed order, so a plan only adds costs; the first
+cheapest split wins.  The reported cost is the sum of the sizes
+(index-space products) of every intermediate tensor, which is also what
+the resource guard in the evaluator checks against.  ``network_keys``
+gives edge e the label e on both of its axes; the executor traces each
+node's self-edges once and then merges tensors pairwise over the labels
+they share, so a merged tensor never carries a label twice.
 
 A network goes through three steps, each one function.
 ``plan_contraction`` plans it from its shape.  ``network_keys`` compiles
@@ -123,11 +126,12 @@ class ContractionPlan(NamedTuple):
     cost: int
 
 
-# networks of at most this many nodes are planned exhaustively
+# the exact DP plans at most this many groups: the last ones the greedy
+# leaves, when it pays
 DP_WIDTH = 8
-# the splits the exact DP visits over DP_WIDTH nodes, the sum of
-# len(splits) over _split_table(DP_WIDTH): (3**w + 1) / 2 - 2**w
-_DP_SPLITS = (3 ** DP_WIDTH + 1) // 2 - 2 ** DP_WIDTH
+# _DP_SPLITS[w]: the splits the exact DP visits over w groups, the sum of
+# len(splits) over _split_table(w): (3**w + 1) / 2 - 2**w
+_DP_SPLITS = tuple((3 ** w + 1) // 2 - 2 ** w for w in range(DP_WIDTH + 1))
 
 
 def plan_contraction(node_axes, edges) -> ContractionPlan:
@@ -138,18 +142,19 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
     between the same nodes, with i == j allowed.  Axes not in any edge
     stay free.
 
-    Exhaustive subset dynamic programming when there are at most
-    ``DP_WIDTH`` nodes, greedy minimum-result-size otherwise.  When the
-    greedy's merges after ``DP_WIDTH`` groups are left cost more than the
-    dynamic program's splits over that many groups (3,025), those groups
-    are planned again by the dynamic program, which never costs more
-    than the greedy tail it replaces; a cheaper tail is not worth the
-    search and stays greedy.  All of it is deterministic.  A plan reads
-    only each edge's node pair and dimension and each node's free size,
-    so it is memoized on those.  Raises
-    ValueError when an edge end is not an int node and an int axis of
-    that node, counted from 0, an axis is in more than one edge, or an
-    edge joins axes of different dimensions (``_check_network``).
+    Greedy minimum-result-size, then, when the greedy's merges after
+    w = min(n, ``DP_WIDTH``) groups are left (all of them when n <=
+    ``DP_WIDTH``) cost more than the (3**w + 1) / 2 - 2**w splits an
+    exhaustive subset dynamic program visits over w groups, those groups
+    are planned again by that dynamic program, which never costs more
+    than the greedy merges it replaces; cheaper ones are not worth the
+    search and stay greedy.  So at every width the plan, and its cost,
+    can depend on how the nodes are numbered.  All of it is
+    deterministic.  A plan reads only each edge's node pair and
+    dimension and each node's free size, so it is memoized on those.
+    Raises ValueError when an edge end is not an int node and an int
+    axis of that node, counted from 0, an axis is in more than one edge,
+    or an edge joins axes of different dimensions (``_check_network``).
     """
     _check_network(node_axes, edges)
     free = [list(shape) for shape in node_axes]  # an edge's axes become 1
@@ -162,12 +167,12 @@ def plan_contraction(node_axes, edges) -> ContractionPlan:
 
 def _check_network(shapes, edges):
     """Raise ValueError unless each edge end (i, a) is an axis: int i and a
-    with 0 <= i < len(shapes) and 0 <= a < len(shapes[i]) (a negative one
-    would alias another axis); no axis is in more than one edge; and the
-    two ends of each edge have the same dimension."""
+    (not bool) with 0 <= i < len(shapes) and 0 <= a < len(shapes[i]) (a
+    negative one would alias another axis); no axis is in more than one
+    edge; and the two ends of each edge have the same dimension."""
     ends = [end for edge in edges for end in edge]
     for i, a in ends:
-        if not (isinstance(i, int) and isinstance(a, int)
+        if not (type(i) is int and type(a) is int
                 and 0 <= i < len(shapes) and 0 <= a < len(shapes[i])):
             raise ValueError(f"edge end {(i, a)!r} is not an axis of the network")
     if len(set(ends)) < len(ends):
@@ -228,29 +233,36 @@ def _plan_shape(bonds, free) -> ContractionPlan:
             out *= power[(mask & m).bit_count()]
         return out
 
-    if n <= DP_WIDTH:
-        return _subset_dp(cross[:n], range(n), size, [], 0)
-
     # greedy: repeatedly merge the pair with the smallest result size,
     # preferring connected pairs (whose crossing masks share a bond);
     # deterministic tie-break by node ids.  cut[i]: the crossing mask of
-    # the live group kept as node i.  Every pair is scored once into a
-    # heap, with the stamps its nodes had then; a merge into i bumps i's
-    # stamp, retires j's and scores i's pairs again, and a popped pair
-    # with a stamp that is no longer its node's is skipped, so the first
-    # pair kept is the least over all live pairs.  tail: the groups'
-    # crossing masks and ids, the merges and their cost when DP_WIDTH
-    # groups are left, for the DP to plan the rest again when the
-    # greedy's cost from there on exceeds the DP's own work.
+    # the live group kept as node i, in ascending order of i.  The heap
+    # holds every connected pair, scored with the stamps its nodes had
+    # then; a merge into i bumps i's stamp, retires j's and scores i's
+    # connected pairs again, and a popped pair with a stamp that is no
+    # longer its node's is skipped, so the first pair kept is the least
+    # connected pair.  When none is left, no merge can make one, so from
+    # then on every pair is scored (``apart``).  tail: the groups'
+    # crossing masks and ids, the merges and their cost when
+    # min(n, DP_WIDTH) groups are left (before the first merge when
+    # n <= DP_WIDTH), for the DP to plan the rest again when the greedy's
+    # cost from there on exceeds the DP's own work.
     cut = dict(enumerate(cross[:n]))
+    tail = cross[:n], range(n), 0, 0
     stamp = [0] * n
-    heap = [(not cut[i] & cut[j], size(cut[i] ^ cut[j]), i, j, 0, 0)
-            for i in range(n) for j in range(i + 1, n)]
+    heap = [(size(cut[i] ^ cut[j]), i, j, 0, 0)
+            for i in range(n) for j in range(i + 1, n) if cut[i] & cut[j]]
     heapify(heap)
+    apart = False
     order = []
     cost = 0
     while len(cut) > 1:
-        _, s, i, j, si, sj = heappop(heap)
+        if not heap:
+            apart = True
+            heap = [(size(cut[i] ^ cut[j]), i, j, stamp[i], stamp[j])
+                    for i in cut for j in cut if i < j]
+            heapify(heap)
+        s, i, j, si, sj = heappop(heap)
         if stamp[i] != si or stamp[j] != sj:
             continue
         cost += s
@@ -262,12 +274,11 @@ def _plan_shape(bonds, free) -> ContractionPlan:
         if len(cut) == DP_WIDTH:
             tail = list(cut.values()), list(cut), len(order), cost
         for k, ck in cut.items():
-            if k != i:
+            if k != i and (apart or ci & ck):
                 a, b = (i, k) if i < k else (k, i)
-                heappush(heap, (not ci & ck, size(ci ^ ck), a, b,
-                                stamp[a], stamp[b]))
+                heappush(heap, (size(ci ^ ck), a, b, stamp[a], stamp[b]))
     masks, ids, done, before = tail
-    if cost - before > _DP_SPLITS:
+    if cost - before > _DP_SPLITS[len(masks)]:
         return _subset_dp(masks, ids, size, order[:done], before)
     return ContractionPlan(tuple(order), cost)
 

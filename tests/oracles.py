@@ -603,13 +603,13 @@ def plan_by_bond_scan(node_axes, edges, dp_width=8, refine=True):
     """``(order, cost)`` of the planner: an edge is (mask of its two nodes,
     dimension), a node's free axes one more edge to an outside bit, and a
     node set's size the product over the edges with exactly one end in
-    it, rescanned for every set.  Exhaustive subset DP at most
-    ``dp_width`` nodes, greedy minimum result size above.  With
-    ``refine``, once the greedy is done, the groups it had left when
-    ``dp_width`` remained are planned again by the subset DP when the
-    greedy's cost from there on is more than the number of splits that DP
-    visits over ``dp_width`` groups; ``refine=False`` is the planner as it
-    was first written."""
+    it, rescanned for every set.  The greedy minimum result size plans
+    every network to the end.  With ``refine``, the groups it had left
+    when min(n, ``dp_width``) remained (all n nodes, before any merge,
+    when n <= ``dp_width``) are then planned again by the subset DP when
+    the greedy's cost from there on is more than the number of splits
+    that DP visits over that many groups; ``refine=False`` is the greedy
+    plan alone."""
     n = len(node_axes)
     if n == 0:
         return (), 0
@@ -659,12 +659,11 @@ def plan_by_bond_scan(node_axes, edges, dp_width=8, refine=True):
         emit(full)
         return order, best[full]
 
-    if n <= dp_width:
-        order, cost = subset_dp([(i, 1 << i) for i in range(n)])
-        return tuple(order), cost
+    # every state of the greedy: its groups, its merges and their cost
     groups = {i: 1 << i for i in range(n)}
     order = []
     cost = 0
+    states = [(sorted(groups.items()), [], 0)]
     while len(groups) > 1:
         alive = sorted(groups)
         ranks = []
@@ -677,11 +676,13 @@ def plan_by_bond_scan(node_axes, edges, dp_width=8, refine=True):
         cost += s
         groups[i] |= groups.pop(j)
         order.append((i, j))
-        if len(groups) == dp_width:
-            tail = sorted(groups.items()), list(order), cost
-    splits = sum(2 ** (bin(s).count("1") - 1) - 1 for s in range(1, 1 << dp_width))
-    left, head, before = tail
-    if refine and cost - before > splits:
+        states.append((sorted(groups.items()), list(order), cost))
+    if not refine:
+        return tuple(order), cost
+    width = min(n, dp_width)
+    left, head, before = next(state for state in states if len(state[0]) == width)
+    splits = sum(2 ** (bin(s).count("1") - 1) - 1 for s in range(1, 1 << width))
+    if cost - before > splits:
         order, rest = subset_dp(left)
         return tuple(head + order), before + rest
     return tuple(order), cost

@@ -217,6 +217,27 @@ def test_structure_tensors_are_derived_once_per_algebra(monkeypatch):
     assert calls == [SL2]
 
 
+def test_an_algebra_load_builds_each_tensor_once(monkeypatch):
+    # the benchmark's sl3 file (bench/inputs.py) holds this very JSON
+    for memo in (lie._require_valid, lie._node_tensors, lie._structure,
+                 lie._lowered, lie._inverse_metric, lie._action):
+        memo.cache_clear()
+    calls = {"_invert": 0, "_sparse": 0}
+    for name in calls:
+        def counted(*args, name=name, real=getattr(lie, name)):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(lie, name, counted)
+    g = lie_algebra_from_json(lie_algebra_to_json(SL3))
+    # c, the metric (for f) and the one representation's matrices
+    assert calls == {"_invert": 1, "_sparse": 3}
+    derive_tensors(g)
+    assert calls == {"_invert": 1, "_sparse": 3}
+    # evaluation adds only the inverse metric's tensor, for raised axes
+    assert evaluate(a_theta(), g, g.representations["fundamental"]) != 0
+    assert calls == {"_invert": 1, "_sparse": 4}
+
+
 def test_equal_algebras_built_apart_share_one_memo_entry():
     # equality and hash read the structure constants and the metric only,
     # so a copy that differs in name or representations is the same key
@@ -730,6 +751,7 @@ def test_every_term_is_checked_before_any_is_contracted(monkeypatch):
         merges.append(args[:2])
         return real(*args)
 
+    lie._node_tensors(SL2, None)  # checking the algebra contracts too
     monkeypatch.setattr(tensor, "_merge", counted)
     theta = oracles.theta_closed()
     vec = DiagramVector([(theta, 1), (cube(), 1)])

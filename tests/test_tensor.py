@@ -45,25 +45,56 @@ def run(tensors, edges, plan):
     return contract_network(tensors, keys)
 
 
-def test_planned_contraction_matches_brute_force_on_random_networks():
+@pytest.fixture
+def dp_runs(monkeypatch):
+    """The group count of each run of the exact DP, in order; the plan
+    memo starts and ends empty."""
+    runs = []
+
+    def counted(cross, *args, real=tensor._subset_dp):
+        runs.append(len(cross))
+        return real(cross, *args)
+
+    monkeypatch.setattr(tensor, "_subset_dp", counted)
+    tensor._plan_shape.cache_clear()
+    yield runs
+    tensor._plan_shape.cache_clear()
+
+
+def plan_afresh(shapes, edges, dp_runs):
+    """``plan_contraction`` on an empty plan memo, with ``dp_runs``
+    emptied first, so it lists the DP's runs for this plan alone."""
+    tensor._plan_shape.cache_clear()
+    dp_runs.clear()
+    return plan_contraction(shapes, edges)
+
+
+def test_planned_contraction_matches_brute_force_on_random_networks(dp_runs):
     rng = random.Random(20260)
     seen = {"self": 0, "parallel": 0, "greedy": 0, "nonzero": 0}
     for trial in range(132):
         n = 1 + trial % 11
         shapes, datas, edges = random_network(rng, n)
-        plan = plan_contraction(shapes, edges)
         # the same plan as the bond-scan reference, closed and with the
         # axes of the last edge left free
-        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges)
-        opened = plan_contraction(shapes, edges[:-1])
+        opened = plan_afresh(shapes, edges[:-1], dp_runs)
         assert (opened.order, opened.cost) == oracles.plan_by_bond_scan(shapes, edges[:-1])
+        plan = plan_afresh(shapes, edges, dp_runs)
+        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges)
+        # the greedy plan unless the DP ran, and never costlier than it
+        greedy = oracles.plan_by_bond_scan(shapes, edges, refine=False)
+        assert plan.cost <= greedy[1]
+        if not dp_runs:
+            assert (plan.order, plan.cost) == greedy
         assert len(plan.order) == n - 1
         assert {i for pair in plan.order for i in pair} | {0} == set(range(n))
         tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
         value = run(tensors, edges, plan).item()
         assert value == oracles.network_value_bruteforce(shapes, datas, edges), (shapes, edges)
         if n <= 5:
-            assert plan.cost == oracles.min_merge_cost_bruteforce(shapes, edges)
+            # these networks are too cheap for the DP to pay (see the
+            # test below for its exact plans), so no better than the least
+            assert plan.cost >= oracles.min_merge_cost_bruteforce(shapes, edges)
         pairs = [tuple(sorted((i, j))) for (i, _), (j, _) in edges]
         seen["self"] += any(i == j for i, j in pairs)
         seen["parallel"] += len(set(pairs)) < len(pairs)
@@ -72,6 +103,30 @@ def test_planned_contraction_matches_brute_force_on_random_networks():
     # the population exercises what it is meant to
     assert seen["self"] >= 30 and seen["parallel"] >= 30, seen
     assert seen["greedy"] >= 30 and seen["nonzero"] >= 60, seen
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 11])
+def test_the_dp_runs_only_where_the_greedy_costs_more_than_its_splits(n, dp_runs):
+    # node 0 has one free axis of dimension x and the other n - 1 nodes
+    # are scalars, so the greedy merges the scalars first, at cost 1
+    # each, and node 0 last: over the last w = min(n, DP_WIDTH) groups
+    # it costs w - 2 + x
+    w = min(n, DP_WIDTH)
+    splits = tensor._DP_SPLITS[w]
+    for x, over in ((splits - w + 2, 0), (splits - w + 3, 1)):
+        shapes = [(x,)] + [()] * (n - 1)
+        greedy = oracles.plan_by_bond_scan(shapes, [], refine=False)
+        assert greedy[1] - (n - w) == splits + over
+        plan = plan_afresh(shapes, [], dp_runs)
+        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, [])
+        if over:
+            # one more than the split count: the last w groups are planned again
+            assert dp_runs == [w] and plan.cost <= greedy[1]
+            if n <= 5:
+                assert plan.cost == oracles.min_merge_cost_bruteforce(shapes, [])
+        else:
+            # a cost equal to the split count keeps the greedy plan
+            assert dp_runs == [] and (plan.order, plan.cost) == greedy
 
 
 def test_free_axes_follow_the_merge_order():
@@ -124,21 +179,27 @@ def tie_heavy_shape(rng, n):
     return [(d,) * k for k in arity], edges
 
 
-def test_plans_match_the_bond_scan_on_tie_heavy_networks():
-    # 2-14 nodes: 105 networks take the exact DP and 90 the greedy plan,
-    # none of whose tails costs more than the DP's split count, so all
-    # 195 plans are also those of the planner as first written
+def test_plans_match_the_bond_scan_on_tie_heavy_networks(dp_runs):
+    # 2-14 nodes, ties included: every plan is the bond scan's, and the
+    # greedy plan itself unless the DP ran
     rng = random.Random(2014)
-    seen = {"self": 0, "parallel": 0}
+    seen = {"self": 0, "parallel": 0, "dp": 0, "kept": 0}
     for trial in range(195):
         shapes, edges = tie_heavy_shape(rng, 2 + trial % 13)
-        plan = plan_contraction(shapes, edges)
+        plan = plan_afresh(shapes, edges, dp_runs)
         assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges), (shapes, edges)
-        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges, refine=False)
+        greedy = oracles.plan_by_bond_scan(shapes, edges, refine=False)
+        if dp_runs:
+            assert plan.cost <= greedy[1]
+        else:
+            assert (plan.order, plan.cost) == greedy
         pairs = [tuple(sorted((i, j))) for (i, _), (j, _) in edges]
         seen["self"] += any(i == j for i, j in pairs)
         seen["parallel"] += len(set(pairs)) < len(pairs)
+        seen["dp"] += bool(dp_runs)
+        seen["kept"] += not dp_runs
     assert seen["self"] >= 40 and seen["parallel"] >= 60, seen
+    assert seen["dp"] >= 10 and seen["kept"] >= 150, seen
 
 
 def wide_network(rng, n, arities):
@@ -160,31 +221,50 @@ def wide_network(rng, n, arities):
     return [tuple(s) for s in shapes], datas, edges
 
 
-def test_an_expensive_greedy_tail_is_planned_again_exactly(monkeypatch):
+def test_a_narrow_network_is_planned_exactly_whenever_the_dp_runs(dp_runs):
+    # 2-6 nodes of 2-4 axes with edges of dimension 3 or 8: the DP plans
+    # all of a network's nodes when the greedy plan costs more than the
+    # DP's split count over them, and then finds the least cost there is
+    rng = random.Random(2032)
+    seen = {"exact": 0, "cheaper": 0, "kept": 0}
+    for trial in range(150):
+        n = 2 + trial % 5
+        shapes, _, edges = wide_network(rng, n, (2, 3, 4))
+        edges = edges[:-(trial % 3)] or edges  # and a few free axes
+        plan = plan_afresh(shapes, edges, dp_runs)
+        assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges), (shapes, edges)
+        greedy = oracles.plan_by_bond_scan(shapes, edges, refine=False)
+        least = oracles.min_merge_cost_bruteforce(shapes, edges)
+        assert least <= plan.cost <= greedy[1]
+        if dp_runs:
+            assert dp_runs == [n] and plan.cost == least
+            assert greedy[1] > tensor._DP_SPLITS[n]
+            seen["exact"] += 1
+            seen["cheaper"] += plan.cost < greedy[1]
+        else:
+            assert (plan.order, plan.cost) == greedy
+            assert greedy[1] <= tensor._DP_SPLITS[n]
+            seen["kept"] += 1
+    assert seen["exact"] >= 80 and seen["cheaper"] >= 10 and seen["kept"] >= 30, seen
+
+
+def test_an_expensive_greedy_tail_is_planned_again_exactly(dp_runs):
     # 9-14 nodes of 2-4 axes, and every fifth network of 0-2 axes; the
     # DP runs on a network this wide only to plan its tail again
-    refined = []
-
-    def counted(*args, real=tensor._subset_dp):
-        refined.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(tensor, "_subset_dp", counted)
-    assert tensor._DP_SPLITS == sum(len(t[3]) for t in tensor._split_table(DP_WIDTH))
+    assert tensor._DP_SPLITS == tuple(sum(len(t[3]) for t in tensor._split_table(w))
+                                      for w in range(DP_WIDTH + 1))
     rng = random.Random(2028)
     seen = {"refined": 0, "cheaper": 0, "nonzero": 0, "brute": 0}
     for trial in range(200):
         shapes, datas, edges = wide_network(rng, 9 + trial % 6,
                                             (0, 1, 2) if trial % 5 == 0 else (2, 3, 4))
-        tensor._plan_shape.cache_clear()
-        refined.clear()
-        plan = plan_contraction(shapes, edges)
+        plan = plan_afresh(shapes, edges, dp_runs)
         greedy = oracles.plan_by_bond_scan(shapes, edges, refine=False)
         assert (plan.order, plan.cost) == oracles.plan_by_bond_scan(shapes, edges), (shapes, edges)
         assert plan.cost <= greedy[1]
         tensors = [SparseTensor(s, d) for s, d in zip(shapes, datas)]
         value = run(tensors, edges, plan).item()
-        if refined:
+        if dp_runs:
             # the same value as the greedy plan's: a refined network has
             # far too many index assignments for the brute force
             seen["refined"] += 1
@@ -198,7 +278,6 @@ def test_an_expensive_greedy_tail_is_planned_again_exactly(monkeypatch):
             # the small members
             seen["brute"] += 1
             assert value == oracles.network_value_bruteforce(shapes, datas, edges)
-    tensor._plan_shape.cache_clear()
     # the population exercises what it is meant to
     assert seen["refined"] >= 30 and seen["cheaper"] >= 30, seen
     assert seen["nonzero"] >= 20 and seen["brute"] >= 15, seen
@@ -222,6 +301,7 @@ EDGE_CHECKED = {
     [((0, 0), (-3, 0))],                    # node -3 would be a
     [((0, 0.0), (1, 0))],                   # not an int axis
     [(("0", 0), (1, 0))],                   # not an int node
+    [((0, 0), (True, False))],              # bools, not ints
 ])
 @pytest.mark.parametrize("call", sorted(EDGE_CHECKED))
 def test_an_edge_end_that_is_not_an_axis_is_refused(call, edges):
