@@ -503,6 +503,11 @@ class QuotientBasis:
                   for c, row in payload["pivots"].items()}
         if not all(0 <= i < len(diagrams) for c, row in pivots.items() for i in (c, *row)):
             raise ValueError("a pivot indexes no diagram of the piece")
+        # as _rref leaves them: 1 at the pivot, every other entry in a
+        # later free column, which one sweep of _reduce relies on
+        if not all(row.get(c) == 1 and all(i == c or (i > c and i not in pivots) for i in row)
+                   for c, row in pivots.items()):
+            raise ValueError("a pivot row is not in reduced form")
         return cls(payload["space"], payload["grading"], diagrams, pivots)
 
 

@@ -549,9 +549,11 @@ def contraction_plan(d: Diagram, dims) -> ContractionPlan:
 def _evaluate_vector(x, space: str, g: MetricLieAlgebra,
                      rep: Representation | None, max_cost: int) -> Fraction:
     """Weight of x, each term's network planned and contracted as labeled.
-    Every term is checked and planned before any is contracted.  When two
-    or more terms have networks, they share one ``SharedMerges``, so a
-    merge they have in common is contracted once in this call."""
+    Every term is checked and planned before any is contracted.  Each
+    network runs its merges in order, bottom-up.  When two or more terms
+    have networks, they share one ``SharedMerges``, so a merge they have
+    in common is contracted at its first visit in this call and read back
+    at the others."""
     _require_non_negative(max_cost=max_cost)
     nodes = _node_tensors(g, rep)
     dim_V = rep.dim_V if rep else 1

@@ -45,17 +45,20 @@ network gets a structural key, a node's being its name (the caller's
 word for which tensor it is), its shape and its self-edge pattern, and a
 merge's being its two operands' keys and the positions of the axes it
 sums on each.  ``contract_network`` runs a compiled schedule on the
-node tensors and reads nothing else, so equal keys give equal tensors.
-Networks contracted together, such as the terms of one vector, often
-repeat a merge exactly.  A ``SharedMerges`` is built for one evaluation
-from the keys of all its networks: it counts how often each key will be
-read, contracts each distinct merge once, keeps a result only until its
-last read, and goes with the evaluation, so nothing is carried from one
-call to the next.  One check, ``_check_network``, validates a network
-(every edge end is an axis, no axis is in two edges, an edge's ends
-have one dimension), run by ``plan_contraction`` and ``network_keys``
-only; ``contract_network`` checks just that its tensors have the keyed
-leaves' shapes, on either executor.
+node tensors, its merges in order, bottom-up, and reads nothing else,
+so equal keys give equal tensors.  Networks contracted together, such
+as the terms of one vector, often repeat a merge exactly.  A
+``SharedMerges`` is built for one evaluation from the keys of all its
+networks: it numbers each distinct merge and counts how often each
+number occurs.  Given it, ``contract_network`` runs the same bottom-up
+order, merges a number only at its first visit, reads it back at the
+others and keeps it only until its last; the memo goes with the
+evaluation, so nothing is carried from one call to the next.  A lone
+network runs without it.  One check, ``_check_network``, validates a
+network (every edge end is an axis, no axis is in two edges, an edge's
+ends have one dimension), run by ``plan_contraction`` and
+``network_keys`` only; ``contract_network`` checks just that its
+tensors have the keyed leaves' shapes, with a memo or without.
 
 Values are Fractions at the API and integers inside.  A tensor keeps,
 beside its Fraction entries, their numerators over one common
@@ -72,7 +75,7 @@ f, raised axes) with it, so the package has one contraction kernel.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -322,7 +325,7 @@ def _subset_dp(cross, ids, size, order, cost) -> ContractionPlan:
 
 def contract_network(tensors, keys, shared=None) -> SparseTensor:
     """Run the schedule ``keys``, a network's ``network_keys``, on its
-    node tensors.
+    node tensors: the merges in order, bottom-up.
 
     Each merge puts the kept node's free axes first, then the merged
     node's, so the result's free axes follow the plan, not node order.
@@ -330,23 +333,31 @@ def contract_network(tensors, keys, shared=None) -> SparseTensor:
     here only tensors without the keyed leaves' shapes, count included,
     raise ValueError.  A network of no nodes is the scalar 1.
 
-    ``shared`` is ``(memo, n)`` when ``keys`` are those network n of the
-    ``SharedMerges`` memo was built from: a merge is read back from the
-    memo when an earlier one of the same structural key kept its result.
+    ``shared`` is ``(memo, n)`` when ``keys`` are those of network n of
+    the ``SharedMerges`` memo: the merges run in the same order, but one
+    whose number the memo keeps is read back rather than merged, and each
+    read counts down its number's visits.
     """
     tensors = list(tensors)
     leaves, merges = keys
     if [t.shape for t in tensors] != [shape for _, shape, _ in leaves]:
         raise ValueError("the tensors are not the leaves the network was keyed with")
-    if shared is not None:
-        memo, n = shared
-        shape, nums, den = memo.contract(n, tensors)
-    else:
-        work = list(map(_trace, leaves, tensors))
+    work = list(map(_trace, leaves, tensors))
+    if shared is None:
         for a, b, apos, bpos in merges:
             work.append(_merge(apos, bpos, *work[a], *work[b]))
             work[a] = work[b] = None
-        shape, nums, den = work[-1] if work else ((), {(): 1}, 1)
+    else:
+        memo, n = shared
+        visits, kept = memo.visits, memo.kept
+        for k, (a, b, apos, bpos) in zip(memo.numbers[n], merges):
+            t = kept.pop(k, None) or _merge(apos, bpos, *work[a], *work[b])
+            visits[k] -= 1
+            if visits[k]:
+                kept[k] = t
+            work.append(t)
+            work[a] = work[b] = None
+    shape, nums, den = work[-1] if work else ((), {(): 1}, 1)
     return SparseTensor(shape, {k: Fraction(v, den) for k, v in nums.items()})
 
 
@@ -408,74 +419,28 @@ def network_keys(names, shapes, edges, plan: ContractionPlan):
 class SharedMerges:
     """The networks of one evaluation, each distinct merge contracted once.
 
-    Built from each network's ``network_keys``, in the order the networks
-    are contracted.  Keys are numbered here, a leaf by its key and a merge
-    by its operands' numbers and positions, so equal numbers mean equal
-    keys, and the object, meant to live for one evaluation, keeps nothing
-    from an earlier one.  A network is contracted from its last merge down:
-    a merge whose key was met before is read back, and the merges below it
-    are not visited.  Each key is counted as often as it will be visited
-    that way, and a result is kept only until its last visit.
+    Built from each network's ``network_keys``.  Keys are numbered here, a
+    leaf by its key and a merge by its operands' numbers and positions, so
+    equal numbers mean equal keys, and the object, meant to live for one
+    evaluation, keeps nothing from an earlier one.  ``numbers[n]`` lists
+    the numbers of network n's merges in schedule order, and ``visits``
+    counts how often each number occurs over all networks.
+    ``contract_network`` merges a number at its first visit, in whatever
+    order the networks run, and keeps the result in ``kept`` only until
+    its last.
     """
 
     def __init__(self, networks):
         ids: dict = {}
-        self.visits: dict = {}  # merge number -> visits still to come
+        self.numbers = []       # network -> the numbers of its merges
         self.kept: dict = {}    # merge number -> its result, while visited again
-        self.networks = []      # (leaves, merges, number of each position)
         for leaves, merges in networks:
             at = [ids.setdefault(leaf, len(ids)) for leaf in leaves]
             for a, b, apos, bpos in merges:
                 at.append(ids.setdefault((at[a], at[b], apos, bpos), len(ids)))
-            self.networks.append((leaves, merges, at))
-            # the first visit of a key also visits its operands
-            first = len(leaves)
-            todo = [len(at) - 1]
-            while todo:
-                pos = todo.pop()
-                if pos >= first:
-                    seen = self.visits.get(at[pos], 0)
-                    self.visits[at[pos]] = seen + 1
-                    if not seen:
-                        todo += merges[pos - first][:2]
-
-    def contract(self, n, tensors):
-        """The executor's form of network n, whose leaf tensors are
-        ``tensors``, with the keyed leaves' shapes (``contract_network``
-        checks them): shared merges are read back or kept for later
-        visits."""
-        leaves, merges, at = self.networks[n]
-        if not at:
-            return (), {(): 1}, 1
-        first = len(leaves)
-        visits, kept = self.visits, self.kept
-        done = []                 # results, the last one on top
-        todo = [len(at) - 1]      # positions to visit; ~pos: merge them
-        while todo:
-            pos = todo.pop()
-            if pos < 0:
-                pos = ~pos
-                _, _, apos, bpos = merges[pos - first]
-                b = done.pop()
-                t = _merge(apos, bpos, *done.pop(), *b)
-            elif pos < first:
-                done.append(_trace(leaves[pos], tensors[pos]))
-                continue
-            else:
-                t = kept.get(at[pos])
-                if t is None:
-                    a, b, _, _ = merges[pos - first]
-                    todo += (~pos, b, a)
-                    continue
-            k = at[pos]
-            visits[k] -= 1
-            if visits[k]:
-                kept[k] = t
-            else:
-                kept.pop(k, None)
-            done.append(t)
-        (out,) = done
-        return out
+            self.numbers.append(at[len(leaves):])
+        # merge number -> visits still to come
+        self.visits = Counter(k for numbers in self.numbers for k in numbers)
 
 
 # Inside the executor a tensor is (shape, {index: int}, den): its value at

@@ -395,12 +395,13 @@ def test_cold_and_warm_cache_outputs_are_byte_identical(tmp_path):
     lambda p: p.update(pivots={"0": {"0": "1/0"}}),
     lambda p: p.update(pivots={"0": {"0": "1e5000"}}),
     lambda p: p.update(pivots={"1": {"1": "1"}}),
+    lambda p: p.update(pivots={"0": {"0": "2"}}),
     lambda p: p.update(grading={"l": 0, "v": 4}),
     lambda p: p.update(diagrams=[diagram_to_json(d) for d in enumerate_diagrams("B", v=4, l=0)]),
     "[" * 100000 + "]" * 100000,  # raw text: json.dumps cannot nest this deep
 ], ids=["no-diagrams", "diagram-not-object", "pivots-not-object",
         "zero-denominator", "exponent-past-digit-limit", "pivot-out-of-range",
-        "other-grading", "other-piece-diagrams", "nested-past-recursion-limit"])
+        "pivot-entry-not-one", "other-grading", "other-piece-diagrams", "nested-past-recursion-limit"])
 def test_undecodable_cache_file_is_recomputed_and_rewritten(tmp_path, corrupt):
     args = ["basis", "--space", "B", "--v", "2", "--l", "0"]
     cold = run_cli(args, cache=tmp_path)
@@ -434,6 +435,36 @@ def test_cache_file_whose_pivot_row_indexes_no_diagram_is_a_miss(tmp_path):
     for call, want in ((["reduce"], cold_reduced), (args, cold)):
         path.write_text(json.dumps(payload), encoding="utf-8")
         proc = run_cli(call, stdin_text=first, cache=tmp_path)
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        assert proc.stdout == want.stdout
+        assert path.read_bytes() == good
+
+
+@pytest.mark.parametrize("pivots, i", [
+    # row 2 has no entry at its pivot, and row 3 one in column 2, below it
+    # and a pivot: trusted, reduce sent diagram 3 to 2 x (diagram 2)
+    ({"2": {"5": "-2"}, "3": {"3": "1", "2": "-2"}, "4": {"4": "1", "6": "-2"}}, 3),
+    # row 2 has an entry in column 3, a later pivot: trusted, reduce sent
+    # diagram 2 to 2 x (diagram 3)
+    ({"2": {"2": "1", "3": "-2"}, "3": {"3": "1", "6": "-2"}, "4": {"4": "1", "6": "-2"}}, 2),
+    # row 3 has an entry in column 1, free but below it: trusted, reduce
+    # sent diagram 3 to 2 x (diagram 1), which is not the reduced form
+    ({"2": {"2": "1", "5": "-2"}, "3": {"3": "1", "1": "-2"}, "4": {"4": "1", "6": "-2"}}, 3),
+], ids=["pivot-missing-and-below", "later-pivot", "free-column-below"])
+def test_cache_file_whose_pivot_rows_are_not_reduced_is_a_miss(tmp_path, pivots, i):
+    args = ["basis", "--space", "B", "--v", "4", "--l", "2"]
+    listed = run_cli(["enumerate", *args[1:]], cache=tmp_path)
+    term = json.dumps([{"coeff": "1", "diagram": json.loads(listed.stdout)["diagrams"][i]}])
+    cold_reduced = run_cli(["reduce"], stdin_text=term, cache=tmp_path / "cold")
+    cold = run_cli(args, cache=tmp_path)
+    assert listed.returncode == cold_reduced.returncode == cold.returncode == 0
+    path = tmp_path / "basis_B_v4_l2.json"
+    good = path.read_bytes()
+    payload = json.loads(good)
+    payload["pivots"] = pivots
+    for call, want in ((["reduce"], cold_reduced), (args, cold)):
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        proc = run_cli(call, stdin_text=term, cache=tmp_path)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert proc.stdout == want.stdout
         assert path.read_bytes() == good

@@ -385,12 +385,28 @@ def test_shared_merges_match_the_lone_executor_and_keep_nothing_after(monkeypatc
     monkeypatch.setattr(tensor, "_merge", counted)
     keys = [network_keys(names, [t.shape for t in tensors], edges, plan)
             for tensors, names, edges, plan in networks]
-    shared = SharedMerges(keys)
-    for n, (tensors, *_) in enumerate(networks):
-        assert contract_network(tensors, keys[n], (shared, n)) == alone[n]
-    assert 0 < len(merges) < sum(len(plan.order) for *_, plan in networks)
-    # every kept result was dropped after its last visit
-    assert shared.kept == {} and not any(shared.visits.values())
+
+    def spelled(leaves, steps):
+        # each merge spelled out as the nested tuple of its operands' keys
+        # and positions, down to the leaves' keys
+        out = list(leaves)
+        for a, b, apos, bpos in steps:
+            out.append((out[a], out[b], apos, bpos))
+        return out[len(leaves):]
+
+    distinct = {m for k in keys for m in spelled(*k)}
+    planned = sum(len(plan.order) for *_, plan in networks)
+    assert 0 < len(distinct) < planned
+    # whatever order the networks run in, each distinct merge is merged
+    # once, at its first visit
+    for order in (range(len(networks)), reversed(range(len(networks)))):
+        merges.clear()
+        shared = SharedMerges(keys)
+        for n in order:
+            assert contract_network(networks[n][0], keys[n], (shared, n)) == alone[n]
+        assert len(merges) == len(distinct)
+        # every kept result was dropped after its last visit
+        assert shared.kept == {} and not any(shared.visits.values())
 
 
 def test_shared_merges_refuse_tensors_that_are_not_the_keyed_leaves():
