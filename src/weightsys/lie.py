@@ -198,9 +198,12 @@ def _sparse(shape, rows) -> SparseTensor:
     return SparseTensor(shape, data)
 
 
-# One algebra's tensors, each built once: memoized by value, as
-# ``_require_valid`` is, and read by the checks and ``derive_tensors`` alike,
-# once the structure constants are known to be dim^3 and the metric dim x dim.
+# One algebra's tensors, each built once: memoized by value and read by the
+# checks and by ``_node_tensors`` alike, once the structure constants are
+# known to be dim^3 and the metric dim x dim.  ``_node_tensors`` is the one
+# memo that checks an algebra, or a representation of it, and holds the
+# node tensors of evaluations against them; it raises the axes of f once
+# per entry, so each (g, rep) entry raises them again for itself.
 
 
 @lru_cache(maxsize=None)
@@ -237,20 +240,6 @@ def _least_unantisymmetric(t: SparseTensor):
                 if v + nums.get((k[0], k[2], k[1]), 0)), default=None)
 
 
-@lru_cache(maxsize=None)
-def _require_valid(g: MetricLieAlgebra, rep: Representation | None = None):
-    """Raise LieAlgebraError unless g (and rep, when given) is valid.  Memoized
-    by value, as validity reads only frozen, compared fields; failures raise on
-    every call.  Pass no explicit None: it would be a second memo entry for g."""
-    if rep is None:
-        ok, detail = check_lie(g)
-    else:
-        _require_valid(g)
-        ok, detail = check_representation(g, rep)
-    if not ok:
-        raise LieAlgebraError(detail)
-
-
 def _invert(m):
     """Exact inverse read off the reduced rows of [m | I], or None when
     singular (some column of m has no pivot)."""
@@ -267,7 +256,7 @@ def _invert(m):
 
 def derive_tensors(g: MetricLieAlgebra) -> StructureTensors:
     """f_{ijk} = b([e_i, e_j], e_k) and the inverse metric of a valid g."""
-    _require_valid(g)
+    _node_tensors(g, None)
     # f keyed in sorted (i, j, k) order
     return StructureTensors(f=dict(sorted(_lowered(g).data.items())),
                             c_up=_inverse_metric(g))
@@ -379,10 +368,10 @@ def lie_algebra_from_json(obj) -> MetricLieAlgebra:
                       for m in action))
     g = MetricLieAlgebra(dim=dim, structure_constants=structure, metric=metric,
                          representations=reps, name=str(obj.get("name", "")))
-    _require_valid(g)
+    _node_tensors(g, None)
     for name, rep in reps.items():
         try:
-            _require_valid(g, rep)
+            _node_tensors(g, rep)
         except LieAlgebraError as exc:
             raise LieAlgebraError(f"{name}: {exc}") from None
     return g
@@ -503,18 +492,23 @@ class _NodeTensors(dict):
 
 @lru_cache(maxsize=None)
 def _node_tensors(g: MetricLieAlgebra, rep: Representation | None) -> _NodeTensors:
-    """The node tensors of evaluations against g (and rep, when not None),
-    after checking both.  Memoized by value, as ``_require_valid`` is; the
-    (g, rep) entry reuses the f and b^{ij} tensors of the (g, None) entry,
-    so ``derive_tensors`` runs once per algebra and each tensor is built
-    once.  Failures raise on every call."""
-    if rep is None:
-        n, tensors = g.dim, derive_tensors(g)
-        return _NodeTensors(_sparse((n, n), tensors.c_up),
-                            {"f": SparseTensor((n,) * 3, tensors.f)})
-    _require_valid(g, rep)
-    plain = _node_tensors(g, None)
-    return _NodeTensors(plain.up, {"f": plain.base["f"], "rho": _action(rep)})
+    """The node tensors of evaluations against g, and rep when not None,
+    after checking them: g by ``check_lie``; rep by the (g, None) entry
+    first, then ``check_representation``.  The one memo of checked
+    algebras, by value, as validity reads only frozen, compared fields;
+    failures raise LieAlgebraError on every call.  f, b^{ij} and rho are
+    built once per algebra or representation; a raised f is built once
+    per entry."""
+    if rep is not None:
+        plain = _node_tensors(g, None)
+        ok, detail = check_representation(g, rep)
+    else:
+        ok, detail = check_lie(g)
+    if not ok:
+        raise LieAlgebraError(detail)
+    if rep is not None:
+        return _NodeTensors(plain.up, {**plain.base, "rho": _action(rep)})
+    return _NodeTensors(_sparse((g.dim,) * 2, _inverse_metric(g)), {"f": _lowered(g)})
 
 
 @lru_cache(maxsize=4096)

@@ -28,9 +28,9 @@ exhaustive subset dynamic program visits over w groups (3,025 for w =
 each group as one node.  The greedy's own tree over them is among those
 it searches, so the plan never costs more than the greedy one, and a
 cheap greedy plan, not worth the search, is kept: it costs more than
-the optimum by at most the search it saves.  The dynamic program walks
-a split table built once per group count, which lists every set with
-its splits in a fixed order, so a plan only adds costs; the first
+the optimum by at most the search it saves.  The dynamic program visits
+the sets in increasing order and walks each set's splits as submasks
+of the set without its lowest group, in descending order; the first
 cheapest split wins.  The reported cost is the sum of the sizes
 (index-space products) of every intermediate tensor, which is also what
 the resource guard in the evaluator checks against.  ``network_keys``
@@ -132,8 +132,8 @@ class ContractionPlan(NamedTuple):
 # the exact DP plans at most this many groups: the last ones the greedy
 # leaves, when it pays
 DP_WIDTH = 8
-# _DP_SPLITS[w]: the splits the exact DP visits over w groups, the sum of
-# len(splits) over _split_table(w): (3**w + 1) / 2 - 2**w
+# _DP_SPLITS[w]: the splits the exact DP visits over w groups, one per
+# unordered pair of disjoint nonempty sets: (3**w + 1) / 2 - 2**w
 _DP_SPLITS = tuple((3 ** w + 1) // 2 - 2 ** w for w in range(DP_WIDTH + 1))
 
 
@@ -183,28 +183,6 @@ def _check_network(shapes, edges):
     for (i, ai), (j, aj) in edges:
         if shapes[i][ai] != shapes[j][aj]:
             raise ValueError("an edge joins axes of different dimensions")
-
-
-@lru_cache(maxsize=None)
-def _split_table(n):
-    """The exact DP's schedule for n nodes: ``(s, rest, low, splits)`` per
-    node set s of at least two nodes, in increasing order of s.  ``low`` is
-    the index of s's lowest node and ``rest`` is s without it; ``splits``
-    lists the pairs (part holding the lowest node, the other part), in
-    descending order of the part's other nodes as a submask of ``rest``.
-    One table per n <= ``DP_WIDTH``, built on first use."""
-    table = []
-    for s in range(1, 1 << n):
-        low = s & -s
-        rest = sub = s ^ low
-        if not rest:
-            continue
-        splits = []
-        while sub:
-            sub = (sub - 1) & rest
-            splits.append((low | sub, rest ^ sub))
-        table.append((s, rest, low.bit_length() - 1, tuple(splits)))
-    return tuple(table)
 
 
 @lru_cache(maxsize=4096)
@@ -290,11 +268,12 @@ def _subset_dp(cross, ids, size, order, cost) -> ContractionPlan:
     """The exact plan merging len(cross) <= DP_WIDTH groups, group k kept
     as node ``ids[k]`` (ascending) with crossing mask ``cross[k]``, after
     the merges ``order`` of total cost ``cost``: the cheapest tree over
-    the groups, the first cheapest split winning in the split table's
-    order, with a merge keeping the lower id."""
+    the groups, the first cheapest split winning, with a merge keeping
+    the lower id."""
     # best[s]: cheapest cost of merging s; split[s]: the part of s that
-    # holds its lowest group, the first of the cheapest splits in the
-    # table's order; cut[s]: the crossing mask of s.  Sets grow, so
+    # holds its lowest group, the first of the cheapest splits as the
+    # part's other groups run through the submasks of the rest of s in
+    # descending order; cut[s]: the crossing mask of s.  Sets grow, so
     # every part is done first.
     n = len(cross)
     full = (1 << n) - 1
@@ -303,13 +282,18 @@ def _subset_dp(cross, ids, size, order, cost) -> ContractionPlan:
     cut = [0] * (full + 1)
     for k in range(n):
         cut[1 << k] = cross[k]
-    for s, rest, low, splits in _split_table(n):
-        cut[s] = cut[rest] ^ cross[low]
+    for s in range(1, full + 1):
+        low = s & -s
+        rest = sub = s ^ low
+        if not rest:
+            continue
+        cut[s] = cut[rest] ^ cut[low]
         top = None
-        for part, other in splits:
-            c = best[part] + best[other]
+        while sub:
+            sub = (sub - 1) & rest
+            c = best[low | sub] + best[rest ^ sub]
             if top is None or c < top:
-                top, split[s] = c, part
+                top, split[s] = c, low | sub
         best[s] = top + size(cut[s])
 
     def emit(s):

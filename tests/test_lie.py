@@ -162,7 +162,9 @@ def test_check_lie_names_the_least_antisymmetry_failure():
 @pytest.mark.parametrize("call", [
     lambda g: evaluate_closed(oracles.theta_closed(), g),
     derive_tensors,
-], ids=["evaluate_closed", "derive_tensors"])
+    # the (g, rep) entry checks g before the representation
+    lambda g: evaluate(a_theta(), g, FUND),
+], ids=["evaluate_closed", "derive_tensors", "evaluate"])
 def test_invalid_algebra_raises_on_every_call(call):
     bad = jacobi_violating_sl2()
     _, detail = check_lie(bad)
@@ -174,7 +176,6 @@ def test_invalid_algebra_raises_on_every_call(call):
 
 def count_checks(monkeypatch):
     """Count the calls of lie.check_lie and lie.check_representation."""
-    lie._require_valid.cache_clear()
     lie._node_tensors.cache_clear()
     calls = {"check_lie": 0, "check_representation": 0}
     for name in calls:
@@ -201,26 +202,23 @@ def test_loaded_algebra_is_not_checked_again(monkeypatch):
     assert calls == {"check_lie": 1, "check_representation": 1}
 
 
-def test_structure_tensors_are_derived_once_per_algebra(monkeypatch):
+def test_structure_tensors_are_derived_once_per_algebra():
+    # f is lowered once for the checks, the node tensors and derive_tensors
     lie._node_tensors.cache_clear()
-    calls = []
-
-    def counted(g, real=lie.derive_tensors):
-        calls.append(g)
-        return real(g)
-
-    monkeypatch.setattr(lie, "derive_tensors", counted)
+    lie._lowered.cache_clear()
     for _ in range(2):
         evaluate(a_theta(), SL2, FUND)
         evaluate_closed(oracles.theta_closed(), SL2)
+        derive_tensors(SL2)
     assert verify_relations(max_total=4)["pass"]
-    assert calls == [SL2]
+    info = lie._lowered.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_an_algebra_load_builds_each_tensor_once(monkeypatch):
     # the benchmark's sl3 file (bench/inputs.py) holds this very JSON
-    for memo in (lie._require_valid, lie._node_tensors, lie._structure,
-                 lie._lowered, lie._inverse_metric, lie._action):
+    for memo in (lie._node_tensors, lie._structure, lie._lowered,
+                 lie._inverse_metric, lie._action):
         memo.cache_clear()
     calls = {"_invert": 0, "_sparse": 0}
     for name in calls:
@@ -229,11 +227,10 @@ def test_an_algebra_load_builds_each_tensor_once(monkeypatch):
             return real(*args)
         monkeypatch.setattr(lie, name, counted)
     g = lie_algebra_from_json(lie_algebra_to_json(SL3))
-    # c, the metric (for f) and the one representation's matrices
-    assert calls == {"_invert": 1, "_sparse": 3}
+    # c, the metric (for f), the inverse metric (for raised axes) and the
+    # one representation's matrices, all built by the checked load
+    assert calls == {"_invert": 1, "_sparse": 4}
     derive_tensors(g)
-    assert calls == {"_invert": 1, "_sparse": 3}
-    # evaluation adds only the inverse metric's tensor, for raised axes
     assert evaluate(a_theta(), g, g.representations["fundamental"]) != 0
     assert calls == {"_invert": 1, "_sparse": 4}
 

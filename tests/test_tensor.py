@@ -251,8 +251,12 @@ def test_a_narrow_network_is_planned_exactly_whenever_the_dp_runs(dp_runs):
 def test_an_expensive_greedy_tail_is_planned_again_exactly(dp_runs):
     # 9-14 nodes of 2-4 axes, and every fifth network of 0-2 axes; the
     # DP runs on a network this wide only to plan its tail again
-    assert tensor._DP_SPLITS == tuple(sum(len(t[3]) for t in tensor._split_table(w))
-                                      for w in range(DP_WIDTH + 1))
+    # a split of a set s into two nonempty parts, counted once, by the
+    # part that holds s's lowest group: brute force over every submask
+    assert tensor._DP_SPLITS == tuple(
+        sum(1 for s in range(1 << w) for part in range(1, s)
+            if part | s == s and part & s & -s)
+        for w in range(DP_WIDTH + 1))
     rng = random.Random(2028)
     seen = {"refined": 0, "cheaper": 0, "nonzero": 0, "brute": 0}
     for trial in range(200):
