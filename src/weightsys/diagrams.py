@@ -261,13 +261,17 @@ def _component_search(triples, legs, skeleton, partner):
     chunk's own block, or a sentinel above ``n``; so if a state has open
     labels and m is the smallest, only the chunks starting with m can be
     minimal, and those come from m's partner's vertex rewritten to put that
-    partner first (one rotation, one reversal). Unless the vertex has a
-    self-edge, they differ only in the order of the entries y and z of its
-    other two half-edges: the state's one chunk is (m, min(y, z), max(y,
-    z)), and the rotation survives when y <= z, the reversal when z <= y,
-    in that order. All unplaced vertices are scanned only when a state has
-    no open label: at depth 0 without a skeleton, where nothing is placed,
-    and never again inside one component.
+    partner first (one rotation, one reversal). They differ only in the
+    order of the entries y and z of its other two half-edges: the state's
+    one chunk is (m, min(y, z), max(y, z)), and the rotation survives when
+    y <= z, the reversal when z <= y, in that order. If the vertex has a
+    self-edge, its other two half-edges are paired with each other and each
+    reads its partner's label in the block, so both rewritings read (m,
+    base + 2, base + 1) and both survive, rotation first. All unplaced
+    vertices are scanned only when a state has no open label: at depth 0
+    without a skeleton, where nothing is placed, and never again inside one
+    component; there a self-edge half-edge reads its partner's position in
+    the rewriting.
 
     The surviving children of a state all take the same chunk, so they
     close and open the same labels: they share one new open-label list,
@@ -300,20 +304,8 @@ def _component_search(triples, legs, skeleton, partner):
         reps.append((((a, b, c), 1), ((b, c, a), 1), ((c, a, b), 1),
                      ((c, b, a), -1), ((b, a, c), -1), ((a, c, b), -1)))
         where[a], where[b], where[c] = (vi, 0), (vi, 1), (vi, 2)
-    # far[h]: h's chunk entry while its partner is unplaced and off h's
-    # vertex; looped[vi]: vertex vi has a self-edge
+    # far[h]: h's chunk entry while its partner is unplaced and off h's vertex
     far = [inf_l if partner[h] in legset else inf_v for h in range(n)]
-    looped = [any(partner[h] in t for h in t) for t in triples]
-
-    def chunk_of(trip, lab, base):
-        out = []
-        for h in trip:
-            p = partner[h]
-            pl = lab[p]
-            if pl is None:
-                pl = base + trip.index(p) if p in trip else far[h]
-            out.append(pl)
-        return tuple(out)
 
     states = []
     for r in range(e):
@@ -337,33 +329,35 @@ def _component_search(triples, legs, skeleton, partner):
             if opn:
                 m = opn[0]
                 vi, j = where[partner[inv[m]]]
-                if not looped[vi]:
-                    trip, s = reps[vi][j]
-                    y, z = trip[1], trip[2]
-                    ly = lab[partner[y]]
-                    lz = lab[partner[z]]
-                    if ly is None:
-                        ly = far[y]
-                    if lz is None:
-                        lz = far[z]
-                    chunk = (m, ly, lz) if ly <= lz else (m, lz, ly)
-                    if best is None or chunk < best:
-                        best = chunk
-                        chosen = []
-                    elif chunk != best:
-                        continue
-                    if ly <= lz:
-                        chosen.append((state, trip, s))
-                    if lz <= ly:
-                        chosen.append((state, *reps[vi][5 - j]))
+                trip, s = reps[vi][j]
+                y, z = trip[1], trip[2]
+                ly = lab[partner[y]]
+                lz = lab[partner[z]]
+                if ly is None:
+                    ly = far[y]
+                if lz is None:
+                    lz = far[z]
+                # a self-edge pairs y with z, so ly == lz == inf_v
+                chunk = ((m, base + 2, base + 1) if partner[y] == z else
+                         (m, ly, lz) if ly <= lz else (m, lz, ly))
+                if best is None or chunk < best:
+                    best = chunk
+                    chosen = []
+                elif chunk != best:
                     continue
-                scored = [(chunk_of(trip, lab, base), trip, s)
-                          for trip, s in (reps[vi][j], reps[vi][5 - j])]
-            else:
-                scored = [(chunk_of(trip, lab, 0) if lp else
-                           (far[trip[0]], far[trip[1]], far[trip[2]]), trip, s)
-                          for vreps, lp in zip(reps, looped) for trip, s in vreps]
-            for chunk, trip, s in scored:
+                if ly <= lz:
+                    chosen.append((state, trip, s))
+                if lz <= ly:
+                    chosen.append((state, *reps[vi][5 - j]))
+                continue
+            # depth 0 without a circle: nothing is placed, so every rewriting
+            # is scanned, a self-edge half-edge reading its partner's position
+            for trip, s in itertools.chain.from_iterable(reps):
+                if partner[trip[0]] in trip or partner[trip[1]] in trip:
+                    chunk = tuple(trip.index(partner[h]) if partner[h] in trip
+                                  else far[h] for h in trip)
+                else:
+                    chunk = (far[trip[0]], far[trip[1]], far[trip[2]])
                 if best is None or chunk < best:
                     best = chunk
                     chosen = [(state, trip, s)]

@@ -2,15 +2,19 @@
 
 Each suite runs a battery of exact identities and returns a report dict:
 ``{"suite": name, "pass": bool, "checks": [{"name", "pass", "seconds", ...}]}``.
-A check that hits the contraction resource guard is reported as failed with
-an ``error`` field and the suite continues.  All comparisons are exact; the
-timing fields are the only non-deterministic bytes in a report.
+A check that hits a resource guard (enumeration, a map's step budget or the
+contraction cost bound) is reported as failed with an ``error`` field, and
+the suite stops there: every suite builds its pieces inside its checks and
+runs them in order of size, so no later check is smaller.  All comparisons
+are exact; the timing fields are the only non-deterministic bytes in a
+report.
 """
 
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import partial
 
 from .algebra import (DiagramVector, _rref, equal_mod_relations,
                       ihx_generators, quotient_basis, stu_generators)
@@ -26,11 +30,13 @@ from .maps import (cap, chi, closure, connect_sum, disjoint_union, exp_disjoint,
 CLOSURE_SIGN = -1
 
 
-class _Report:
-    def __init__(self, suite):
-        self.data = {"suite": suite, "pass": True, "checks": []}
-
-    def run(self, name, fn):
+def _report(suite, checks) -> dict:
+    """Run ``checks``, pairs ``(name, fn)`` with ``fn() -> (ok, detail)``,
+    in order into a report.  A resource cutoff fails its check and ends the
+    suite: the checks come in order of size, so no later check is smaller.
+    ``checks`` is a generator, so a huge bound makes only the checks run."""
+    report = {"suite": suite, "pass": True, "checks": []}
+    for name, fn in checks:
         t0 = time.perf_counter()
         entry = {"name": name}
         try:
@@ -44,8 +50,11 @@ class _Report:
         if detail:
             entry.update(detail)
         if not entry["pass"]:
-            self.data["pass"] = False
-        self.data["checks"].append(entry)
+            report["pass"] = False
+        report["checks"].append(entry)
+        if "error" in entry:
+            break
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -75,10 +84,10 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
     rho = resolve_representation(g, rep)
     if rho is None:
         raise LieAlgebraError("the algebra carries no representations")
-    report = _Report("relations")
     # Weights are linear, so every generator is checked against one table
-    # of diagram weights, each filled on first use inside a check (where a
-    # resource cutoff is reported as that check's failure).
+    # of diagram weights, each filled on first use inside a check.  Each
+    # check enumerates its total's diagrams itself (a memo read after the
+    # first), so a refused enumeration is that check's cutoff.
     table = {}
 
     def weight(d):
@@ -86,34 +95,31 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
             table[d] = evaluate(d, g, rho, max_cost=max_cost)
         return table[d]
 
-    for total in range(2, max_total + 1, 2):
-        diagrams = enumerate_diagrams("A", total=total)
+    def check_flips(total):
+        flipped = 0
+        for d in enumerate_diagrams("A", total=total):
+            if not d.triples:
+                continue
+            flipped += 1
+            wf = evaluate(_flip_first_vertex(d), g, rho, max_cost=max_cost)
+            if weight(d) != -wf:
+                return False, {"diagrams": flipped}
+        return True, {"diagrams": flipped}
 
-        def check_flips(diagrams=diagrams):
-            flipped = 0
-            for d in diagrams:
-                if not d.triples:
-                    continue
-                flipped += 1
-                wf = evaluate(_flip_first_vertex(d), g, rho, max_cost=max_cost)
-                if weight(d) != -wf:
-                    return False, {"diagrams": flipped}
-            return True, {"diagrams": flipped}
+    def check_gens(generators, total):
+        gens = generators(enumerate_diagrams("A", total=total))
+        for vec in gens:
+            if sum(c * weight(d) for d, c in vec.items()) != 0:
+                return False, {"generators": len(gens)}
+        return True, {"generators": len(gens)}
 
-        def check_gens(gens):
-            def body(gens=gens):
-                for vec in gens:
-                    if sum(c * weight(d) for d, c in vec.items()) != 0:
-                        return False, {"generators": len(gens)}
-                return True, {"generators": len(gens)}
-            return body
+    def checks():
+        for total in range(2, max_total + 1, 2):
+            yield f"orientation-flip-antisymmetry-total-{total}", partial(check_flips, total)
+            yield f"ihx-vanishing-total-{total}", partial(check_gens, ihx_generators, total)
+            yield f"stu-vanishing-total-{total}", partial(check_gens, stu_generators, total)
 
-        report.run(f"orientation-flip-antisymmetry-total-{total}", check_flips)
-        report.run(f"ihx-vanishing-total-{total}",
-                   check_gens(ihx_generators(diagrams)))
-        report.run(f"stu-vanishing-total-{total}",
-                   check_gens(stu_generators(diagrams)))
-    return report.data
+    return _report("relations", checks())
 
 
 # ---------------------------------------------------------------------------
@@ -122,29 +128,29 @@ def verify_relations(max_total: int = 6, algebra="sl2", rep=None,
 
 def verify_chi_iso(max_total: int = 4, cache_dir=None) -> dict:
     _require_non_negative(max_total=max_total)
-    report = _Report("chi-iso")
     table = []
-    for n in range(max_total + 1):
-        def check(n=n):
-            a_basis = quotient_basis("A", total=n, cache_dir=cache_dir)
-            rows = []
-            dim_legs = 0
-            for v in range(n + 1):
-                piece = quotient_basis("B", v=v, l=n - v, cache_dir=cache_dir)
-                dim_legs += piece.dim
-                for d in piece.basis:
-                    coords = a_basis.coordinates(chi(d))
-                    rows.append({i: c for i, c in enumerate(coords) if c})
-            rank = len(_rref(rows))
-            entry = {"total": n, "dim_legs": dim_legs,
-                     "dim_circle": a_basis.dim, "rank": rank}
-            table.append(entry)
-            ok = dim_legs == a_basis.dim == rank
-            return ok, dict(entry)
 
-        report.run(f"chi-square-invertible-total-{n}", check)
-    report.data["rank_table"] = table
-    return report.data
+    def check(n):
+        a_basis = quotient_basis("A", total=n, cache_dir=cache_dir)
+        rows = []
+        dim_legs = 0
+        for v in range(n + 1):
+            piece = quotient_basis("B", v=v, l=n - v, cache_dir=cache_dir)
+            dim_legs += piece.dim
+            for d in piece.basis:
+                coords = a_basis.coordinates(chi(d))
+                rows.append({i: c for i, c in enumerate(coords) if c})
+        rank = len(_rref(rows))
+        entry = {"total": n, "dim_legs": dim_legs,
+                 "dim_circle": a_basis.dim, "rank": rank}
+        table.append(entry)
+        ok = dim_legs == a_basis.dim == rank
+        return ok, dict(entry)
+
+    report = _report("chi-iso", ((f"chi-square-invertible-total-{n}", partial(check, n))
+                                 for n in range(max_total + 1)))
+    report["rank_table"] = table
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -153,19 +159,17 @@ def verify_chi_iso(max_total: int = 4, cache_dir=None) -> dict:
 
 def verify_closure_omega(vmax: int = 4, cache_dir=None) -> dict:
     _require_non_negative(vmax=vmax)
-    report = _Report("closure-omega")
     theta_vec = -closure(DiagramVector.single(wheel(2)))
-    for pair_weight, denom in ((1, 48), (2, 24)):
-        for trunc in range(0, vmax + 1, 2):
-            def check(pair_weight=pair_weight, denom=denom, trunc=trunc):
-                lhs = closure(omega(trunc), pair_weight=pair_weight)
-                rhs = exp_disjoint(Fraction(CLOSURE_SIGN, denom) * theta_vec, trunc)
-                ok = equal_mod_relations(lhs, rhs, cache_dir=cache_dir)
-                return ok, {"sign": CLOSURE_SIGN}
 
-            report.run(
-                f"exp-theta-pair-weight-{pair_weight}-vmax-{trunc}", check)
-    return report.data
+    def check(pair_weight, denom, trunc):
+        lhs = closure(omega(trunc), pair_weight=pair_weight)
+        rhs = exp_disjoint(Fraction(CLOSURE_SIGN, denom) * theta_vec, trunc)
+        return equal_mod_relations(lhs, rhs, cache_dir=cache_dir), {"sign": CLOSURE_SIGN}
+
+    return _report("closure-omega", (
+        (f"exp-theta-pair-weight-{pair_weight}-vmax-{trunc}",
+         partial(check, pair_weight, denom, trunc))
+        for trunc in range(0, vmax + 1, 2) for pair_weight, denom in ((1, 48), (2, 24))))
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +180,6 @@ _WHEELING_PAIRS = (("empty", "empty"), ("strut", "strut"), ("wheel2", "strut"))
 
 
 def verify_wheeling(cache_dir=None) -> dict:
-    report = _Report("wheeling")
     vecs = {"empty": DiagramVector.single(empty_diagram()),
             "strut": DiagramVector.single(strut()),
             "wheel2": DiagramVector.single(wheel(2))}
@@ -185,15 +188,14 @@ def verify_wheeling(cache_dir=None) -> dict:
         legs = max((d.l for d, _ in x.items()), default=0)
         return chi(cap(omega(legs), x))
 
-    for a, b in _WHEELING_PAIRS:
-        def check(a=a, b=b):
-            x, y = vecs[a], vecs[b]
-            lhs = wheeled(disjoint_union(x, y))
-            rhs = connect_sum(wheeled(x), wheeled(y))
-            return equal_mod_relations(lhs, rhs, cache_dir=cache_dir), None
+    def check(a, b):
+        x, y = vecs[a], vecs[b]
+        lhs = wheeled(disjoint_union(x, y))
+        rhs = connect_sum(wheeled(x), wheeled(y))
+        return equal_mod_relations(lhs, rhs, cache_dir=cache_dir), None
 
-        report.run(f"multiplicative-{a}-{b}", check)
-    return report.data
+    return _report("wheeling", ((f"multiplicative-{a}-{b}", partial(check, a, b))
+                                for a, b in _WHEELING_PAIRS))
 
 
 # ---------------------------------------------------------------------------

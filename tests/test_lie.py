@@ -21,7 +21,7 @@ from weightsys.diagrams import (bare_circle, canonicalize, enumerate_diagrams,
                                 validate)
 from weightsys.errors import (GradingMismatchError, LieAlgebraError,
                               ResourceLimitError, SpaceMismatchError)
-from weightsys import algebra, cli, diagrams, lie, tensor, verify
+from weightsys import algebra, cli, diagrams, lie, maps, tensor, verify
 from weightsys.lie import (MetricLieAlgebra, Representation, abelian,
                            builtin_algebra, check_lie, check_representation,
                            contraction_plan, derive_tensors, evaluate,
@@ -785,6 +785,23 @@ def test_verify_relations_is_bounded(monkeypatch):
     # with no bound given, run_suite applies the default one
     monkeypatch.setattr(lie, "DEFAULT_MAX_COST", 0)
     assert cutoffs(verify.run_suite("relations", max_total=2))
+
+
+def test_a_suite_ends_at_its_first_resource_cutoff(monkeypatch):
+    """Under a small step budget, a suite with a huge bound reports the
+    checks the budget passes and then one cutoff, its last check; the
+    relations suite builds its diagrams inside its checks, so it reports the
+    cutoff instead of raising it.  ``maps`` binds the budget by name."""
+    monkeypatch.setattr(diagrams, "DEFAULT_MAX_STEPS", 300)
+    monkeypatch.setattr(maps, "DEFAULT_MAX_STEPS", 300)
+    monkeypatch.setattr(diagrams, "_enum_memo", {})
+    monkeypatch.setattr(algebra, "_basis_memo", {})
+    for report in (verify_relations(max_total=40), verify.verify_chi_iso(max_total=40),
+                   verify.verify_closure_omega(vmax=40)):
+        *passed, last = report["checks"]
+        assert passed and all(c["pass"] for c in passed), report
+        assert not last["pass"] and last["error"].startswith("resource cutoff"), report
+        assert not report["pass"]
 
 
 def test_run_suite_refuses_a_bound_its_suite_does_not_take():
